@@ -6,10 +6,6 @@ indices), floats at 17 significant digits, a single CSV header row,
 JSON with a schema field and sorted keys, and no timestamps.  Identical
 invocations produce byte-identical files.  Exit codes: 0 success,
 1 usage error, 2 domain error, 3 convergence failure.
-
-The environment variable HYPGEO_THREADS caps the worker fan-out of
-grid-producing commands; results are merged in index order, so the
-thread count never changes the output bytes.
 """
 
 from __future__ import annotations
@@ -19,9 +15,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .algebra import SplitQuaternion, psl2_canonicalize
@@ -264,15 +258,6 @@ def _build_covector(cfg: RunConfig, m: Metric) -> Covector:
     return covector_from_pbar3(m, cfg.pbar3, cfg.phase, ct)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("HYPGEO_THREADS", "")
-    try:
-        v = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(v, 64))
-
-
 # ---- serialization --------------------------------------------------------
 
 def _fmt_float(x: float) -> str:
@@ -421,20 +406,9 @@ def _cmd_wavefront(cfg: RunConfig) -> bytes:
     if cfg.t is None or cfg.t <= 0.0:
         raise UsageError("--t must be positive")
     n = cfg.grid_n
-    workers = _thread_count()
-
-    def row(i: int):
-        return wavefront_row(m, cfg.t, n, i, cfg.group)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_row = list(pool.map(row, range(n)))
-    else:
-        per_row = [row(i) for i in range(n)]
-
     rows = []
-    for i, chunk in enumerate(per_row):
-        for j, w in enumerate(chunk):
+    for i in range(n):
+        for j, w in enumerate(wavefront_row(m, cfg.t, n, i, cfg.group)):
             rows.append(
                 (i, j, w.covector.p1, w.covector.p2, w.covector.p3,
                  *w.point.components(), w.optimal)

@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .algebra import SplitQuaternion
 from .errors import LightLikeInput, NegativeTime, StepCountTooSmall
 from .metric_space import CausalType, Covector, Metric, covector_from_components, tau_of_t
@@ -119,7 +117,9 @@ def sample_geodesic(m: Metric, p: Covector, t_end: float, n: int) -> list[Geodes
 # Integrated with classical RK4 and a pseudo-norm renormalization each
 # step to hold the trajectory on the group.
 
-def _ode_rhs(q: np.ndarray, p: np.ndarray, i1: float, i3: float):
+def _ode_rhs(q, p, i1: float, i3: float):
+    import numpy as np
+
     w1 = p[:, 0] / (2.0 * i1)
     w2 = p[:, 1] / (2.0 * i1)
     w3 = -p[:, 2] / (2.0 * i3)
@@ -147,8 +147,11 @@ def exp_map_ode_oracle_batch(
     """RK4-integrated endpoints for many (covector, time) pairs at once.
 
     Each trajectory uses its own step size t/steps; the whole batch is
-    advanced together so the cost is steps * O(batch) numpy work.
+    advanced together so the cost is steps * O(batch) numpy work.  numpy
+    is imported here, not at module load, since nothing else needs it.
     """
+    import numpy as np
+
     if steps < MIN_ORACLE_STEPS:
         raise StepCountTooSmall(f"need >= {MIN_ORACLE_STEPS} steps, got {steps}")
     ts = np.asarray([float(t) for t in times], dtype=float)

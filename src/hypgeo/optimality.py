@@ -84,6 +84,30 @@ def first_conjugate_time(m: Metric, p: Covector) -> float:
     return math.inf
 
 
+# per group: the first zero that makes a Maxwell point, and the time-like
+# |pbar3| at or below which the conjugate cap comes first; the lambdas
+# look the root functions up at call time, so a rebinding of the module
+# names (as the bench tracer does) reaches every call
+_MAXWELL = {
+    GroupTag.PSL2: (lambda m, p: maxwell_root_q0(m, p), Metric.pbar3_threshold_psl2),
+    GroupTag.SL2: (lambda m, p: maxwell_root_q3(m, p), Metric.pbar3_threshold_sl2),
+}
+
+
+def _maxwell_time(m: Metric, p: Covector, group: GroupTag) -> float:
+    root, threshold = _MAXWELL[group]
+    if p.ctype is CausalType.LIGHT_LIKE:
+        return root(m, p)
+    if p.ctype is CausalType.SPACE_LIKE:
+        if abs(p.pbar3) < EQUATOR_TOLERANCE:
+            return math.inf
+        return root(m, p)
+    if abs(p.pbar3) <= threshold(m):
+        # the root sits at or beyond tau = pi; the rotational cap wins
+        return first_conjugate_time(m, p)
+    return min(root(m, p), first_conjugate_time(m, p))
+
+
 def maxwell_time(m: Metric, p: Covector) -> float:
     """First Maxwell time of the geodesic of p under the PSL(2,R)
     identifications.
@@ -92,31 +116,10 @@ def maxwell_time(m: Metric, p: Covector) -> float:
     active exactly when |pbar3| <= -3/(2 eta)); light-like: the first
     q0-zero; space-like: the first q0-zero, +inf at pbar3 = 0 where q0
     never vanishes.  Continuous across the light cone and diverging at the
-    space-like equator.
+    space-like equator.  SL(2,R) swaps in the q3-zero and the threshold
+    -2/eta (see cut_time).
     """
-    if p.ctype is CausalType.LIGHT_LIKE:
-        return maxwell_root_q0(m, p)
-    if p.ctype is CausalType.SPACE_LIKE:
-        if abs(p.pbar3) < EQUATOR_TOLERANCE:
-            return math.inf
-        return maxwell_root_q0(m, p)
-    if abs(p.pbar3) <= m.pbar3_threshold_psl2():
-        # q0-root sits at or beyond tau = pi; the rotational cap wins
-        return first_conjugate_time(m, p)
-    return min(maxwell_root_q0(m, p), first_conjugate_time(m, p))
-
-
-def _maxwell_time_sl2(m: Metric, p: Covector) -> float:
-    """SL(2,R) analog of maxwell_time: q3-roots, threshold -2/eta."""
-    if p.ctype is CausalType.LIGHT_LIKE:
-        return maxwell_root_q3(m, p)
-    if p.ctype is CausalType.SPACE_LIKE:
-        if abs(p.pbar3) < EQUATOR_TOLERANCE:
-            return math.inf
-        return maxwell_root_q3(m, p)
-    if abs(p.pbar3) <= m.pbar3_threshold_sl2():
-        return first_conjugate_time(m, p)
-    return min(maxwell_root_q3(m, p), first_conjugate_time(m, p))
+    return _maxwell_time(m, p, GroupTag.PSL2)
 
 
 def cut_time(m: Metric, p: Covector, group: GroupTag = GroupTag.PSL2) -> float:
@@ -125,9 +128,7 @@ def cut_time(m: Metric, p: Covector, group: GroupTag = GroupTag.PSL2) -> float:
     Equals the first Maxwell time of the respective group on all of C; the
     SL(2,R) value is never smaller than the PSL(2,R) one.
     """
-    if group is GroupTag.PSL2:
-        return maxwell_time(m, p)
-    return _maxwell_time_sl2(m, p)
+    return _maxwell_time(m, p, group)
 
 
 def describe_cut(m: Metric, p: Covector, group: GroupTag = GroupTag.PSL2) -> CutDescriptor:
@@ -138,7 +139,7 @@ def describe_cut(m: Metric, p: Covector, group: GroupTag = GroupTag.PSL2) -> Cut
     both groups; None: the geodesic is minimizing forever.
     """
     t_conj = first_conjugate_time(m, p)
-    t_max = maxwell_time(m, p) if group is GroupTag.PSL2 else _maxwell_time_sl2(m, p)
+    t_max = _maxwell_time(m, p, group)
     t_cut = t_max
     if math.isinf(t_cut):
         stratum = None
@@ -390,8 +391,7 @@ def wavefront_row(
     """Row i of the wavefront grid: fixed u = -1 + 2i/(n-1), all n phases.
 
     The cut time is phase-invariant, so the row's optimality flag is
-    computed once.  Rows are independent of each other, which makes them
-    the natural unit of parallel fan-out.
+    computed once.
     """
     u = -1.0 + 2.0 * i / (n - 1)
     radial = math.sqrt(max(m.i1 * (1.0 - u * u), 0.0))
@@ -477,13 +477,8 @@ def riemannian_log(
     x_cap = x_max * (1.0 - 1e-12)
     inner_tol = min(1e-12, tol)
 
-    def chain(x: float) -> Covector:
-        x = min(max(x, -x_cap), x_cap)
-        p1 = math.sqrt(max(m.i1 * (1.0 - x * x / m.i3), 0.0))
-        return covector_from_components(m, p1, 0.0, x)
-
     def resid(x: float, t: float) -> tuple[float, float]:
-        e = exp_map(m, chain(x), t)
+        e = exp_map(m, _chain_covector(m, min(max(x, -x_cap), x_cap)), t)
         return e.q0 - q.q0, e.q3 - q.q3
 
     # distance-scale cap so near-equatorial seeds don't sweep huge times
@@ -498,7 +493,7 @@ def riemannian_log(
     nx, nt = 48, 24
     for i in range(nx):
         x = x_cap * (-1.0 + 2.0 * (i + 0.5) / nx)
-        p = chain(x)
+        p = _chain_covector(m, x)
         tc = cut_time(m, p, GroupTag.PSL2)
         t_hi = t_cap_global if math.isinf(tc) else min(tc * (1.0 - 1e-9), t_cap_global)
         for j in range(nt):
@@ -548,7 +543,7 @@ def riemannian_log(
         if sol is None:
             continue
         x, t = sol
-        p0 = chain(x)
+        p0 = _chain_covector(m, x)
         e = exp_map(m, p0, t)
         delta = math.atan2(q.q2, q.q1) - math.atan2(e.q2, e.q1)
         p = _rotated(m, p0, delta)

@@ -1,12 +1,16 @@
-"""Bracketed root finding for the coordinate functions along geodesics.
+"""Root finding for the coordinate functions along geodesics.
 
-The q0 and q3 coordinates of a geodesic are combinations of two
-oscillations (or an oscillation against a hyperbolic growth), and their
-first positive zeros drive every optimality computation in the package.
-Each zero lives in an interval that can be pinned down analytically, so
-the solvers here scan with a step smaller than half the fastest
-oscillation period, then polish the bracket with a bisection/secant
-hybrid.  No root is ever reported without a sign change around it.
+The first positive zeros of the q0 and q3 coordinates drive every
+optimality computation in the package.  Along each geodesic q0 + i q3
+is a positive amplitude times e^{i phi} with a closed-form phase phi
+that strictly decreases from 0, so both zeros are level crossings of one
+monotone function: phi = -pi/2 for q0 and phi = -pi for q3.  They are
+solved by a safeguarded Newton iteration on the phase inside analytic
+brackets, to a few ulps relative.
+
+`find_first_positive_root` is the general scan-and-refine solver for
+functions without such a structure; `conjugate_roots` solves the
+tangent equation of the conjugate points on its analytic windows.
 """
 
 from __future__ import annotations
@@ -100,86 +104,125 @@ def find_first_positive_root(
 
 # ---- coordinate zeros along geodesics ----------------------------------
 #
-# All zeros are computed in the rescaled time tau (or, on the light cone,
-# in tau_p = t p3 / (2 I1)) and converted to t at the end.  The brackets:
+# q0 + i q3 along the geodesic, its unwrapped phase phi, with b = |pbar3|
+# and a = -eta b:
 #
-#   time-like, a = -eta|pbar3| > 1:
-#     q0: first zero < pi/(a-1), and <= pi once a >= 3/2
-#     q3: first zero < 3pi/(2(a-1)), and <= 2pi/a once a >= 2
-#     poles |pbar3| = 1 collapse to -pi/(2(1+eta)) and -pi/(1+eta)
-#   light-like, in u = -eta tau_p:
-#     q0: u in (pi/2, pi);  q3: u in (pi, 3pi/2)
-#   space-like, in u = -eta|pbar3| tau:
-#     q0: u in (pi/2, pi);  q3: u in (pi, 3pi/2)
+#   time-like   (cos tau + i b sin tau) e^{i eta b tau}:
+#       phi = (1 + eta b) tau + atan2((b-1) sin cos, cos^2 + b sin^2)
+#   space-like  (cosh tau + i b sinh tau) e^{i eta b tau}, divided by cosh:
+#       phi = atan(b tanh tau) + eta b tau
+#   light-like, in tau_p = t |p3| / (2 I1), with b = 1:
+#       phi = atan(tau) + eta tau
+#   poles b = 1:  phi = (1 + eta) tau, solved in closed form
+#
+# The first factor's phase psi = phi + a tau grows from 0 and
+# phi' <= b (1 + eta) < 0, so phi = target has its root in
+# [|target|/a, |target|/(a - b)].  Off the time-like cone psi < pi/2,
+# so tau < (pi/2 + |target|)/a; on it psi < tau + pi/2, so
+# tau < (pi/2 + |target|)/(a - 1).  Both windows matter as eta -> -1.
 
-def _timelike_scan(m: Metric, pbar3_abs: float, f: Callable[[float], float], which: str) -> float:
-    eta = m.eta
-    a = -eta * pbar3_abs
-    if which == "q0":
-        limit = math.pi if a >= 1.5 else math.pi / (a - 1.0)
-    else:
-        limit = 2.0 * math.pi / a if a >= 2.0 else 1.5 * math.pi / (a - 1.0)
-    limit *= 1.0 + 1e-9
-    step = min(0.01, limit / 16.0, math.pi / (4.0 * (a + 1.0)))
-    return find_first_positive_root(f, step, ROOT_TOLERANCE, limit)
+_TARGET_PHASE = {"q0": -0.5 * math.pi, "q3": -math.pi}
+# a phase function returns (phi, dphi/dx)
+_Phase = Callable[[float], tuple[float, float]]
+
+
+def _phase_root(phase: _Phase, target: float, lo: float, hi: float) -> float:
+    """Root of phase(x) = target on [lo, hi] for a strictly decreasing phase.
+
+    Safeguarded Newton (rtsafe, Numerical Recipes 9.4): a Newton step is
+    taken when it stays in the bracket and is at most half the step before
+    last, else the bracket is bisected; every evaluation narrows the
+    bracket, and a step of a few ulps ends the search.  An endpoint already
+    past the target (rounding at a bracket that is sharp in exact
+    arithmetic) is the root.
+    """
+    if not lo < hi:  # NaN input
+        raise NoRootFound(f"empty phase bracket [{lo!r}, {hi!r}]")
+    if phase(lo)[0] <= target:
+        return lo
+    if phase(hi)[0] >= target:
+        return hi
+    x = 0.5 * (lo + hi)
+    step = step_old = hi - lo
+    for _ in range(200):
+        phi, slope = phase(x)
+        f = phi - target
+        if f == 0.0:
+            return x
+        if f > 0.0:
+            lo = x
+        else:
+            hi = x
+        # a slope rounded to 0 (flat phase) falls back to bisection
+        newton = x - f / slope if slope < 0.0 else hi
+        if not (lo <= newton <= hi and 2.0 * abs(x - newton) <= abs(step_old)):
+            newton = 0.5 * (lo + hi)
+        step_old, step = step, x - newton
+        if abs(step) <= 4.0 * math.ulp(newton):
+            return newton
+        x = newton
+    return x
+
+
+def _timelike_phase(b: float, eta: float) -> _Phase:
+    # 1 + eta b, summed so that it keeps its digits as eta -> -1, b -> 1
+    rate = (1.0 + eta) + eta * (b - 1.0)
+
+    def phase(tau: float) -> tuple[float, float]:
+        s, c = math.sin(tau), math.cos(tau)
+        return (
+            rate * tau + math.atan2((b - 1.0) * s * c, c * c + b * s * s),
+            b / (c * c + b * b * s * s) + eta * b,
+        )
+
+    return phase
+
+
+def _spacelike_phase(b: float, eta: float) -> _Phase:
+    def phase(tau: float) -> tuple[float, float]:
+        th = math.tanh(tau)
+        return (
+            math.atan(b * th) + eta * b * tau,
+            b * (1.0 - th * th) / (1.0 + b * b * th * th) + eta * b,
+        )
+
+    return phase
+
+
+def _lightlike_phase(eta: float) -> _Phase:
+    return lambda tau: (math.atan(tau) + eta * tau, 1.0 / (1.0 + tau * tau) + eta)
 
 
 def _root_tau(m: Metric, p: Covector, which: str) -> float:
     """First positive zero of q0 or q3 in rescaled time units."""
     eta = m.eta
-
-    if p.ctype is CausalType.TIME_LIKE:
+    target = _TARGET_PHASE[which]
+    if p.ctype is CausalType.LIGHT_LIKE:
+        b, phase = 1.0, _lightlike_phase(eta)
+    elif p.ctype is CausalType.TIME_LIKE:
         b = abs(p.pbar3)
         if b == 1.0:
-            # pole geodesics: q0 = cos((1+eta) tau), q3 = +-sin((1+eta) tau)
-            if which == "q0":
-                return -math.pi / (2.0 * (1.0 + eta))
-            return -math.pi / (1.0 + eta)
-        if which == "q0":
-            f = lambda tau: math.cos(tau) * math.cos(tau * eta * b) - b * math.sin(
-                tau
-            ) * math.sin(tau * eta * b)
-        else:
-            f = lambda tau: math.cos(tau) * math.sin(tau * eta * b) + b * math.sin(
-                tau
-            ) * math.cos(tau * eta * b)
-        return _timelike_scan(m, b, f, which)
-
-    if p.ctype is CausalType.LIGHT_LIKE:
-        # tau_p units; q0 = cos(eta tau) - tau sin(eta tau), q3 likewise
-        if which == "q0":
-            f = lambda tau: math.cos(eta * tau) - tau * math.sin(eta * tau)
-            limit = -math.pi / eta
-        else:
-            f = lambda tau: math.sin(eta * tau) + tau * math.cos(eta * tau)
-            limit = -1.5 * math.pi / eta
-        limit *= 1.0 + 1e-9
-        step = min(0.01, limit / 24.0)
-        return find_first_positive_root(f, step, ROOT_TOLERANCE, limit)
-
-    # space-like; divide by cosh to keep the function bounded
-    b = abs(p.pbar3)
-    if b < EQUATOR_TOLERANCE:
-        if which == "q0":
-            raise UndefinedAtEquator(
-                "q0 = cosh(tau) never vanishes on equatorial space-like geodesics"
-            )
-        raise DegenerateIdenticallyZero(
-            "q3 vanishes identically on equatorial space-like geodesics"
-        )
-    if which == "q0":
-        f = lambda tau: math.cos(tau * eta * b) - b * math.tanh(tau) * math.sin(
-            tau * eta * b
-        )
-        limit = -math.pi / (eta * b)
+            return target / (1.0 + eta)
+        phase = _timelike_phase(b, eta)
     else:
-        f = lambda tau: math.sin(tau * eta * b) + b * math.tanh(tau) * math.cos(
-            tau * eta * b
-        )
-        limit = -1.5 * math.pi / (eta * b)
-    limit *= 1.0 + 1e-9
-    step = limit / 32.0
-    return find_first_positive_root(f, step, ROOT_TOLERANCE, limit)
+        b = abs(p.pbar3)
+        if b < EQUATOR_TOLERANCE:
+            if which == "q0":
+                raise UndefinedAtEquator(
+                    "q0 = cosh(tau) never vanishes on equatorial space-like geodesics"
+                )
+            raise DegenerateIdenticallyZero(
+                "q3 vanishes identically on equatorial space-like geodesics"
+            )
+        phase = _spacelike_phase(b, eta)
+    a = -eta * b
+    depth = -target
+    hi = depth / (-b * (1.0 + eta))
+    if p.ctype is CausalType.TIME_LIKE:
+        hi = min(hi, (0.5 * math.pi + depth) / (a - 1.0))
+    else:
+        hi = min(hi, (0.5 * math.pi + depth) / a)
+    return _phase_root(phase, target, depth / a, hi)
 
 
 def _tau_to_t(m: Metric, p: Covector, tau: float) -> float:

@@ -21,12 +21,10 @@ import math
 from dataclasses import dataclass
 
 from .algebra import SplitQuaternion, sq_exp, sq_mul
-from .errors import DomainError, NegativeTime, NoRootFound
+from .errors import DomainError, NegativeTime
 from .metric_space import CausalType, covector_from_pbar3, metric_from_eta
 from .optimality import GroupTag, cut_time
-from .root_solver import ROOT_TOLERANCE, find_first_positive_root
-
-SR_CUT_BETA_SPLIT = 3.0 / math.sqrt(5.0)  # above: conjugate cap; below: q0-type root
+from .root_solver import _lightlike_phase, _phase_root, _spacelike_phase, _timelike_phase
 
 
 @dataclass(frozen=True)
@@ -78,44 +76,24 @@ def sr_cut_time(beta: float) -> float:
     b = abs(beta)
     if b == 0.0:
         return math.inf
-    if b > SR_CUT_BETA_SPLIT:
-        return 2.0 * math.pi / math.sqrt(b * b - 1.0)
-    if b > 1.0:
-        w = math.sqrt(b * b - 1.0)
-        pbar3 = b / w
-
-        def f(t: float) -> float:
-            return math.cos(0.5 * w * t) * math.cos(0.5 * b * t) + pbar3 * math.sin(
-                0.5 * w * t
-            ) * math.sin(0.5 * b * t)
-
-        cap = 2.0 * math.pi / w
-        step = min(cap / 32.0, math.pi / (2.0 * (w + b)))
-        try:
-            return find_first_positive_root(f, step, ROOT_TOLERANCE, cap * (1.0 + 1e-9))
-        except NoRootFound:
-            # at the branch boundary the first zero degenerates to a triple
-            # zero sitting exactly on the conjugate cap; the sign change is
-            # below floating noise there, but the value is the cap itself
-            return cap
+    half_pi = 0.5 * math.pi
     if b == 1.0:
-
-        def f(t: float) -> float:
-            return math.cos(0.5 * t) + 0.5 * t * math.sin(0.5 * t)
-
-        limit = 2.0 * math.pi * (1.0 + 1e-9)
-        return find_first_positive_root(f, math.pi / 16.0, ROOT_TOLERANCE, limit)
-    w = math.sqrt(1.0 - b * b)
-    pbar3 = b / w
-
-    # divided by cosh to stay bounded; same zeros
-    def f(t: float) -> float:
-        return math.cos(0.5 * b * t) + pbar3 * math.tanh(0.5 * w * t) * math.sin(
-            0.5 * b * t
-        )
-
-    limit = (2.0 * math.pi / b) * (1.0 + 1e-9)
-    return find_first_positive_root(f, limit / 32.0, ROOT_TOLERANCE, limit)
+        # cos u + u sin u in u = t/2: the light-like phase at eta = -1
+        return 2.0 * _phase_root(_lightlike_phase(-1.0), -half_pi, half_pi, math.pi)
+    # in s = w t/2 and with k = b/w, the matching pbar3, the q0-type
+    # function has the eta = -1 time-like (b > 1) or space-like (b < 1) phase
+    w = math.sqrt(abs(b * b - 1.0))
+    k = b / w
+    if b > 1.0:
+        if not k > 1.5:
+            # |beta| >= 3/sqrt(5): phi(pi) = pi (1 - k) >= -pi/2, so the
+            # conjugate cap s = pi comes first (a triple zero at k = 1.5);
+            # k is NaN at |beta| = inf, where the cap is 0
+            return 2.0 * math.pi / w
+        s = _phase_root(_timelike_phase(k, -1.0), -half_pi, half_pi / k, math.pi)
+    else:
+        s = _phase_root(_spacelike_phase(k, -1.0), -half_pi, half_pi / k, math.pi / k)
+    return 2.0 * s / w
 
 
 def limit_comparison(

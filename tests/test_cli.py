@@ -23,7 +23,7 @@ from hypgeo import (
     psl2_canonicalize,
     sample_geodesic,
 )
-from hypgeo.cli import _thread_count, main, parse_args
+from hypgeo.cli import main, parse_args
 
 
 def run_cli(capfdbinary, *args):
@@ -238,16 +238,6 @@ def test_out_file_matches_stdout(tmp_path, capfdbinary):
 
 
 # ---- worker fan-out --------------------------------------------------------
-
-def test_thread_count_clamp(monkeypatch):
-    samples = {"": 1, "abc": 1, "0": 1, "-5": 1, "1": 1, "7": 7,
-               "64": 64, "1000": 64}
-    for raw, want in samples.items():
-        monkeypatch.setenv("HYPGEO_THREADS", raw)
-        assert _thread_count() == want
-    monkeypatch.delenv("HYPGEO_THREADS")
-    assert _thread_count() == 1
-
 
 def test_wavefront_bytes_independent_of_threads(monkeypatch, capfdbinary):
     args = ("wavefront", "--eta", "-1.25", "--t", "3.5", "--grid", "16")

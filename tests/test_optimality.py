@@ -218,6 +218,15 @@ def test_locus_strata_by_regime():
     assert names(-2.4, GroupTag.SL2) == ["H"]
 
 
+def test_sl2_symmetric_sheet_near_the_light_cone_stays_on_q3_zero():
+    # the witnesses run close to the light cone, where the q3-root time is
+    # small: a root good to 1e-12 absolute in tau puts |q3| near 1.7e-9
+    strata = cut_locus_sample(metric_from_eta(-2.7495939198049655), GroupTag.SL2, 8)
+    sheet = strata[0]
+    assert sheet.stratum == "H"
+    assert max(abs(pt.q3) for pt in sheet.points) <= 1e-9
+
+
 def test_locus_rejects_tiny_grid():
     with pytest.raises(ValueError):
         cut_locus_sample(M, GroupTag.PSL2, 1)

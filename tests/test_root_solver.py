@@ -156,6 +156,22 @@ def test_light_roots_match_independent_bisection():
     assert abs(bisect(q0, lo, hi) - t0) < 1e-9
 
 
+@pytest.mark.parametrize("eta", [-1.05, -2.7495939198049655, -8.939520238029953])
+@pytest.mark.parametrize("pbar3", [30.0, 300.0, 3000.0])
+def test_space_like_q0_root_is_relatively_accurate_near_the_light_cone(pbar3, eta):
+    # the root shrinks like 1/pbar3 here, so only a relative tolerance
+    # keeps its digits: bisect cos u + b tanh(u/k) sin u, u = k tau, with
+    # the covector's own b (rounding moves it off pbar3 by ~pbar3^2 ulps)
+    m = metric_from_eta(eta)
+    p = covector_from_pbar3(m, pbar3, 0.0, CausalType.SPACE_LIKE)
+    b = p.pbar3
+    k = -eta * b
+    u = bisect(lambda u: math.cos(u) + b * math.tanh(u / k) * math.sin(u),
+               0.5 * math.pi, math.pi)
+    tau0 = _tau_of(m, p, maxwell_root_q0(m, p))
+    assert abs(tau0 - u / k) <= 1e-12 * (u / k)
+
+
 # --- conjugate roots ----------------------------------------------------------
 
 
