@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .algebra import Psl2Element, SplitQuaternion, psl2_canonicalize
-from .errors import IdentityTarget, NoConvergence, OnCutLocus
+from .errors import DomainError, IdentityTarget, NoConvergence, OnCutLocus
 from .geodesic_engine import exp_map
 from .metric_space import (
     ETA_INJ_SPLIT,
@@ -30,7 +30,7 @@ from .metric_space import (
     covector_from_components,
     covector_from_pbar3,
 )
-from .root_solver import EQUATOR_TOLERANCE, maxwell_root_q0, maxwell_root_q3
+from .root_solver import EQUATOR_TOLERANCE, maxwell_root_q0, maxwell_root_q3, radius_level_root
 
 # a target is declared to sit on the cut locus when its stratum equation
 # (q0 = 0 for PSL2, the rotation band for axis targets) holds this tightly
@@ -169,54 +169,9 @@ def injectivity_radius(m: Metric) -> float:
 # ---- cut-locus sampling --------------------------------------------------
 
 def _chain_covector(m: Metric, x: float) -> Covector:
-    """Phase-0 covector on C with vertical momentum x (the witness chain)."""
+    """Phase-0 covector on C with vertical momentum x (the logarithm's search line)."""
     p1 = math.sqrt(max(m.i1 * (1.0 - x * x / m.i3), 0.0))
     return covector_from_components(m, p1, 0.0, x)
-
-
-def _chain_stop(m: Metric, group: GroupTag) -> float:
-    """Vertical momentum where the witness chain's endpoint radius hits 0."""
-    eta = m.eta
-    if group is GroupTag.PSL2:
-        bstar = 1.0 if eta <= ETA_POLE_SPLIT_PSL2 else m.pbar3_threshold_psl2()
-    else:
-        bstar = 1.0 if eta <= ETA_POLE_SPLIT_SL2 else m.pbar3_threshold_sl2()
-    return bstar * math.sqrt(m.i1 / (-(1.0 + eta * bstar * bstar)))
-
-
-def _chain_radius(m: Metric, group: GroupTag, x: float):
-    """(radius, covector, t, endpoint) of the cut point above chain(x)."""
-    try:
-        p = _chain_covector(m, x)
-        t = cut_time(m, p, group)
-        e = exp_map(m, p, t)
-        return math.hypot(e.q1, e.q2), p, t, e
-    except OverflowError:
-        return math.inf, None, None, None
-
-
-def _chain_witness_x(m: Metric, group: GroupTag, rho: float, table) -> float:
-    """Chain parameter whose cut point has horizontal radius rho."""
-    bracket = None
-    for (xa, ra), (xb, rb) in zip(table, table[1:]):
-        if (ra - rho) * (rb - rho) <= 0.0:
-            bracket = (xa, ra, xb, rb)
-            break
-    if bracket is None:
-        raise NoConvergence(f"no chain bracket for radius {rho!r}")
-    lo, flo, hi, fhi = bracket
-    for _ in range(200):
-        if abs(hi - lo) < 1e-16 * (1.0 + abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        fm = _chain_radius(m, group, mid)[0]
-        if abs(fm - rho) < 1e-13 * (1.0 + rho):
-            return mid
-        if (flo - rho) * (fm - rho) <= 0.0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
 
 
 def _rotated(m: Metric, p: Covector, delta: float) -> Covector:
@@ -226,57 +181,62 @@ def _rotated(m: Metric, p: Covector, delta: float) -> Covector:
     )
 
 
+def _upper(q: SplitQuaternion) -> Psl2Element:
+    """The PSL(2,R) point of q by its lift with q3 > 0: on and near the
+    plane q0 = 0 the sign of q0 is rounding noise, that of q3 is not."""
+    return Psl2Element(-q if q.q3 < 0.0 else q)
+
+
+def _stratum(m: Metric, name: str, witnesses, normal) -> LocusSample:
+    """The points normal(Exp(p, t)) for (p, t, ideal components) in
+    witnesses, and their worst component gap to the ideal."""
+    points, params = [], []
+    worst = 0.0
+    for p, t, ideal in witnesses:
+        e = normal(exp_map(m, p, t))
+        worst = max(worst, max(abs(a - b) for a, b in zip(e.components(), ideal)))
+        points.append(e)
+        params.append((p, t))
+    return LocusSample(name, tuple(points), tuple(params), worst)
+
+
+def _conjugate_witnesses(m: Metric, pairs):
+    """(covector, conjugate time, ideal) for (time-like pbar3, ideal)
+    pairs: the axis points are reached at the rotational collapse tau = pi."""
+    for pbar3, ideal in pairs:
+        p = covector_from_pbar3(m, pbar3, 0.0, CausalType.TIME_LIKE)
+        yield p, first_conjugate_time(m, p), ideal
+
+
 def _plane_stratum(m: Metric, group: GroupTag, n: int, rho_max: float) -> LocusSample:
     """n x n sample of the planar stratum: Z = {q0 = 0} for PSL(2,R), the
     lower symmetric sheet H = {q3 = 0, q0 <= -1} for SL(2,R).
 
     Rows are horizontal radii rho_max*i/n, columns are phases; every point
-    is produced as Exp(witness covector, cut time), never fabricated.
+    is produced as Exp(witness covector, cut time), never fabricated.  The
+    row's witness is the phase-0 geodesic whose unwrapped q0 + i q3 phase
+    reaches -pi/2 (Z) or -pi (H) exactly at radius rho: one root of the
+    phase along the radius level curve (`radius_level_root`), monotone and
+    so unique because Exp is a diffeomorphism below the cut time.
     """
-    x_stop = _chain_stop(m, group)
-    # descending radius along ascending x; extend toward x = 0 until the
-    # table covers rho_max (the radius blows up exponentially there)
-    xs = [x_stop * (k + 0.5) / 96.0 for k in range(96)]
-    table = [(x, _chain_radius(m, group, x)[0]) for x in xs]
-    guard = 0
-    while table[0][1] < rho_max and guard < 60:
-        table.insert(0, (table[0][0] * 0.5, _chain_radius(m, group, table[0][0] * 0.5)[0]))
-        guard += 1
-    table.append((x_stop, 0.0))
-
-    points, params = [], []
-    worst = 0.0
     psl2 = group is GroupTag.PSL2
+    normal = _upper if psl2 else (lambda q: q)
 
-    def z_normal(q: SplitQuaternion) -> SplitQuaternion:
-        # on the plane q0 is pure noise, so the representative sign must
-        # come from q3 (which is bounded away from 0 there)
-        return -q if q.q3 < 0.0 else q
+    def witnesses():
+        for i in range(1, n + 1):
+            rho = rho_max * i / n
+            p0 = radius_level_root(m, rho, -0.5 * math.pi if psl2 else -math.pi)
+            t = cut_time(m, p0, group)
+            _, x0, y0, _ = normal(exp_map(m, p0, t)).components()
+            gamma0 = math.atan2(y0, x0)
+            sheet = math.sqrt(1.0 + rho * rho)
+            for j in range(n):
+                phi = 2.0 * math.pi * j / n
+                x, y = rho * math.cos(phi), rho * math.sin(phi)
+                ideal = (0.0, x, y, sheet) if psl2 else (-sheet, x, y, 0.0)
+                yield _rotated(m, p0, phi - gamma0), t, ideal
 
-    for i in range(1, n + 1):
-        rho = rho_max * i / n
-        x = _chain_witness_x(m, group, rho, table)
-        _, p0, t, e0 = _chain_radius(m, group, x)
-        base = z_normal(e0) if psl2 else e0
-        gamma0 = math.atan2(base.q2, base.q1)
-        sheet = math.sqrt(1.0 + rho * rho)
-        for j in range(n):
-            phi = 2.0 * math.pi * j / n
-            pj = _rotated(m, p0, phi - gamma0)
-            ej = exp_map(m, pj, t)
-            if psl2:
-                comp = z_normal(ej)
-                ideal = (0.0, rho * math.cos(phi), rho * math.sin(phi), sheet)
-                points.append(Psl2Element(comp))
-            else:
-                comp = ej
-                ideal = (-sheet, rho * math.cos(phi), rho * math.sin(phi), 0.0)
-                points.append(ej)
-            params.append((pj, t))
-            worst = max(
-                worst, max(abs(a - b) for a, b in zip(comp.components(), ideal))
-            )
-    return LocusSample("Z" if psl2 else "H", tuple(points), tuple(params), worst)
+    return _stratum(m, "Z" if psl2 else "H", witnesses(), normal)
 
 
 def _rotation_stratum_psl2(m: Metric, n: int) -> LocusSample:
@@ -285,40 +245,26 @@ def _rotation_stratum_psl2(m: Metric, n: int) -> LocusSample:
     n rotation angles sweep the open-left interval (-2 pi (1+eta), pi];
     the mirror arc of negative angles is the flip3 image and is not
     duplicated.  Witnesses run at the conjugate-capped time tau = pi with
-    pbar3 = -(phi + 2 pi)/(2 pi eta), vertical sign flipped.
+    pbar3 = (phi + 2 pi)/(2 pi eta).  Every point cos(phi/2) +
+    sin(phi/2) k has q3 > 0, which fixes the sign of the phi = pi end on
+    the plane q0 = 0.
     """
-    eta = m.eta
-    phi_left = -2.0 * math.pi * (1.0 + eta)
-    points, params = [], []
-    worst = 0.0
-    for k in range(1, n + 1):
-        phi = phi_left + (math.pi - phi_left) * k / n
-        b = -(phi + 2.0 * math.pi) / (2.0 * math.pi * eta)
-        p = covector_from_pbar3(m, -b, 0.0, CausalType.TIME_LIKE)
-        t = first_conjugate_time(m, p)
-        pe = psl2_canonicalize(exp_map(m, p, t))
-        ideal = (math.cos(0.5 * phi), 0.0, 0.0, math.sin(0.5 * phi))
-        worst = max(worst, max(abs(a - b_) for a, b_ in zip(pe.components(), ideal)))
-        points.append(pe)
-        params.append((p, t))
-    return LocusSample("R_eta", tuple(points), tuple(params), worst)
+    phi_left = -2.0 * math.pi * (1.0 + m.eta)
+    phis = [phi_left + (math.pi - phi_left) * k / n for k in range(1, n + 1)]
+    pairs = [
+        ((phi + 2.0 * math.pi) / (2.0 * math.pi * m.eta),
+         (math.cos(0.5 * phi), 0.0, 0.0, math.sin(0.5 * phi)))
+        for phi in phis
+    ]
+    return _stratum(m, "R_eta", _conjugate_witnesses(m, pairs), _upper)
 
 
 def _conjugate_circle_psl2(m: Metric) -> LocusSample:
     """The two conjugate endpoints of the rotation stratum, angles
     +-2 pi (1+eta), reached by the pole covectors at the conjugate time."""
-    phi_c = -2.0 * math.pi * (1.0 + m.eta)
-    points, params = [], []
-    worst = 0.0
-    for sign in (1.0, -1.0):
-        p = covector_from_pbar3(m, -sign, 0.0, CausalType.TIME_LIKE)
-        t = first_conjugate_time(m, p)
-        pe = psl2_canonicalize(exp_map(m, p, t))
-        ideal = (math.cos(0.5 * phi_c), 0.0, 0.0, sign * math.sin(0.5 * phi_c))
-        worst = max(worst, max(abs(a - b_) for a, b_ in zip(pe.components(), ideal)))
-        points.append(pe)
-        params.append((p, t))
-    return LocusSample("ConjugateCircle", tuple(points), tuple(params), worst)
+    half = -math.pi * (1.0 + m.eta)
+    pairs = [(-sign, (math.cos(half), 0.0, 0.0, sign * math.sin(half))) for sign in (1.0, -1.0)]
+    return _stratum(m, "ConjugateCircle", _conjugate_witnesses(m, pairs), psl2_canonicalize)
 
 
 def _axis_stratum_sl2(m: Metric, n: int) -> LocusSample:
@@ -328,37 +274,21 @@ def _axis_stratum_sl2(m: Metric, n: int) -> LocusSample:
     q3-mirror arc (witnessed by negative pbar3) is not duplicated.  The
     s = 1 endpoint is conjugate and reported separately.
     """
-    eta = m.eta
     s_max = m.pbar3_threshold_sl2()
-    points, params = [], []
-    worst = 0.0
-    for k in range(1, n + 1):
-        s = 1.0 + (s_max - 1.0) * k / n
-        p = covector_from_pbar3(m, s, 0.0, CausalType.TIME_LIKE)
-        t = first_conjugate_time(m, p)
-        e = exp_map(m, p, t)
-        ideal = (-math.cos(math.pi * eta * s), 0.0, 0.0, -math.sin(math.pi * eta * s))
-        worst = max(worst, max(abs(a - b_) for a, b_ in zip(e.components(), ideal)))
-        points.append(e)
-        params.append((p, t))
-    return LocusSample("T_eta", tuple(points), tuple(params), worst)
+    ss = [1.0 + (s_max - 1.0) * k / n for k in range(1, n + 1)]
+    pairs = [
+        (s, (-math.cos(math.pi * m.eta * s), 0.0, 0.0, -math.sin(math.pi * m.eta * s)))
+        for s in ss
+    ]
+    return _stratum(m, "T_eta", _conjugate_witnesses(m, pairs), lambda q: q)
 
 
 def _conjugate_circle_sl2(m: Metric) -> LocusSample:
     """Conjugate endpoints of the SL(2,R) axis stratum (s = 1, both pole
     signs)."""
-    eta = m.eta
-    points, params = [], []
-    worst = 0.0
-    for sign in (1.0, -1.0):
-        p = covector_from_pbar3(m, sign, 0.0, CausalType.TIME_LIKE)
-        t = first_conjugate_time(m, p)
-        e = exp_map(m, p, t)
-        ideal = (-math.cos(math.pi * eta), 0.0, 0.0, -sign * math.sin(math.pi * eta))
-        worst = max(worst, max(abs(a - b_) for a, b_ in zip(e.components(), ideal)))
-        points.append(e)
-        params.append((p, t))
-    return LocusSample("ConjugateCircle", tuple(points), tuple(params), worst)
+    turn = math.pi * m.eta
+    pairs = [(sign, (-math.cos(turn), 0.0, 0.0, -sign * math.sin(turn))) for sign in (1.0, -1.0)]
+    return _stratum(m, "ConjugateCircle", _conjugate_witnesses(m, pairs), lambda q: q)
 
 
 def cut_locus_sample(
@@ -373,6 +303,8 @@ def cut_locus_sample(
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    if not (0.0 < rho_max < math.inf):
+        raise DomainError(f"rho_max must be finite and > 0, got {rho_max!r}")
     out = [_plane_stratum(m, group, n, rho_max)]
     if group is GroupTag.PSL2:
         if m.eta > ETA_POLE_SPLIT_PSL2:

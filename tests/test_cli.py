@@ -1,6 +1,7 @@
 """Command-line interface: parsing, exit codes, formats, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -110,6 +111,10 @@ DOMAIN_CASES = [
     ["log", "--eta", "-1.25", "--target", "2,0,0,0"],
     ["log", "--eta", "-1.25", "--target", "0,0,0,1"],
     ["sr-compare", "--pbar3", "1.2", "--type", "tl", "--eta-list", "-0.9"],
+    ["cut-locus", "--eta", "-1.25", "--grid", "4", "--rho-max", "nan"],
+    ["cut-locus", "--eta", "-1.25", "--grid", "4", "--rho-max", "inf"],
+    ["cut-locus", "--eta", "-1.25", "--grid", "4", "--rho-max", "-1"],
+    ["cut-locus", "--eta", "-1.25", "--grid", "4", "--rho-max", "0"],
 ]
 
 
@@ -237,17 +242,15 @@ def test_out_file_matches_stdout(tmp_path, capfdbinary):
     assert path.read_bytes() == out
 
 
-# ---- worker fan-out --------------------------------------------------------
+# ---- repeat-run determinism -------------------------------------------------
 
-def test_wavefront_bytes_independent_of_threads(monkeypatch, capfdbinary):
+def test_wavefront_bytes_identical_across_repeated_runs(capfdbinary):
     args = ("wavefront", "--eta", "-1.25", "--t", "3.5", "--grid", "16")
-    monkeypatch.setenv("HYPGEO_THREADS", "1")
-    code, serial, _ = run_cli(capfdbinary, *args)
+    code, first, _ = run_cli(capfdbinary, *args)
     assert code == 0
-    monkeypatch.setenv("HYPGEO_THREADS", "7")
-    code, threaded, _ = run_cli(capfdbinary, *args)
+    code, second, _ = run_cli(capfdbinary, *args)
     assert code == 0
-    assert serial == threaded
+    assert first == second
 
 
 def test_repeated_runs_byte_identical(capfdbinary):
@@ -377,3 +380,58 @@ def test_module_invocation_matches_inprocess(capfdbinary):
                           capture_output=True)
     assert proc.returncode == 0
     assert proc.stdout == out
+
+
+# ---- pinned output bytes ---------------------------------------------------
+#
+# SHA-256 of the stdout of commands that the cut-locus sampler does not
+# feed: a change to their bytes (CRLF rows, 17 significant digits, sorted
+# JSON keys, the numbers themselves) must be deliberate.  The numbers come
+# from the platform's libm; one that rounds sin/atan differently in the
+# last ulp would move them.
+
+_LOG_TARGET_TL = "1.0591011565939845,0.20461565765782441,0.33816149123703981,-0.18581039157077983"
+_LOG_TARGET_SL = "1.0491986915981739,0.9316683452740343,-0.04220945391113104,-0.87690914531313502"
+
+PINNED_OUTPUTS = [
+    (("geodesic", "--eta", "-1.37", "--pbar3", "1.45", "--type", "tl", "--t-max", "5.5",
+      "--samples", "48"),
+     "2d7e61c4785f01392bc7b9519b4ac6bef0ddc6538d9417b9276ff04b0c4acc88"),
+    (("geodesic", "--eta", "-2.2", "--pbar3", "0.4", "--type", "sl", "--phase", "0.7",
+      "--t-max", "3", "--samples", "16", "--format", "json"),
+     "48a241e26e2a8541ab096e1567aa21618864e57ca49c5eab66760d4919cdab3c"),
+    (("geodesic", "--eta", "-1.25", "--type", "ll", "--t-max", "2", "--samples", "8"),
+     "0589244a332c24f5ea53fa30d9e18477d1aec8ef1c78a5142f555a30ae026c45"),
+    (("maxwell", "--eta", "-1.25", "--pbar3", "1.4", "--type", "tl"),
+     "f17117739c01996eb4c914ba008079bdc7d8e55faed29229a5e411d679f7647b"),
+    (("maxwell", "--eta", "-1.3", "--pbar3", "1", "--type", "tl"),
+     "19aa280f6e3b468e0b7ed130480e9fce148bf9fa257a95a081be212d42256f11"),
+    (("maxwell", "--eta", "-2.75", "--pbar3", "300", "--type", "sl", "--format", "json"),
+     "ba2d7cecfe27a61effd2259fd449789c7d1d9f3daa3f1d1a3b699dd934d27244"),
+    (("maxwell", "--eta", "-1.6", "--type", "ll"),
+     "f232ad20aa1fd20e7799ca8a419354649628b08659d4dc7b2217f2041083d6f6"),
+    (("wavefront", "--eta", "-1.4", "--t", "3.3", "--grid", "16"),
+     "967fdebb10c7d2b8148c4434036a43b073a46af2988448ee1d4f4457d046f7f0"),
+    (("wavefront", "--eta", "-2.5", "--t", "1.7", "--grid", "8", "--group", "sl2",
+      "--format", "json"),
+     "b6677099ff07d8ca8e9dc6d1a0aeb0ed6803f982523b5c46190bb09716964742"),
+    (("injrad", "--eta", "-1.1"),
+     "ea95c347e6c069649fedc42bc34b84c99df01698c172423c37e4a8253e74e880"),
+    (("injrad", "--eta", "-1.9", "--format", "json"),
+     "c6231e3330d0f0de3d679343ee4f6a09596c03cc94229855cb975f8af58fe7f5"),
+    (("injrad", "--I1", "2", "--I3", "0.5"),
+     "d2b7651120c1a0d45cc94f983e9f6b8f4774f0acdcc44ff14618d769f5237f76"),
+    (("log", "--eta", "-1.25", "--target", _LOG_TARGET_TL),
+     "a50c57584b31a3c4953c1e7479ba8dcf5a5d4690b9f7ded6154ff774db3ea42b"),
+    (("log", "--eta", "-2.4", "--target", _LOG_TARGET_SL, "--format", "json"),
+     "429d0d3f6f9ef7112426bdb1ca4969a71cd9e00b9fafe3109b95bf456dc1b365"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", PINNED_OUTPUTS, ids=[f"{a[0]}-{i}" for i, (a, _) in enumerate(PINNED_OUTPUTS)]
+)
+def test_output_bytes_are_pinned(capfdbinary, argv, digest):
+    code, out, _ = run_cli(capfdbinary, *argv)
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == digest

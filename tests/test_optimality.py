@@ -8,6 +8,7 @@ import pytest
 from helpers import gap, projective_gap, random_covector
 from hypgeo import (
     CausalType,
+    DomainError,
     GroupTag,
     IdentityTarget,
     OnCutLocus,
@@ -31,6 +32,7 @@ from hypgeo import (
     wavefront_row,
     wavefront_sample,
 )
+from hypgeo.root_solver import radius_level_root
 
 M = make_metric(1.0, 4.0)
 
@@ -232,6 +234,66 @@ def test_locus_rejects_tiny_grid():
         cut_locus_sample(M, GroupTag.PSL2, 1)
 
 
+@pytest.mark.parametrize("rho_max", [math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0])
+def test_locus_rejects_a_radius_that_is_not_finite_and_positive(rho_max):
+    with pytest.raises(DomainError):
+        cut_locus_sample(M, GroupTag.PSL2, 4, rho_max)
+
+
+@pytest.mark.parametrize(
+    "rho, target", [(0.0, -1.0), (-1.0, -1.0), (math.nan, -1.0), (math.inf, -1.0),
+                    (1.0, 0.0), (1.0, 0.5), (1.0, math.nan), (1.0, -math.inf)]
+)
+def test_radius_level_root_rejects_bad_input(rho, target):
+    with pytest.raises(DomainError):
+        radius_level_root(M, rho, target)
+
+
+# the plane strata's extremes: eta from the sub-Riemannian end to deep in
+# the pole regime, radii from the conjugate end (tau -> pi) to far out
+_PLANE_ETAS = (-1.001, -1.05, -1.25, -1.45, -1.5, -1.6, -2.0, -2.5, -4.0, -8.0, -30.0)
+_PLANE_RHO_MAX = (1e-6, 1e-3, 0.1, 3.0, 30.0)
+
+
+@pytest.mark.parametrize("group", list(GroupTag))
+def test_plane_stratum_is_accurate_over_eta_and_radius(group):
+    for eta in _PLANE_ETAS:
+        m = metric_from_eta(eta)
+        for rho_max in _PLANE_RHO_MAX:
+            plane = cut_locus_sample(m, group, 4, rho_max)[0]
+            assert plane.validation_error <= 1e-9, (eta, rho_max, plane.validation_error)
+
+
+@pytest.mark.parametrize("group", list(GroupTag))
+def test_radius_level_root_across_the_light_cone(group):
+    # the radius at which the light-like geodesic is cut is the seam of the
+    # time-like and space-like branches of the radius level curve
+    target = -0.5 * math.pi if group is GroupTag.PSL2 else -math.pi
+    for eta in (-1.001, -1.05, -1.25, -1.6, -2.0, -2.75, -4.0, -9.0, -30.0):
+        m = metric_from_eta(eta)
+        light = light_covector(m, 0.0, 1)
+        e = exp_map(m, light, cut_time(m, light, group))
+        seam = math.hypot(e.q1, e.q2)
+        for scale, ctype in (
+            (1.0 - 1e-6, CausalType.TIME_LIKE),
+            (1.0 - 4e-16, None),
+            (1.0, None),
+            (1.0 + 4e-16, None),
+            (1.0 + 1e-6, CausalType.SPACE_LIKE),
+        ):
+            rho = seam * scale
+            p = radius_level_root(m, rho, target)
+            assert p.p2 == 0.0 and p.p1 > 0.0 and p.p3 > 0.0
+            if ctype is not None:
+                assert p.ctype is ctype
+            w = exp_map(m, p, cut_time(m, p, group))
+            assert abs(math.hypot(w.q1, w.q2) - rho) <= 1e-12 * rho, (eta, scale)
+            if group is GroupTag.PSL2:
+                assert abs(w.q0) <= 1e-12
+            else:
+                assert abs(w.q3) <= 1e-12 and w.q0 < -1.0
+
+
 @pytest.mark.parametrize("group", list(GroupTag))
 def test_plane_stratum_extent_and_witnesses(group):
     n = 5
@@ -263,6 +325,20 @@ def test_rotation_stratum_angles_fill_the_band():
         phi = 2.0 * math.atan2(q.q3, q.q0)
         assert phi_left < phi <= math.pi + 1e-12
     assert reta.validation_error < 1e-9
+
+
+def test_rotation_stratum_endpoint_lies_on_the_upper_sheet():
+    # at phi = pi the point k lies on q0 = 0, where the usual
+    # representative would take its sign from the rounding of q0
+    reta = cut_locus_sample(metric_from_eta(-1.0826695491949396), GroupTag.PSL2, 8)[1]
+    assert reta.points[-1].rep.q3 > 0.0
+    assert reta.validation_error < 1e-9
+    rnd = random.Random(2024)
+    for _ in range(200):
+        m = metric_from_eta(rnd.uniform(-1.5, -1.0))
+        for n in (8, 12, 16):
+            reta = cut_locus_sample(m, GroupTag.PSL2, n, 0.5)[1]
+            assert reta.validation_error < 1e-9, (m.eta, n, reta.validation_error)
 
 
 def test_axis_stratum_parameters():
