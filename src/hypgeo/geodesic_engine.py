@@ -11,9 +11,16 @@ closed forms in the rescaled time tau = t|p|/(2 I1).  The second factor is
 the vertical flow: the momentum itself precesses about e3 with angular
 rate -eta p3 / I1 while p3 and the horizontal radius stay fixed.
 
-`exp_map` evaluates the closed forms; `exp_map_ode_oracle` integrates the
-underlying Hamiltonian system with a fixed-step RK4 scheme and is kept
-deliberately independent of the closed forms so each can check the other.
+Rotations R about e3 fix the identity and, as I1 = I2, are isometries:
+Exp(R p, t) = R Exp(p, t).  So `exp_map` is `orbit_factors` (all that
+depends only on t, p3, norm, pbar3 and the causal type, once per orbit)
+plus `orbit_point` (q1, q2 from one covector's p1, p2).  Grids whose rows
+share one causal record run exactly these floats per point, so their
+points equal `exp_map` of their covectors bit for bit.
+
+`exp_map_ode_oracle` integrates the underlying Hamiltonian system with a
+fixed-step RK4 scheme and is kept deliberately independent of the closed
+forms so each can check the other.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import SplitQuaternion
-from .errors import LightLikeInput, NegativeTime, StepCountTooSmall
-from .metric_space import CausalType, Covector, Metric, covector_from_components, tau_of_t
+from .errors import DomainError, LightLikeInput, NegativeTime, StepCountTooSmall
+from .metric_space import CausalType, Covector, Metric, covector_from_components
 
 MIN_ORACLE_STEPS = 100
 
@@ -42,6 +49,41 @@ def _rotate(x: float, y: float, angle: float) -> tuple[float, float]:
     return (x * c - y * s, x * s + y * c)
 
 
+def orbit_factors(m: Metric, p: Covector, t: float) -> tuple:
+    """(q0, q3, radial, cos, sin of the turn, norm) of Exp(p, t): the part
+    shared by p's rotation orbit.  radial is sin/sinh tau (t/(2 I1) and
+    norm 0 on the light cone).  Raises NegativeTime for t < 0 and
+    DomainError for a time that is not finite."""
+    if t < 0.0:
+        raise NegativeTime(f"geodesic time must be >= 0, got {t!r}")
+    if not math.isfinite(t):
+        raise DomainError(f"geodesic time must be finite, got {t!r}")
+    eta = m.eta
+    if p.ctype is CausalType.LIGHT_LIKE:
+        a = t * eta * p.p3 / (2.0 * m.i1)
+        b = t / (2.0 * m.i1)
+        ca, sa = math.cos(a), math.sin(a)
+        return (ca - b * p.p3 * sa, sa + b * p.p3 * ca, b, math.cos(-a), math.sin(-a), 0.0)
+    tau = t * p.norm / (2.0 * m.i1)  # tau_of_t, inlined on this hot path
+    pbar3 = p.pbar3
+    theta = tau * eta * pbar3
+    ce, se = math.cos(theta), math.sin(theta)
+    if p.ctype is CausalType.TIME_LIKE:
+        ct, st = math.cos(tau), math.sin(tau)
+    else:
+        ct, st = math.cosh(tau), math.sinh(tau)
+    q0, q3 = ct * ce - pbar3 * st * se, ct * se + pbar3 * st * ce
+    return (q0, q3, st, math.cos(-theta), math.sin(-theta), p.norm)
+
+
+def orbit_point(factors: tuple, p1: float, p2: float) -> SplitQuaternion:
+    """Exp of the orbit's covector with horizontal part (p1, p2)."""
+    q0, q3, radial, c, s, norm = factors
+    if norm:
+        p1, p2 = p1 / norm, p2 / norm
+    return SplitQuaternion(q0, radial * (p1 * c - p2 * s), radial * (p1 * s + p2 * c), q3)
+
+
 def exp_map(m: Metric, p: Covector, t: float) -> SplitQuaternion:
     """Endpoint of the unit-speed geodesic with initial covector p at time t.
 
@@ -53,39 +95,10 @@ def exp_map(m: Metric, p: Covector, t: float) -> SplitQuaternion:
 
     with ce = cos(tau eta pbar3), se = sin(tau eta pbar3); space-like ones
     replace cos/sin of tau by cosh/sinh; the light-like cone uses the
-    affine-in-t form with rotation angle t eta p3 / (2 I1).
+    affine-in-t form with rotation angle t eta p3 / (2 I1).  Runs as the
+    orbit factors of p plus one assembly (see the module docstring).
     """
-    if t < 0.0:
-        raise NegativeTime(f"geodesic time must be >= 0, got {t!r}")
-    eta = m.eta
-    if p.ctype is CausalType.LIGHT_LIKE:
-        a = t * eta * p.p3 / (2.0 * m.i1)
-        b = t / (2.0 * m.i1)
-        ca, sa = math.cos(a), math.sin(a)
-        x, y = _rotate(p.p1, p.p2, -a)
-        return SplitQuaternion(
-            ca - b * p.p3 * sa,
-            b * x,
-            b * y,
-            sa + b * p.p3 * ca,
-        )
-    tau = tau_of_t(m, p, t)
-    pbar3 = p.pbar3
-    pbar1 = p.p1 / p.norm
-    pbar2 = p.p2 / p.norm
-    theta = tau * eta * pbar3
-    ce, se = math.cos(theta), math.sin(theta)
-    if p.ctype is CausalType.TIME_LIKE:
-        ct, st = math.cos(tau), math.sin(tau)
-    else:
-        ct, st = math.cosh(tau), math.sinh(tau)
-    x, y = _rotate(pbar1, pbar2, -theta)
-    return SplitQuaternion(
-        ct * ce - pbar3 * st * se,
-        st * x,
-        st * y,
-        ct * se + pbar3 * st * ce,
-    )
+    return orbit_point(orbit_factors(m, p, t), p.p1, p.p2)
 
 
 def vertical_flow(m: Metric, p: Covector, t: float) -> Covector:

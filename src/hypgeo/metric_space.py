@@ -91,9 +91,11 @@ class Covector:
 
 
 def make_metric(i1: float, i3: float) -> Metric:
-    """Validated metric constructor; both eigenvalues must be positive."""
+    """Validated metric constructor; both eigenvalues must be positive and finite."""
     if not (i1 > 0.0) or not (i3 > 0.0):
         raise NonPositiveEigenvalue(f"inertia values must be > 0, got {i1!r}, {i3!r}")
+    if not (math.isfinite(i1) and math.isfinite(i3)):
+        raise DomainError(f"inertia values must be finite, got {i1!r}, {i3!r}")
     return Metric(float(i1), float(i3))
 
 
@@ -105,9 +107,10 @@ def metric_from_eta(eta: float, i1: float = 1.0) -> Metric:
 
 
 def covector_from_components(m: Metric, p1: float, p2: float, p3: float) -> Covector:
-    """Covector from raw components, validated against the surface C."""
+    """Covector from raw components, validated against the surface C (a NaN
+    component fails the check)."""
     energy = (p1 * p1 + p2 * p2) / m.i1 + p3 * p3 / m.i3
-    if abs(energy - 1.0) > ON_C_TOLERANCE:
+    if not abs(energy - 1.0) <= ON_C_TOLERANCE:
         raise NotOnC(f"energy {energy!r} differs from 1 beyond tolerance")
     kil = p1 * p1 + p2 * p2 - p3 * p3
     if abs(kil) < LIGHT_TOLERANCE * m.i1:

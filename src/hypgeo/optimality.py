@@ -19,7 +19,7 @@ from enum import Enum
 
 from .algebra import Psl2Element, SplitQuaternion, psl2_canonicalize
 from .errors import DomainError, IdentityTarget, NoConvergence, OnCutLocus
-from .geodesic_engine import exp_map
+from .geodesic_engine import exp_map, orbit_factors, orbit_point
 from .metric_space import (
     ETA_INJ_SPLIT,
     ETA_POLE_SPLIT_PSL2,
@@ -187,13 +187,19 @@ def _upper(q: SplitQuaternion) -> Psl2Element:
     return Psl2Element(-q if q.q3 < 0.0 else q)
 
 
-def _stratum(m: Metric, name: str, witnesses, normal) -> LocusSample:
-    """The points normal(Exp(p, t)) for (p, t, ideal components) in
+def _turned(p: Covector, p1: float, p2: float) -> Covector:
+    """p turned about e3 to horizontal part (p1, p2), keeping the orbit's
+    causal record rather than one re-derived from rounded components."""
+    return Covector(p1, p2, p.p3, p.kil, p.ctype, p.norm, p.pbar3)
+
+
+def _stratum(name: str, witnesses, normal) -> LocusSample:
+    """The points normal(q) for (p, t, q = Exp(p, t), ideal components) in
     witnesses, and their worst component gap to the ideal."""
     points, params = [], []
     worst = 0.0
-    for p, t, ideal in witnesses:
-        e = normal(exp_map(m, p, t))
+    for p, t, q, ideal in witnesses:
+        e = normal(q)
         worst = max(worst, max(abs(a - b) for a, b in zip(e.components(), ideal)))
         points.append(e)
         params.append((p, t))
@@ -201,11 +207,12 @@ def _stratum(m: Metric, name: str, witnesses, normal) -> LocusSample:
 
 
 def _conjugate_witnesses(m: Metric, pairs):
-    """(covector, conjugate time, ideal) for (time-like pbar3, ideal)
+    """(covector, conjugate time, Exp, ideal) for (time-like pbar3, ideal)
     pairs: the axis points are reached at the rotational collapse tau = pi."""
     for pbar3, ideal in pairs:
         p = covector_from_pbar3(m, pbar3, 0.0, CausalType.TIME_LIKE)
-        yield p, first_conjugate_time(m, p), ideal
+        t = first_conjugate_time(m, p)
+        yield p, t, exp_map(m, p, t), ideal
 
 
 def _plane_stratum(m: Metric, group: GroupTag, n: int, rho_max: float) -> LocusSample:
@@ -218,6 +225,8 @@ def _plane_stratum(m: Metric, group: GroupTag, n: int, rho_max: float) -> LocusS
     reaches -pi/2 (Z) or -pi (H) exactly at radius rho: one root of the
     phase along the radius level curve (`radius_level_root`), monotone and
     so unique because Exp is a diffeomorphism below the cut time.
+    A row is a rotation orbit: its factors are computed once, and each
+    column turns the witness, so `exp_map` of it gives its point exactly.
     """
     psl2 = group is GroupTag.PSL2
     normal = _upper if psl2 else (lambda q: q)
@@ -227,16 +236,19 @@ def _plane_stratum(m: Metric, group: GroupTag, n: int, rho_max: float) -> LocusS
             rho = rho_max * i / n
             p0 = radius_level_root(m, rho, -0.5 * math.pi if psl2 else -math.pi)
             t = cut_time(m, p0, group)
-            _, x0, y0, _ = normal(exp_map(m, p0, t)).components()
+            orbit = orbit_factors(m, p0, t)
+            _, x0, y0, _ = normal(orbit_point(orbit, p0.p1, p0.p2)).components()
             gamma0 = math.atan2(y0, x0)
             sheet = math.sqrt(1.0 + rho * rho)
             for j in range(n):
                 phi = 2.0 * math.pi * j / n
                 x, y = rho * math.cos(phi), rho * math.sin(phi)
                 ideal = (0.0, x, y, sheet) if psl2 else (-sheet, x, y, 0.0)
-                yield _rotated(m, p0, phi - gamma0), t, ideal
+                c, s = math.cos(phi - gamma0), math.sin(phi - gamma0)
+                p1, p2 = p0.p1 * c - p0.p2 * s, p0.p1 * s + p0.p2 * c
+                yield _turned(p0, p1, p2), t, orbit_point(orbit, p1, p2), ideal
 
-    return _stratum(m, "Z" if psl2 else "H", witnesses(), normal)
+    return _stratum("Z" if psl2 else "H", witnesses(), normal)
 
 
 def _rotation_stratum_psl2(m: Metric, n: int) -> LocusSample:
@@ -256,7 +268,7 @@ def _rotation_stratum_psl2(m: Metric, n: int) -> LocusSample:
          (math.cos(0.5 * phi), 0.0, 0.0, math.sin(0.5 * phi)))
         for phi in phis
     ]
-    return _stratum(m, "R_eta", _conjugate_witnesses(m, pairs), _upper)
+    return _stratum("R_eta", _conjugate_witnesses(m, pairs), _upper)
 
 
 def _conjugate_circle_psl2(m: Metric) -> LocusSample:
@@ -264,7 +276,7 @@ def _conjugate_circle_psl2(m: Metric) -> LocusSample:
     +-2 pi (1+eta), reached by the pole covectors at the conjugate time."""
     half = -math.pi * (1.0 + m.eta)
     pairs = [(-sign, (math.cos(half), 0.0, 0.0, sign * math.sin(half))) for sign in (1.0, -1.0)]
-    return _stratum(m, "ConjugateCircle", _conjugate_witnesses(m, pairs), psl2_canonicalize)
+    return _stratum("ConjugateCircle", _conjugate_witnesses(m, pairs), psl2_canonicalize)
 
 
 def _axis_stratum_sl2(m: Metric, n: int) -> LocusSample:
@@ -280,7 +292,7 @@ def _axis_stratum_sl2(m: Metric, n: int) -> LocusSample:
         (s, (-math.cos(math.pi * m.eta * s), 0.0, 0.0, -math.sin(math.pi * m.eta * s)))
         for s in ss
     ]
-    return _stratum(m, "T_eta", _conjugate_witnesses(m, pairs), lambda q: q)
+    return _stratum("T_eta", _conjugate_witnesses(m, pairs), lambda q: q)
 
 
 def _conjugate_circle_sl2(m: Metric) -> LocusSample:
@@ -288,7 +300,7 @@ def _conjugate_circle_sl2(m: Metric) -> LocusSample:
     signs)."""
     turn = math.pi * m.eta
     pairs = [(sign, (-math.cos(turn), 0.0, 0.0, -sign * math.sin(turn))) for sign in (1.0, -1.0)]
-    return _stratum(m, "ConjugateCircle", _conjugate_witnesses(m, pairs), lambda q: q)
+    return _stratum("ConjugateCircle", _conjugate_witnesses(m, pairs), lambda q: q)
 
 
 def cut_locus_sample(
@@ -322,21 +334,21 @@ def wavefront_row(
 ) -> list[WavefrontPoint]:
     """Row i of the wavefront grid: fixed u = -1 + 2i/(n-1), all n phases.
 
-    The cut time is phase-invariant, so the row's optimality flag is
-    computed once.
+    A row is a rotation orbit, so its cut time, optimality flag and Exp
+    factors are computed once; each column turns the row covector, and
+    `exp_map` of it reproduces the column's point bit for bit.
     """
     u = -1.0 + 2.0 * i / (n - 1)
     radial = math.sqrt(max(m.i1 * (1.0 - u * u), 0.0))
     p3 = u * math.sqrt(m.i3)
     p_row = covector_from_components(m, radial, 0.0, p3)
+    orbit = orbit_factors(m, p_row, t)
     optimal = t < cut_time(m, p_row, group)
     out = []
     for j in range(n):
         phase = 2.0 * math.pi * j / n
-        p = covector_from_components(
-            m, radial * math.cos(phase), radial * math.sin(phase), p3
-        )
-        out.append(WavefrontPoint(p, exp_map(m, p, t), optimal))
+        p1, p2 = radial * math.cos(phase), radial * math.sin(phase)
+        out.append(WavefrontPoint(_turned(p_row, p1, p2), orbit_point(orbit, p1, p2), optimal))
     return out
 
 

@@ -115,6 +115,10 @@ DOMAIN_CASES = [
     ["cut-locus", "--eta", "-1.25", "--grid", "4", "--rho-max", "inf"],
     ["cut-locus", "--eta", "-1.25", "--grid", "4", "--rho-max", "-1"],
     ["cut-locus", "--eta", "-1.25", "--grid", "4", "--rho-max", "0"],
+    ["wavefront", "--eta", "-1.25", "--t", "nan", "--grid", "8"],
+    ["wavefront", "--eta", "-1.25", "--t", "inf", "--grid", "8"],
+    ["geodesic", "--eta", "-1.25", "--pbar3", "1.5", "--type", "tl", "--t-max", "nan"],
+    ["geodesic", "--I3", "inf", "--type", "ll", "--t-max", "1"],
 ]
 
 
@@ -382,13 +386,21 @@ def test_module_invocation_matches_inprocess(capfdbinary):
     assert proc.stdout == out
 
 
+def test_cli_import_does_not_load_numpy():
+    # numpy is a test extra: only the RK4 oracle imports it, when called
+    code = "import sys, hypgeo.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"False\n"
+
+
 # ---- pinned output bytes ---------------------------------------------------
 #
-# SHA-256 of the stdout of commands that the cut-locus sampler does not
-# feed: a change to their bytes (CRLF rows, 17 significant digits, sorted
-# JSON keys, the numbers themselves) must be deliberate.  The numbers come
-# from the platform's libm; one that rounds sin/atan differently in the
-# last ulp would move them.
+# SHA-256 of the stdout of one or two invocations of every subcommand: a
+# change to their bytes (CRLF rows, 17 significant digits, sorted JSON
+# keys, the numbers themselves) must be deliberate.  The numbers come from
+# the platform's libm; one that rounds sin/atan differently in the last
+# ulp would move them.
 
 _LOG_TARGET_TL = "1.0591011565939845,0.20461565765782441,0.33816149123703981,-0.18581039157077983"
 _LOG_TARGET_SL = "1.0491986915981739,0.9316683452740343,-0.04220945391113104,-0.87690914531313502"
@@ -411,10 +423,10 @@ PINNED_OUTPUTS = [
     (("maxwell", "--eta", "-1.6", "--type", "ll"),
      "f232ad20aa1fd20e7799ca8a419354649628b08659d4dc7b2217f2041083d6f6"),
     (("wavefront", "--eta", "-1.4", "--t", "3.3", "--grid", "16"),
-     "967fdebb10c7d2b8148c4434036a43b073a46af2988448ee1d4f4457d046f7f0"),
+     "490e35658900b793c1e8ada52c015bd8bcfd18d795f9384d91d11a853b67f411"),
     (("wavefront", "--eta", "-2.5", "--t", "1.7", "--grid", "8", "--group", "sl2",
       "--format", "json"),
-     "b6677099ff07d8ca8e9dc6d1a0aeb0ed6803f982523b5c46190bb09716964742"),
+     "852c984f5531d9135be9897a27e4c28bab042d7c29e4a0121101eb2f4966d075"),
     (("injrad", "--eta", "-1.1"),
      "ea95c347e6c069649fedc42bc34b84c99df01698c172423c37e4a8253e74e880"),
     (("injrad", "--eta", "-1.9", "--format", "json"),
@@ -425,6 +437,34 @@ PINNED_OUTPUTS = [
      "a50c57584b31a3c4953c1e7479ba8dcf5a5d4690b9f7ded6154ff774db3ea42b"),
     (("log", "--eta", "-2.4", "--target", _LOG_TARGET_SL, "--format", "json"),
      "429d0d3f6f9ef7112426bdb1ca4969a71cd9e00b9fafe3109b95bf456dc1b365"),
+    (("cut-time", "--eta", "-1.25", "--pbar3", "1.15", "--type", "tl"),
+     "19e429bdc779515c1a64037875a6312ec3f8ba9950e559199eda70258c0829b8"),
+    (("cut-time", "--eta", "-2.75", "--pbar3", "300", "--type", "sl", "--group", "sl2",
+      "--format", "json"),
+     "95429897a0970d1218bfae21b9d83f6bb548bcbcb20f4c89081b4167350636d6"),
+    (("cut-time", "--eta", "-1.6", "--type", "ll", "--group", "sl2"),
+     "b171712ee350303a8101db400972d75f46dd3bb73db1d20bb5a39f9cf720443f"),
+    (("conjugate", "--eta", "-1.25", "--pbar3", "2", "--type", "tl", "--k-max", "6"),
+     "a55e5b512b54c65eaae324d5048f72b8da9419baa6bf2cdd9f10c706c1c05f41"),
+    (("conjugate", "--eta", "-3.1", "--pbar3", "1.05", "--type", "tl", "--k-max", "4",
+      "--format", "json"),
+     "c703d8949bfd0db8652cc80f91513bcaa4e4f29917db6e05d9c4cc90579ae99e"),
+    (("vertical-flow", "--eta", "-1.37", "--pbar3", "1.45", "--type", "tl", "--phase", "0.3",
+      "--t-max", "5.5", "--samples", "24"),
+     "1d960d19d6ca240e2c1f8fe35dad117c1e068ad1bef3821ca97f992e9010a943"),
+    (("vertical-flow", "--eta", "-2.2", "--pbar3", "0.4", "--type", "sl", "--t-max", "3",
+      "--samples", "16", "--format", "json"),
+     "ef293fe233d1a7281c4f66628c4c4f5e32abbff19eccac7375cf1d56e439327d"),
+    (("sr-compare", "--pbar3", "1.2", "--type", "tl", "--eta-list", "-1.1,-1.01,-1.001,-1.0001"),
+     "be2a7265f518ee64d9d2867c4296edd34e1c6734da80fb298b252b01a44075c1"),
+    (("sr-compare", "--pbar3", "0.5", "--type", "sl", "--eta-list", "-1.5,-1.05,-1.005",
+      "--format", "json"),
+     "7a4332f459e54595fd5d8b02747701349c3a9791be564561c2aa5f435fc8fc9f"),
+    (("cut-locus", "--eta", "-1.25", "--grid", "12"),
+     "aa185a16ce99e3412720363d20d3edfd7e25af239cdeb38680884b81ffde9a6e"),
+    (("cut-locus", "--eta", "-1.8", "--grid", "9", "--group", "sl2", "--rho-max", "5",
+      "--format", "json"),
+     "8e9d5526d477f6b4cdd8c19f8c34be1ea80409e8df7e9543576491bc993cdc78"),
 ]
 
 

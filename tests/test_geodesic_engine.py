@@ -8,6 +8,7 @@ import pytest
 from helpers import gap, mul4, random_covector, rk4_reference
 from hypgeo import (
     CausalType,
+    DomainError,
     LightLikeInput,
     NegativeTime,
     StepCountTooSmall,
@@ -141,6 +142,23 @@ def test_vertical_flow_precession(seed):
     period = 2.0 * math.pi * M.i1 / abs(M.eta * p.p3)
     back = vertical_flow(M, p, period)
     assert abs(back.p1 - p.p1) < 1e-10 and abs(back.p2 - p.p2) < 1e-10
+
+
+@pytest.mark.parametrize("ctype", list(CausalType))
+def test_exp_map_rejects_a_time_that_is_negative_or_not_finite(ctype):
+    if ctype is CausalType.LIGHT_LIKE:
+        p = light_covector(M, 0.4)
+    else:
+        p = covector_from_pbar3(M, 1.5 if ctype is CausalType.TIME_LIKE else 0.5, 0.4, ctype)
+    for t in (-1.0, -math.inf):
+        with pytest.raises(NegativeTime):
+            exp_map(M, p, t)
+    # nan used to come back as a NaN point, inf as a bare ValueError
+    for t in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            exp_map(M, p, t)
+    with pytest.raises(DomainError):
+        sample_geodesic(M, p, math.nan, 4)
 
 
 def test_sample_geodesic_endpoints_and_count():

@@ -47,6 +47,21 @@ def test_metric_rejects_bad_arguments():
         metric_from_eta(-0.3)
 
 
+def test_metric_rejects_eigenvalues_that_are_not_finite():
+    for i1, i3 in ((math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf)):
+        with pytest.raises(DomainError):
+            make_metric(i1, i3)
+
+
+def test_components_constructor_rejects_nan():
+    m = make_metric(1.0, 4.0)
+    with pytest.raises(NotOnC):
+        covector_from_components(m, math.nan, 0.0, 0.0)
+    # used to return a NaN covector tagged space-like
+    with pytest.raises(NotOnC):
+        covector_from_pbar3(m, math.nan, 0.0, CausalType.TIME_LIKE)
+
+
 def test_split_constants():
     assert ETA_POLE_SPLIT_PSL2 == -1.5
     assert ETA_POLE_SPLIT_SL2 == -2.0

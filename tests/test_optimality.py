@@ -395,6 +395,9 @@ def test_wavefront_validates_arguments():
         wavefront_sample(M, 0.0, 16)
     with pytest.raises(ValueError):
         wavefront_sample(M, 1.0, 4)
+    for t in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            wavefront_sample(M, t, 8)
 
 
 # --- riemannian logarithm ----------------------------------------------------------
