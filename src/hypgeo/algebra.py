@@ -17,12 +17,13 @@ Pure math: no arrays, no state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     DegenerateDenominator,
     DeterminantError,
+    DomainError,
     IdentityInput,
     OutsideDisk,
 )
@@ -39,8 +40,7 @@ IDENTITY_TOLERANCE = 1e-12
 _EXP_LIGHT_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class SplitQuaternion:
+class SplitQuaternion(NamedTuple):
     """One split quaternion q0 + q1 i + q2 j + q3 k."""
 
     q0: float
@@ -59,8 +59,7 @@ class SplitQuaternion:
         return SplitQuaternion(-self.q0, -self.q1, -self.q2, -self.q3)
 
 
-@dataclass(frozen=True)
-class Psl2Element:
+class Psl2Element(NamedTuple):
     """A point of PSL(2,R) stored through its canonical unit-quaternion lift.
 
     The representative of {q, -q} satisfies rep.q0 > 0, or rep.q0 == 0 and
@@ -79,8 +78,7 @@ class IsometryKind(Enum):
     HYPERBOLIC = "hyperbolic"
 
 
-@dataclass(frozen=True)
-class IsometryClass:
+class IsometryClass(NamedTuple):
     """Conjugacy data of a disk isometry.
 
     fixed_points holds one interior point for elliptic maps, one boundary
@@ -172,7 +170,7 @@ def psl2_canonicalize(q: SplitQuaternion) -> Psl2Element:
     if q.q0 < 0.0 or (q.q0 == 0.0 and q.q3 < 0.0):
         q = -q
     elif q.q0 == 0.0 and q.q3 == 0.0:
-        raise ValueError("q0 = q3 = 0 is impossible for a unit split quaternion")
+        raise DomainError("q0 = q3 = 0 is impossible for a unit split quaternion")
     # normalize -0.0 so canonical components compare cleanly
     if q.q0 == 0.0:
         q = SplitQuaternion(0.0, q.q1, q.q2, q.q3)

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from .algebra import SplitQuaternion, psl2_canonicalize
-from .errors import DomainError, HypgeoError, NoConvergence
+from .errors import HypgeoError, NoConvergence
 from .geodesic_engine import sample_geodesic, vertical_flow
 from .metric_space import (
     ETA_INJ_SPLIT,
@@ -34,6 +34,7 @@ from .metric_space import (
 )
 from .optimality import (
     GroupTag,
+    check_log_target,
     cut_locus_sample,
     describe_cut,
     first_conjugate_time,
@@ -426,12 +427,12 @@ def _cmd_injrad(cfg: RunConfig) -> bytes:
 
 def _cmd_log(cfg: RunConfig) -> bytes:
     m = _build_metric(cfg)
-    q = SplitQuaternion(*cfg.target)
+    q = check_log_target(SplitQuaternion(*cfg.target))
     pn = q.pseudo_norm()
-    if not (abs(pn - 1.0) <= 1e-8):
-        raise DomainError(f"--target must have unit pseudo-norm, got {pn!r}")
-    scale = math.sqrt(pn)
-    q = SplitQuaternion(*(c / scale for c in q.components()))
+    if abs(pn - 1.0) <= 1e-8:
+        # snap a near target onto the group; a far one need only be within
+        # 1e-8 |q|^2, and rescaling it would move it by (pn - 1)/2 relative
+        q = SplitQuaternion(*(c / math.sqrt(pn) for c in q))
     p, t = riemannian_log(m, psl2_canonicalize(q), cfg.tol)
     return _render_table(cfg, ("p1", "p2", "p3", "t"), [(p.p1, p.p2, p.p3, t)])
 

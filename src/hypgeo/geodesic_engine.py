@@ -26,8 +26,7 @@ forms so each can check the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import SplitQuaternion
 from .errors import DomainError, LightLikeInput, NegativeTime, StepCountTooSmall
@@ -36,8 +35,7 @@ from .metric_space import CausalType, Covector, Metric, covector_from_components
 MIN_ORACLE_STEPS = 100
 
 
-@dataclass(frozen=True)
-class GeodesicSample:
+class GeodesicSample(NamedTuple):
     """One sampled point of a geodesic."""
 
     t: float
@@ -115,7 +113,7 @@ def vertical_flow(m: Metric, p: Covector, t: float) -> Covector:
 def sample_geodesic(m: Metric, p: Covector, t_end: float, n: int) -> list[GeodesicSample]:
     """n evenly spaced samples of the geodesic on [0, t_end]."""
     if n < 2:
-        raise ValueError("need at least two samples")
+        raise DomainError("need at least two samples")
     out = []
     for i in range(n):
         t = t_end * i / (n - 1)
@@ -171,7 +169,7 @@ def exp_map_ode_oracle_batch(
     if np.any(ts < 0.0):
         raise NegativeTime("geodesic times must be >= 0")
     if len(covectors) != ts.shape[0]:
-        raise ValueError("covectors and times must have equal length")
+        raise DomainError("covectors and times must have equal length")
     n = ts.shape[0]
     if n == 0:
         return []
@@ -235,8 +233,7 @@ def jacobian(m: Metric, ctype: CausalType, pbar3: float, tau: float) -> float:
 
 # ---- discrete symmetries ------------------------------------------------
 
-@dataclass(frozen=True)
-class SymmetryElement:
+class SymmetryElement(NamedTuple):
     """An element of the symmetry group O(2) x Z2 of the exponential map.
 
     The O(2) factor acts on the horizontal plane: reflection across the

@@ -26,8 +26,8 @@ light cone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DomainError, LightLikeInput, NonPositiveEigenvalue, NotOnC
 
@@ -46,8 +46,7 @@ class CausalType(Enum):
     SPACE_LIKE = "space-like"
 
 
-@dataclass(frozen=True)
-class Metric:
+class Metric(NamedTuple):
     """Inertia pair (I1 = I2, I3) of a diagonal left-invariant metric."""
 
     i1: float
@@ -70,8 +69,7 @@ class Metric:
         return math.sqrt(-self.i1 / self.eta)
 
 
-@dataclass(frozen=True)
-class Covector:
+class Covector(NamedTuple):
     """A unit-energy covector on C together with its causal data.
 
     norm is sqrt(|Kil|) (zero when light-like) and pbar3 = p3/norm is None

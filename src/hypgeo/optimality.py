@@ -14,8 +14,8 @@ vanishes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .algebra import Psl2Element, SplitQuaternion, psl2_canonicalize
 from .errors import DomainError, IdentityTarget, NoConvergence, OnCutLocus
@@ -42,8 +42,7 @@ class GroupTag(Enum):
     SL2 = "sl2"
 
 
-@dataclass(frozen=True)
-class CutDescriptor:
+class CutDescriptor(NamedTuple):
     """Cut-time summary for one covector: the three times and the stratum
     of the cut locus the geodesic ends on (None when it never stops being
     optimal)."""
@@ -55,8 +54,7 @@ class CutDescriptor:
     active_stratum: str | None
 
 
-@dataclass(frozen=True)
-class LocusSample:
+class LocusSample(NamedTuple):
     """One stratum worth of sampled cut-locus points.
 
     points[i] is reached exactly at its cut time along the witness
@@ -70,8 +68,7 @@ class LocusSample:
     validation_error: float
 
 
-@dataclass(frozen=True)
-class WavefrontPoint:
+class WavefrontPoint(NamedTuple):
     covector: Covector
     point: SplitQuaternion
     optimal: bool
@@ -314,7 +311,7 @@ def cut_locus_sample(
     their conjugate endpoints when eta > -2.
     """
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise DomainError("need n >= 2")
     if not (0.0 < rho_max < math.inf):
         raise DomainError(f"rho_max must be finite and > 0, got {rho_max!r}")
     out = [_plane_stratum(m, group, n, rho_max)]
@@ -362,9 +359,9 @@ def wavefront_sample(
     minimizing at t (t < cut time).
     """
     if t <= 0.0:
-        raise ValueError("wavefront time must be positive")
+        raise DomainError("wavefront time must be positive")
     if n < 8:
-        raise ValueError("need n >= 8")
+        raise DomainError("need n >= 8")
     out = []
     for i in range(n):
         out.extend(wavefront_row(m, t, n, i, group))
@@ -389,6 +386,15 @@ def _axis_log(m: Metric, q: SplitQuaternion, tol: float) -> tuple[Covector, floa
     return p, 2.0 * m.i1 * tau / p.norm
 
 
+def check_log_target(q: SplitQuaternion) -> SplitQuaternion:
+    """q if finite with pseudo norm within 1e-8 * max(1, q0^2 + q1^2 + q2^2
+    + q3^2) of 1, a far exp_map endpoint's rounding; else DomainError."""
+    size = q.q0 * q.q0 + q.q1 * q.q1 + q.q2 * q.q2 + q.q3 * q.q3
+    if not (math.isfinite(size) and abs(q.pseudo_norm() - 1.0) <= 1e-8 * max(1.0, size)):
+        raise DomainError(f"target must be finite with unit pseudo-norm, got {q!r}")
+    return q
+
+
 def riemannian_log(
     m: Metric, target: Psl2Element | SplitQuaternion, tol: float = 1e-10
 ) -> tuple[Covector, float]:
@@ -402,13 +408,13 @@ def riemannian_log(
     afterwards.  Axis targets are inverted in closed form along the pole
     geodesics.
 
-    Raises IdentityTarget at the identity, OnCutLocus when the target sits
-    on a cut stratum (|q0| below 1e-8, or an axis rotation inside the cut
-    interval), and NoConvergence (carrying the best residual) if every
-    seed fails.
+    Raises DomainError unless check_log_target passes, IdentityTarget at
+    the identity, OnCutLocus when the target sits on a cut stratum (|q0|
+    below 1e-8, or an axis rotation inside the cut interval), and
+    NoConvergence (carrying the best residual) if every seed fails.
     """
     raw = target.rep if isinstance(target, Psl2Element) else target
-    q = psl2_canonicalize(raw).rep
+    q = psl2_canonicalize(check_log_target(raw)).rep
     rho = math.hypot(q.q1, q.q2)
     if abs(q.q0 - 1.0) < 1e-12 and rho < 1e-12 and abs(q.q3) < 1e-12:
         raise IdentityTarget("the identity has zero distance and no direction")

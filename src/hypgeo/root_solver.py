@@ -77,7 +77,7 @@ def find_first_positive_root(
     from zero over the whole scan.
     """
     if scan_step <= 0.0 or scan_limit <= 0.0:
-        raise ValueError("scan_step and scan_limit must be positive")
+        raise DomainError("scan_step and scan_limit must be positive")
     x_prev = scan_step
     f_prev = f(x_prev)
     max_abs = abs(f_prev)
@@ -327,7 +327,7 @@ def conjugate_roots(m: Metric, pbar3: float, k_max: int) -> list[float]:
     degenerates to {pi k} with multiplicity two.
     """
     if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+        raise DomainError("k_max must be >= 1")
     b = abs(pbar3)
     if b < 1.0:
         raise NotTimeLike(f"conjugate roots need |pbar3| >= 1, got {pbar3!r}")

@@ -18,7 +18,7 @@ Everything here pins I1 = 1; a general I1 only rescales time by sqrt(I1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import SplitQuaternion, sq_exp, sq_mul
 from .errors import DomainError, NegativeTime
@@ -27,8 +27,7 @@ from .optimality import GroupTag, cut_time
 from .root_solver import _lightlike_phase, _phase_root, _spacelike_phase, _timelike_phase
 
 
-@dataclass(frozen=True)
-class SrMomentum:
+class SrMomentum(NamedTuple):
     """Initial condition of a sub-Riemannian geodesic: vertical parameter
     beta and horizontal phase phi0."""
 
@@ -107,11 +106,11 @@ def limit_comparison(
     The gaps shrink to zero as eta approaches -1.
     """
     if not eta_list:
-        raise ValueError("eta_list must be non-empty")
+        raise DomainError("eta_list must be non-empty")
     if any(e >= -1.0 for e in eta_list):
         raise DomainError("every eta must be < -1")
     if any(b <= a for a, b in zip(eta_list, eta_list[1:])):
-        raise ValueError("eta_list must be strictly increasing")
+        raise DomainError("eta_list must be strictly increasing")
     sr = sr_cut_time(beta_from_pbar3(pbar3, ctype))
     rows = []
     for eta in eta_list:

@@ -110,6 +110,8 @@ DOMAIN_CASES = [
     ["maxwell", "--eta", "-1.25", "--pbar3", "0.5", "--type", "tl"],
     ["log", "--eta", "-1.25", "--target", "2,0,0,0"],
     ["log", "--eta", "-1.25", "--target", "0,0,0,1"],
+    ["log", "--eta", "-1.25", "--target", "nan,0,0,0"],
+    ["log", "--eta", "-1.25", "--target", "inf,0,0,0"],
     ["sr-compare", "--pbar3", "1.2", "--type", "tl", "--eta-list", "-0.9"],
     ["cut-locus", "--eta", "-1.25", "--grid", "4", "--rho-max", "nan"],
     ["cut-locus", "--eta", "-1.25", "--grid", "4", "--rho-max", "inf"],
@@ -354,6 +356,18 @@ def test_log_round_trip(capfdbinary):
     assert abs(row[3] - 1.3) < 1e-9
 
 
+def test_log_inverts_far_exp_map_endpoint(capfdbinary):
+    # the target misses the unit pseudo norm by 8.2e-8, rounding of a
+    # component of size 9.3e3; it is passed on as given, not rescaled
+    m = metric_from_eta(-1.25, 1.0)
+    p = covector_from_pbar3(m, 0.05, 0.4, CausalType.SPACE_LIKE)
+    q = exp_map(m, p, 20.0)
+    target = ",".join(repr(c) for c in q.components())
+    code, out, err = run_cli(capfdbinary, "log", "--eta", "-1.25", "--target", target)
+    assert code == 0, err
+    assert csv_rows(out)[1][3] == "20"
+
+
 def test_sr_compare_diffs_decrease(capfdbinary):
     code, out, _ = run_cli(capfdbinary, "sr-compare", "--pbar3", "1.2",
                            "--type", "tl", "--eta-list",
@@ -392,6 +406,16 @@ def test_cli_import_does_not_load_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == b"False\n"
+
+
+def test_package_import_loads_no_dataclasses_inspect_or_numpy():
+    # the value records are NamedTuples, so importing hypgeo pulls in
+    # neither dataclasses nor the inspect module it imports
+    code = ("import sys, hypgeo; "
+            "print([m for m in ('dataclasses', 'inspect', 'numpy') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"[]\n"
 
 
 # ---- pinned output bytes ---------------------------------------------------

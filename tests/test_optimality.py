@@ -230,7 +230,7 @@ def test_sl2_symmetric_sheet_near_the_light_cone_stays_on_q3_zero():
 
 
 def test_locus_rejects_tiny_grid():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         cut_locus_sample(M, GroupTag.PSL2, 1)
 
 
@@ -391,9 +391,9 @@ def test_wavefront_rows_concatenate():
 
 
 def test_wavefront_validates_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         wavefront_sample(M, 0.0, 16)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         wavefront_sample(M, 1.0, 4)
     for t in (math.nan, math.inf):
         with pytest.raises(DomainError):
@@ -423,6 +423,35 @@ def test_log_inverts_exp_inside_cut_domain(seed):
 def test_log_of_identity_raises():
     with pytest.raises(IdentityTarget):
         riemannian_log(M, SplitQuaternion(1.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "components",
+    [
+        (math.nan, 0.0, 0.0, 0.0),
+        (math.inf, 0.0, 0.0, 0.0),
+        (1.0, math.inf, math.inf, 1.0),
+        (1.2, 0.3, 0.0, 0.0),        # pseudo norm 1.35
+        (1.0, 0.0, 0.0, 1e-3),       # 1 + 1e-6, on no sheet of the group
+        (0.0, 1.0, 0.0, 0.0),        # q0 = q3 = 0
+        (1e200, 1e200, 0.0, 0.0),    # the squares overflow
+    ],
+)
+def test_log_rejects_targets_off_the_group(components):
+    with pytest.raises(DomainError):
+        riemannian_log(M, SplitQuaternion(*components))
+
+
+def test_log_accepts_far_targets_within_their_rounding():
+    # |q|_inf = 9.3e3 misses the unit pseudo norm by 8.2e-8 in rounding:
+    # inside the relative band 1e-8 |q|^2, so the exact time comes back
+    m = metric_from_eta(-1.25)
+    p = covector_from_pbar3(m, 0.05, 0.4, CausalType.SPACE_LIKE)
+    q = exp_map(m, p, 20.0)
+    assert 5e-8 < q.pseudo_norm() - 1.0 < 1e-7
+    got_p, got_t = riemannian_log(m, q)
+    assert abs(got_t - 20.0) <= 1e-12
+    assert max(abs(a - b) for a, b in zip(got_p.components(), p.components())) < 1e-12
 
 
 def test_log_on_reflection_plane_raises():

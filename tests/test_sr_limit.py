@@ -187,9 +187,9 @@ def test_limit_comparison_rate_is_cube_root_at_the_threshold():
 
 
 def test_limit_comparison_validates_eta_list():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         limit_comparison(1.2, CausalType.TIME_LIKE, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         limit_comparison(1.2, CausalType.TIME_LIKE, [-1.2, -1.2])
     with pytest.raises(DomainError):
         limit_comparison(1.2, CausalType.TIME_LIKE, [-0.9])
