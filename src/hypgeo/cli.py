@@ -261,19 +261,11 @@ def _build_covector(cfg: RunConfig, m: Metric) -> Covector:
 
 # ---- serialization --------------------------------------------------------
 
-def _fmt_float(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return "%.17g" % x
-
-
 def _csv_cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return _fmt_float(v)
+        return "%.17g" % v  # inf, -inf and nan print as those words
     return str(v)
 
 

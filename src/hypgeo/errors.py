@@ -59,11 +59,7 @@ class StepCountTooSmall(DomainError):
 # ---- root_solver ------------------------------------------------------
 
 class NoRootFound(HypgeoError):
-    """Forward scan exhausted its limit without a sign change."""
-
-
-class DegenerateFunction(HypgeoError):
-    """The scanned function is numerically zero everywhere."""
+    """A phase bracket is empty or NaN, so it holds no root."""
 
 
 class UndefinedAtEquator(DomainError):

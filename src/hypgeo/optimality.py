@@ -370,7 +370,7 @@ def wavefront_sample(
 
 # ---- inverse of the exponential map -------------------------------------
 
-def _axis_log(m: Metric, q: SplitQuaternion, tol: float) -> tuple[Covector, float]:
+def _axis_log(m: Metric, q: SplitQuaternion) -> tuple[Covector, float]:
     """Logarithm of an axis rotation (q1 = q2 = 0): the pole geodesics."""
     eta = m.eta
     phi = 2.0 * math.atan2(q.q3, q.q0)
@@ -421,7 +421,7 @@ def riemannian_log(
     if abs(q.q0) < ON_CUT_TOLERANCE:
         raise OnCutLocus("target lies on the point-reflection plane q0 = 0")
     if rho < 1e-10:
-        return _axis_log(m, q, tol)
+        return _axis_log(m, q)
 
     x_max = math.sqrt(m.i3)
     x_cap = x_max * (1.0 - 1e-12)

@@ -9,10 +9,9 @@ solved by a safeguarded Newton iteration on the phase inside analytic
 brackets, to a few ulps relative.  Followed along a curve of fixed
 horizontal radius instead of one geodesic, the same phase is monotone
 too, and its root is the witness of a cut-locus point (`radius_level_root`).
-
-`find_first_positive_root` is the general scan-and-refine solver for
-functions without such a structure; `conjugate_roots` solves the
-tangent equation of the conjugate points on its analytic windows.
+The conjugate points' tangent equation tan tau = sigma tau is a level
+crossing of the falling phase atan(sigma tau) - tau on each analytic
+window (`conjugate_roots`), so one solver serves every root here.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import math
 from typing import Callable
 
 from .errors import (
-    DegenerateFunction,
     DegenerateIdenticallyZero,
     DomainError,
     NoRootFound,
@@ -30,79 +28,8 @@ from .errors import (
 )
 from .metric_space import CausalType, Covector, Metric, covector_from_pbar3, light_covector
 
-ROOT_TOLERANCE = 1e-12
 # below this vertical size a space-like covector is treated as equatorial
 EQUATOR_TOLERANCE = 1e-14
-
-
-def _refine(f: Callable[[float], float], a: float, b: float, fa: float, fb: float, tol: float) -> float:
-    """Shrink a sign-change bracket to width <= tol, secant-accelerated."""
-    use_secant = True
-    for _ in range(200):
-        width = b - a
-        if width <= tol:
-            break
-        cand = None
-        if use_secant and fb != fa:
-            cand = b - fb * (b - a) / (fb - fa)
-            # accept the secant point only while it stays safely interior
-            if not (a + 0.1 * tol < cand < b - 0.1 * tol):
-                cand = None
-        if cand is None:
-            cand = 0.5 * (a + b)
-        fc = f(cand)
-        if fc == 0.0:
-            return cand
-        if (fa < 0.0) != (fc < 0.0):
-            b, fb = cand, fc
-        else:
-            a, fa = cand, fc
-        # secant must earn its keep, else fall back to bisection next round
-        use_secant = (b - a) < 0.7 * width
-    return 0.5 * (a + b)
-
-
-def find_first_positive_root(
-    f: Callable[[float], float],
-    scan_step: float,
-    tol: float = ROOT_TOLERANCE,
-    scan_limit: float = 4.0 * math.pi,
-) -> float:
-    """First zero of f on (0, scan_limit], located by scan plus refinement.
-
-    The scan starts at scan_step (a zero at the origin itself is ignored)
-    and walks in uniform steps, so scan_step must undersample every
-    oscillation of f.  Raises NoRootFound when the scan exhausts the limit
-    with no sign change, DegenerateFunction when f is indistinguishable
-    from zero over the whole scan.
-    """
-    if scan_step <= 0.0 or scan_limit <= 0.0:
-        raise DomainError("scan_step and scan_limit must be positive")
-    x_prev = scan_step
-    f_prev = f(x_prev)
-    max_abs = abs(f_prev)
-    # an exact zero at a probe cannot be told apart from a degenerate
-    # function on the spot; keep it as a candidate and scan on until the
-    # magnitude of f proves the function is alive
-    exact = x_prev if f_prev == 0.0 else None
-    x = x_prev
-    while x < scan_limit:
-        x = min(x + scan_step, scan_limit)
-        fx = f(x)
-        max_abs = max(max_abs, abs(fx))
-        if exact is not None:
-            if max_abs >= 1e-12:
-                return exact
-        elif fx == 0.0:
-            exact = x
-        elif (f_prev < 0.0) != (fx < 0.0) and max_abs >= 1e-12:
-            return _refine(f, x_prev, x, f_prev, fx, tol)
-        x_prev, f_prev = x, fx
-    if max_abs < 1e-12:
-        raise DegenerateFunction("function vanishes identically over the scan range")
-    if exact is not None:
-        return exact
-    raise NoRootFound(f"no sign change on (0, {scan_limit:.6g}]")
 
 
 # ---- coordinate zeros along geodesics ----------------------------------
@@ -321,10 +248,13 @@ def conjugate_roots(m: Metric, pbar3: float, k_max: int) -> list[float]:
     """Conjugate-point times, in rescaled tau units, for a time-like pbar3.
 
     The series merges the horizontal family {pi k} with the roots tau_k of
-    tan(tau) = sigma tau, sigma = -eta (1 - pbar3^2) / (1 + eta pbar3^2),
-    which sit in (pi k, pi k + pi/2) since sigma lies in [0, 1).  Returns
-    the first 2 k_max entries sorted ascending; the pole |pbar3| = 1
-    degenerates to {pi k} with multiplicity two.
+    tan(tau) = sigma tau, sigma = -eta (1 - pbar3^2) / (1 + eta pbar3^2)
+    in [0, 1).  On (pi k, pi k + pi/2) that equation is
+    atan(sigma tau) - tau = -pi k, whose left side strictly decreases, so
+    each tau_k is one `_phase_root` solve.  Returns the first 2 k_max
+    entries, ascending; at the pole |pbar3| = 1, sigma = 0 and tau_k = pi k
+    exactly.  Raises DomainError when sigma is not finite (pbar3 NaN,
+    infinite, or so large that pbar3^2 overflows).
     """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
@@ -332,25 +262,18 @@ def conjugate_roots(m: Metric, pbar3: float, k_max: int) -> list[float]:
     if b < 1.0:
         raise NotTimeLike(f"conjugate roots need |pbar3| >= 1, got {pbar3!r}")
     eta = m.eta
-    if b == 1.0:
-        out = []
-        for k in range(1, k_max + 1):
-            out.extend([math.pi * k, math.pi * k])
-        return out
-    sigma = -eta * (1.0 - b * b) / (1.0 + eta * b * b)
+    # sigma = u / ((1 + eta) + u), u = eta (b^2 - 1): two negative terms,
+    # so near the pole and as eta -> -1 neither part cancels
+    u = eta * (b - 1.0) * (b + 1.0)
+    sigma = u / ((1.0 + eta) + u)
+    if not math.isfinite(sigma):
+        raise DomainError(f"conjugate roots need a finite pbar3^2, got {pbar3!r}")
+
+    def phase(tau: float) -> tuple[float, float]:
+        return math.atan(sigma * tau) - tau, sigma / (1.0 + (sigma * tau) ** 2) - 1.0
+
     out = []
     for k in range(1, k_max + 1):
         lo = math.pi * k
-        hi = math.pi * k + 0.5 * math.pi
-        if sigma == 0.0:
-            out.extend([lo, lo])
-            continue
-        g = lambda tau: math.sin(tau) - sigma * tau * math.cos(tau)
-        # g(pi k) and g(pi k + pi/2) have opposite signs for sigma in (0,1)
-        a_, b_ = lo + 1e-12, hi - 1e-12
-        fa, fb = g(a_), g(b_)
-        if (fa < 0.0) == (fb < 0.0):
-            raise NoRootFound(f"conjugate bracket failed on branch k={k}")
-        tau_k = _refine(g, a_, b_, fa, fb, ROOT_TOLERANCE)
-        out.extend([lo, tau_k])
-    return sorted(out)
+        out.extend([lo, _phase_root(phase, -lo, lo, lo + 0.5 * math.pi)])
+    return out

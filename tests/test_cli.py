@@ -469,10 +469,10 @@ PINNED_OUTPUTS = [
     (("cut-time", "--eta", "-1.6", "--type", "ll", "--group", "sl2"),
      "b171712ee350303a8101db400972d75f46dd3bb73db1d20bb5a39f9cf720443f"),
     (("conjugate", "--eta", "-1.25", "--pbar3", "2", "--type", "tl", "--k-max", "6"),
-     "a55e5b512b54c65eaae324d5048f72b8da9419baa6bf2cdd9f10c706c1c05f41"),
+     "0458ae066190bbd4c20c3ab874af6496f515de0af79755b4e4ac19c7a66b718a"),
     (("conjugate", "--eta", "-3.1", "--pbar3", "1.05", "--type", "tl", "--k-max", "4",
       "--format", "json"),
-     "c703d8949bfd0db8652cc80f91513bcaa4e4f29917db6e05d9c4cc90579ae99e"),
+     "8387e1f09c840baa903555a31b93fb0c32c985bd2baf48c48aca3968540867f9"),
     (("vertical-flow", "--eta", "-1.37", "--pbar3", "1.45", "--type", "tl", "--phase", "0.3",
       "--t-max", "5.5", "--samples", "24"),
      "1d960d19d6ca240e2c1f8fe35dad117c1e068ad1bef3821ca97f992e9010a943"),

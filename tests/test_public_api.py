@@ -1,0 +1,34 @@
+"""The public names of the package.
+
+`hypgeo.__all__` is pinned here, so adding or removing a public name is a
+deliberate change that shows in this file's diff.
+"""
+
+import hypgeo
+
+PUBLIC_NAMES = [
+    "CausalType", "Covector", "CutDescriptor", "DegenerateDenominator",
+    "DegenerateIdenticallyZero", "DeterminantError", "DomainError", "ETA_INJ_SPLIT",
+    "ETA_POLE_SPLIT_PSL2", "ETA_POLE_SPLIT_SL2", "GeodesicSample", "GroupTag", "HypgeoError",
+    "IdentityInput", "IdentityTarget", "IsometryClass", "IsometryKind", "LightLikeInput",
+    "LocusSample", "Metric", "NegativeTime", "NoConvergence", "NoRootFound",
+    "NonPositiveEigenvalue", "NotOnC", "NotTimeLike", "OnCutLocus", "OutsideDisk", "Psl2Element",
+    "SplitQuaternion", "SrMomentum", "StepCountTooSmall", "SymmetryElement", "UndefinedAtEquator",
+    "WavefrontPoint", "apply_symmetry_image", "apply_symmetry_preimage", "beta_from_pbar3",
+    "classify_isometry", "conjugate_roots", "covector_from_components", "covector_from_pbar3",
+    "cut_locus_sample", "cut_time", "describe_cut", "exp_map", "exp_map_ode_oracle",
+    "exp_map_ode_oracle_batch", "first_conjugate_time", "from_sl2", "hyperbolic_distance",
+    "injectivity_radius", "jacobian", "light_covector", "limit_comparison", "make_metric",
+    "maxwell_root_q0", "maxwell_root_q3", "maxwell_time", "metric_from_eta", "psl2_canonicalize",
+    "riemannian_log", "sample_geodesic", "sq_exp", "sq_mul", "sr_cut_time", "sr_exp_map",
+    "tau_of_t", "to_mobius_apply", "to_sl2", "vertical_flow", "wavefront_row", "wavefront_sample",
+]
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in hypgeo.__all__ if not hasattr(hypgeo, name)]
+    assert missing == []
+
+
+def test_public_names_are_pinned():
+    assert sorted(hypgeo.__all__) == PUBLIC_NAMES

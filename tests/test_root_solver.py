@@ -1,22 +1,21 @@
-"""First-root machinery: scans, brackets, poles, degeneracies."""
+"""First-root machinery: brackets, poles, degeneracies and oracles."""
 
 import math
 import random
 
+import mpmath
 import pytest
 
 from helpers import bisect
 from hypgeo import (
     CausalType,
-    DegenerateFunction,
     DegenerateIdenticallyZero,
-    NoRootFound,
+    DomainError,
     NotTimeLike,
     UndefinedAtEquator,
     conjugate_roots,
     covector_from_pbar3,
     exp_map,
-    find_first_positive_root,
     light_covector,
     make_metric,
     maxwell_root_q0,
@@ -25,37 +24,6 @@ from hypgeo import (
 )
 
 M = make_metric(1.0, 4.0)
-
-
-# --- generic scanner ---------------------------------------------------------
-
-
-def test_finds_first_root_of_shifted_cosine():
-    root = find_first_positive_root(math.cos, 0.05, 1e-12, 10.0)
-    assert abs(root - math.pi / 2) < 1e-10
-
-
-def test_does_not_skip_early_roots():
-    # two roots close together near 1.0; the first must win
-    f = lambda x: (x - 1.0) * (x - 1.05) * (x - 9.0)
-    root = find_first_positive_root(f, 0.01, 1e-12, 20.0)
-    assert abs(root - 1.0) < 1e-10
-
-
-def test_reports_no_root_on_positive_function():
-    with pytest.raises(NoRootFound):
-        find_first_positive_root(lambda x: 1.0 + x * x, 0.1, 1e-12, 5.0)
-
-
-def test_reports_degenerate_function():
-    with pytest.raises(DegenerateFunction):
-        find_first_positive_root(lambda x: 0.0, 0.1, 1e-12, 5.0)
-
-
-def test_root_touching_zero_from_one_side_is_found():
-    f = lambda x: (x - 2.0) ** 2 - 1e-30
-    root = find_first_positive_root(f, 0.05, 1e-13, 5.0)
-    assert abs(root - 2.0) < 1e-5
 
 
 # --- first zeros of q0 and q3 ------------------------------------------------
@@ -181,11 +149,11 @@ def test_conjugate_roots_reject_non_time_like():
 
 
 def test_conjugate_roots_at_pole_collapse_to_pi_grid():
-    taus = conjugate_roots(M, 1.0, 3)
-    assert len(taus) == 6
-    for k in (1, 2, 3):
-        assert abs(taus[2 * k - 2] - k * math.pi) < 1e-12
-        assert abs(taus[2 * k - 1] - k * math.pi) < 1e-12
+    # sigma = 0: the phase root's lower endpoint already meets the target
+    for eta in (-1.0001, -1.25, -1.5, -2.0, -30.0):
+        for pbar3 in (1.0, -1.0):
+            taus = conjugate_roots(metric_from_eta(eta), pbar3, 3)
+            assert taus == [v for k in (1, 2, 3) for v in (math.pi * k, math.pi * k)]
 
 
 def test_conjugate_roots_frozen_values():
@@ -215,3 +183,34 @@ def test_conjugate_root_windows(seed):
         k = int(tau / math.pi)
         assert k * math.pi < tau < k * math.pi + math.pi / 2
         assert abs(math.tan(tau) - sigma * tau) < 1e-6 * (1.0 + tau)
+
+
+@pytest.mark.parametrize("pbar3", [math.nan, math.inf, -math.inf, 1e300])
+def test_conjugate_roots_reject_sigma_that_is_not_finite(pbar3):
+    with pytest.raises(DomainError):
+        conjugate_roots(M, pbar3, 2)
+
+
+def _mp_conjugate_root(eta, b, k):
+    """The root of sin tau - sigma tau cos tau on (pi k, pi k + pi/2) at 40
+    digits, with sigma = -eta (1 - b^2) / (1 + eta b^2), rounded to a float."""
+    with mpmath.workdps(40):
+        eta, b = mpmath.mpf(eta), mpmath.mpf(b)
+        sigma = -eta * (1 - b * b) / (1 + eta * b * b)
+        lo = mpmath.pi * k
+        return float(mpmath.findroot(lambda t: mpmath.sin(t) - sigma * t * mpmath.cos(t),
+                                     (lo, lo + mpmath.pi / 2), solver="anderson"))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_conjugate_roots_match_a_40_digit_oracle(seed):
+    rnd = random.Random(4242 + seed)
+    for _ in range(25):
+        m = metric_from_eta(-1.0 - 10.0 ** rnd.uniform(-4.0, 1.5))
+        b = 1.0 + 10.0 ** rnd.uniform(-8.0, 3.0)
+        k_max = rnd.randint(1, 4)
+        taus = conjugate_roots(m, b, k_max)
+        for k in range(1, k_max + 1):
+            ref = _mp_conjugate_root(m.eta, b, k)
+            assert taus[2 * k - 2] == math.pi * k
+            assert abs(taus[2 * k - 1] - ref) <= 1e-15 * ref
