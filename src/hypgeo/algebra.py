@@ -53,7 +53,8 @@ class SplitQuaternion(NamedTuple):
 
     def pseudo_norm(self) -> float:
         """q0^2 - q1^2 - q2^2 + q3^2; equals 1 on the group."""
-        return self.q0 **2 - self.q1 **2 - self.q2 **2 + self.q3 **2
+        q0, q1, q2, q3 = self
+        return q0 * q0 - q1 * q1 - q2 * q2 + q3 * q3
 
     def __neg__(self) -> "SplitQuaternion":
         return SplitQuaternion(-self.q0, -self.q1, -self.q2, -self.q3)
@@ -209,9 +210,13 @@ def classify_isometry(q: SplitQuaternion) -> IsometryClass:
         = 0  parabolic   one fixed point on the boundary circle
         > 0  hyperbolic  two fixed points on the boundary circle
 
-    Raises IdentityInput for q = +-1, which fixes everything.
+    Raises IdentityInput for q = +-1, which fixes everything, and
+    DomainError when q0 or the squared size of the imaginary part is not
+    finite (the discriminant, no larger in size, then is finite too).
     """
     imag2 = q.q1 * q.q1 + q.q2 * q.q2 + q.q3 * q.q3
+    if not (math.isfinite(imag2) and math.isfinite(q.q0)):
+        raise DomainError(f"isometry class needs finite components and squares, got {q!r}")
     if imag2 < IDENTITY_TOLERANCE **2:
         raise IdentityInput("identity has no isometry class")
 

@@ -16,7 +16,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import SplitQuaternion, psl2_canonicalize
 from .errors import HypgeoError, NoConvergence
@@ -41,7 +41,7 @@ from .optimality import (
     injectivity_radius,
     maxwell_time,
     riemannian_log,
-    wavefront_row,
+    wavefront_sample,
 )
 from .root_solver import conjugate_roots
 from .sr_limit import limit_comparison
@@ -69,8 +69,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Validated invocation: one command plus everything it may need."""
 
     command: str
@@ -210,27 +209,19 @@ def parse_args(argv=None) -> RunConfig:
     sp.add_argument("--type", dest="ctype", choices=("tl", "sl"), required=True)
     sp.add_argument("--eta-list", dest="eta_list_raw", type=str, required=True)
 
-    ns = parser.parse_args(argv)
-
-    cfg = RunConfig(command=ns.command)
-    for name in ("i1", "i3", "eta", "pbar3", "phase", "ctype", "t", "t_max",
-                 "samples", "grid_n", "k_max", "rho_max", "out", "tol"):
-        if hasattr(ns, name):
-            setattr(cfg, name, getattr(ns, name))
-    if hasattr(ns, "group"):
-        cfg.group = GroupTag(ns.group)
-    if getattr(ns, "p_raw", None) is not None:
-        cfg.p = _floats(ns.p_raw, 3, "--p")
-    if getattr(ns, "target_raw", None) is not None:
-        cfg.target = _floats(ns.target_raw, 4, "--target")
-    if getattr(ns, "eta_list_raw", None) is not None:
-        cfg.eta_list = _float_list(ns.eta_list_raw, "--eta-list")
-    if hasattr(ns, "format"):
-        if ns.format is not None:
-            cfg.format = ns.format
-        else:
-            cfg.format = "json" if (cfg.out or "").endswith(".json") else "csv"
-    return cfg
+    given = vars(parser.parse_args(argv))
+    fields = {name: v for name, v in given.items() if name in RunConfig._fields}
+    if "group" in fields:
+        fields["group"] = GroupTag(fields["group"])
+    if given.get("p_raw") is not None:
+        fields["p"] = _floats(given["p_raw"], 3, "--p")
+    if given.get("target_raw") is not None:
+        fields["target"] = _floats(given["target_raw"], 4, "--target")
+    if given.get("eta_list_raw") is not None:
+        fields["eta_list"] = _float_list(given["eta_list_raw"], "--eta-list")
+    if fields.get("format") is None:
+        fields["format"] = "json" if (fields.get("out") or "").endswith(".json") else "csv"
+    return RunConfig(**fields)
 
 
 # ---- shared builders ------------------------------------------------------
@@ -400,12 +391,11 @@ def _cmd_wavefront(cfg: RunConfig) -> bytes:
         raise UsageError("--t must be positive")
     n = cfg.grid_n
     rows = []
-    for i in range(n):
-        for j, w in enumerate(wavefront_row(m, cfg.t, n, i, cfg.group)):
-            rows.append(
-                (i, j, w.covector.p1, w.covector.p2, w.covector.p3,
-                 *w.point.components(), w.optimal)
-            )
+    for k, w in enumerate(wavefront_sample(m, cfg.t, n, cfg.group)):
+        rows.append(
+            (*divmod(k, n), w.covector.p1, w.covector.p2, w.covector.p3,
+             *w.point.components(), w.optimal)
+        )
     columns = ("i", "j", "p1", "p2", "p3", "q0", "q1", "q2", "q3", "optimal")
     return _render_table(cfg, columns, rows)
 

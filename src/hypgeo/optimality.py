@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .algebra import Psl2Element, SplitQuaternion, psl2_canonicalize
 from .errors import DomainError, IdentityTarget, NoConvergence, OnCutLocus
-from .geodesic_engine import exp_map, orbit_factors, orbit_point
+from .geodesic_engine import exp_map, orbit_factors, orbit_point, orbit_points
 from .metric_space import (
     ETA_INJ_SPLIT,
     ETA_POLE_SPLIT_PSL2,
@@ -184,12 +184,6 @@ def _upper(q: SplitQuaternion) -> Psl2Element:
     return Psl2Element(-q if q.q3 < 0.0 else q)
 
 
-def _turned(p: Covector, p1: float, p2: float) -> Covector:
-    """p turned about e3 to horizontal part (p1, p2), keeping the orbit's
-    causal record rather than one re-derived from rounded components."""
-    return Covector(p1, p2, p.p3, p.kil, p.ctype, p.norm, p.pbar3)
-
-
 def _stratum(name: str, witnesses, normal) -> LocusSample:
     """The points normal(q) for (p, t, q = Exp(p, t), ideal components) in
     witnesses, and their worst component gap to the ideal."""
@@ -212,6 +206,16 @@ def _conjugate_witnesses(m: Metric, pairs):
         yield p, t, exp_map(m, p, t), ideal
 
 
+def _phases(n: int) -> list[tuple[float, float, float]]:
+    """(phi, cos phi, sin phi) of the column phases phi = 2 pi j/n, which
+    every row of a grid shares."""
+    out = []
+    for j in range(n):
+        phi = 2.0 * math.pi * j / n
+        out.append((phi, math.cos(phi), math.sin(phi)))
+    return out
+
+
 def _plane_stratum(m: Metric, group: GroupTag, n: int, rho_max: float) -> LocusSample:
     """n x n sample of the planar stratum: Z = {q0 = 0} for PSL(2,R), the
     lower symmetric sheet H = {q3 = 0, q0 <= -1} for SL(2,R).
@@ -224,28 +228,44 @@ def _plane_stratum(m: Metric, group: GroupTag, n: int, rho_max: float) -> LocusS
     so unique because Exp is a diffeomorphism below the cut time.
     A row is a rotation orbit: its factors are computed once, and each
     column turns the witness, so `exp_map` of it gives its point exactly.
+    The worst gap is to the ideal point (0, x, y, sqrt(1 + rho^2)) on Z,
+    (-sqrt(1 + rho^2), x, y, 0) on H, with (x, y) = rho (cos, sin) phi.
     """
     psl2 = group is GroupTag.PSL2
-    normal = _upper if psl2 else (lambda q: q)
-
-    def witnesses():
-        for i in range(1, n + 1):
-            rho = rho_max * i / n
-            p0 = radius_level_root(m, rho, -0.5 * math.pi if psl2 else -math.pi)
-            t = cut_time(m, p0, group)
-            orbit = orbit_factors(m, p0, t)
-            _, x0, y0, _ = normal(orbit_point(orbit, p0.p1, p0.p2)).components()
-            gamma0 = math.atan2(y0, x0)
-            sheet = math.sqrt(1.0 + rho * rho)
-            for j in range(n):
-                phi = 2.0 * math.pi * j / n
-                x, y = rho * math.cos(phi), rho * math.sin(phi)
-                ideal = (0.0, x, y, sheet) if psl2 else (-sheet, x, y, 0.0)
-                c, s = math.cos(phi - gamma0), math.sin(phi - gamma0)
-                p1, p2 = p0.p1 * c - p0.p2 * s, p0.p1 * s + p0.p2 * c
-                yield _turned(p0, p1, p2), t, orbit_point(orbit, p1, p2), ideal
-
-    return _stratum("Z" if psl2 else "H", witnesses(), normal)
+    new = tuple.__new__  # a record without its generated __new__, as in orbit_points
+    table = _phases(n)
+    points, params = [], []
+    worst = 0.0
+    for i in range(1, n + 1):
+        rho = rho_max * i / n
+        p0 = radius_level_root(m, rho, -0.5 * math.pi if psl2 else -math.pi)
+        t = cut_time(m, p0, group)
+        orbit = orbit_factors(m, p0, t)
+        first = orbit_point(orbit, p0.p1, p0.p2)
+        _, x0, y0, _ = _upper(first).rep if psl2 else first
+        gamma0 = math.atan2(y0, x0)
+        sheet = math.sqrt(1.0 + rho * rho)
+        a1, a2 = p0.p1, p0.p2
+        turns = []
+        for phi, _, _ in table:
+            c, s = math.cos(phi - gamma0), math.sin(phi - gamma0)
+            turns.append((a1 * c - a2 * s, a1 * s + a2 * c))
+        for (_, cos_phi, sin_phi), (p, q) in zip(table, orbit_points(orbit, p0, turns)):
+            q0, q1, q2, q3 = q
+            x, y = rho * cos_phi, rho * sin_phi
+            if psl2:
+                if q3 < 0.0:
+                    q0, q1, q2, q3 = -q0, -q1, -q2, -q3
+                    q = new(SplitQuaternion, (q0, q1, q2, q3))
+                points.append(new(Psl2Element, (q,)))
+                gap = max(abs(q0), abs(q1 - x), abs(q2 - y), abs(q3 - sheet))
+            else:
+                points.append(q)
+                gap = max(abs(q0 + sheet), abs(q1 - x), abs(q2 - y), abs(q3))
+            if gap > worst:
+                worst = gap
+            params.append((p, t))
+    return LocusSample("Z" if psl2 else "H", tuple(points), tuple(params), worst)
 
 
 def _rotation_stratum_psl2(m: Metric, n: int) -> LocusSample:
@@ -326,6 +346,22 @@ def cut_locus_sample(
     return out
 
 
+def _wavefront_row(
+    m: Metric, t: float, n: int, i: int, group: GroupTag, table: list
+) -> list[WavefrontPoint]:
+    """wavefront_row on the column table _phases(n)."""
+    u = -1.0 + 2.0 * i / (n - 1)
+    radial = math.sqrt(max(m.i1 * (1.0 - u * u), 0.0))
+    p3 = u * math.sqrt(m.i3)
+    p_row = covector_from_components(m, radial, 0.0, p3)
+    orbit = orbit_factors(m, p_row, t)
+    optimal = t < cut_time(m, p_row, group)
+    horizontals = [(radial * c, radial * s) for _, c, s in table]
+    new = tuple.__new__
+    return [new(WavefrontPoint, (p, q, optimal))
+            for p, q in orbit_points(orbit, p_row, horizontals)]
+
+
 def wavefront_row(
     m: Metric, t: float, n: int, i: int, group: GroupTag = GroupTag.PSL2
 ) -> list[WavefrontPoint]:
@@ -335,18 +371,7 @@ def wavefront_row(
     factors are computed once; each column turns the row covector, and
     `exp_map` of it reproduces the column's point bit for bit.
     """
-    u = -1.0 + 2.0 * i / (n - 1)
-    radial = math.sqrt(max(m.i1 * (1.0 - u * u), 0.0))
-    p3 = u * math.sqrt(m.i3)
-    p_row = covector_from_components(m, radial, 0.0, p3)
-    orbit = orbit_factors(m, p_row, t)
-    optimal = t < cut_time(m, p_row, group)
-    out = []
-    for j in range(n):
-        phase = 2.0 * math.pi * j / n
-        p1, p2 = radial * math.cos(phase), radial * math.sin(phase)
-        out.append(WavefrontPoint(_turned(p_row, p1, p2), orbit_point(orbit, p1, p2), optimal))
-    return out
+    return _wavefront_row(m, t, n, i, group, _phases(n))
 
 
 def wavefront_sample(
@@ -356,15 +381,17 @@ def wavefront_sample(
 
     Rows sweep u = p3/sqrt(I3) over [-1, 1] (poles included), columns the
     horizontal phase; each sample records whether its geodesic is still
-    minimizing at t (t < cut time).
+    minimizing at t (t < cut time).  The column phases are shared by all
+    rows (`wavefront_row` gives row i alone).
     """
     if t <= 0.0:
         raise DomainError("wavefront time must be positive")
     if n < 8:
         raise DomainError("need n >= 8")
+    table = _phases(n)
     out = []
     for i in range(n):
-        out.extend(wavefront_row(m, t, n, i, group))
+        out.extend(_wavefront_row(m, t, n, i, group, table))
     return out
 
 

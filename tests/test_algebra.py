@@ -9,6 +9,7 @@ from helpers import gap, mul4, series_exp
 from hypgeo import (
     DegenerateDenominator,
     DeterminantError,
+    DomainError,
     IdentityInput,
     IsometryKind,
     OutsideDisk,
@@ -181,6 +182,25 @@ def test_classification_rejects_identity():
         classify_isometry(SplitQuaternion(1.0, 0.0, 0.0, 0.0))
     with pytest.raises(IdentityInput):
         classify_isometry(SplitQuaternion(-1.0, 0.0, 0.0, 0.0))
+
+
+def test_off_group_squares_overflow_to_inf_not_an_exception():
+    # x * x overflows to inf where x ** 2 raised OverflowError
+    q = SplitQuaternion(1e200, 1e200, 0.0, 0.0)
+    assert math.isnan(q.pseudo_norm())
+    assert SplitQuaternion(1e200, 0.0, 0.0, 0.0).pseudo_norm() == math.inf
+
+
+@pytest.mark.parametrize("q", [
+    (1e200, 1e200, 0.0, 0.0),
+    (1.0, 0.0, 1e200, 1e200),
+    (1.0, math.nan, 0.0, 0.0),
+    (math.nan, 0.5, 0.0, 0.0),
+    (1.0, 0.0, 0.0, math.inf),
+])
+def test_classification_rejects_non_finite_sizes(q):
+    with pytest.raises(DomainError):
+        classify_isometry(SplitQuaternion(*q))
 
 
 def test_rotation_about_origin_angle():

@@ -408,14 +408,23 @@ def test_cli_import_does_not_load_numpy():
     assert proc.stdout == b"False\n"
 
 
-def test_package_import_loads_no_dataclasses_inspect_or_numpy():
-    # the value records are NamedTuples, so importing hypgeo pulls in
-    # neither dataclasses nor the inspect module it imports
-    code = ("import sys, hypgeo; "
+def _loaded_after_import(module):
+    code = (f"import sys, {module}; "
             "print([m for m in ('dataclasses', 'inspect', 'numpy') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == b"[]\n"
+    return proc.stdout
+
+
+def test_package_import_loads_no_dataclasses_inspect_or_numpy():
+    # the value records are NamedTuples, so importing hypgeo pulls in
+    # neither dataclasses nor the inspect module it imports
+    assert _loaded_after_import("hypgeo") == b"[]\n"
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_numpy():
+    # RunConfig is a NamedTuple too, so a hypgeo process skips them as well
+    assert _loaded_after_import("hypgeo.cli") == b"[]\n"
 
 
 # ---- pinned output bytes ---------------------------------------------------

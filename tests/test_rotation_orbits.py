@@ -8,17 +8,23 @@ shared record is the one the components give, and that the points match a
 40-digit closed form written here from the formulas, not from the package.
 """
 
+import math
+
 import mpmath
 import pytest
 
 from hypgeo import (
     CausalType,
+    Covector,
     GroupTag,
+    Psl2Element,
+    SplitQuaternion,
     covector_from_components,
     cut_locus_sample,
     exp_map,
     injectivity_radius,
     metric_from_eta,
+    wavefront_row,
     wavefront_sample,
 )
 
@@ -138,3 +144,50 @@ def test_cut_locus_plane_rows_are_rotation_orbits(eta, group):
         _check_rows(m, _rows([(p, point.components()) for (p, _), point in pairs], n))
         for row in _rows(plane.parameters, n):
             assert len({t for _, t in row}) == 1
+
+
+@pytest.mark.parametrize("group", list(GroupTag))
+def test_grid_records_have_their_exact_types(group):
+    m = metric_from_eta(-4.0 / 3.0)
+    for w in wavefront_sample(m, injectivity_radius(m), 9, group):
+        assert type(w.covector) is Covector
+        assert type(w.point) is SplitQuaternion
+    plane = cut_locus_sample(m, group, 9)[0]
+    want = Psl2Element if group is GroupTag.PSL2 else SplitQuaternion
+    for point, (p, t) in zip(plane.points, plane.parameters):
+        assert type(point) is want
+        assert type(p) is Covector
+        assert type(t) is float
+    if group is GroupTag.PSL2:
+        assert all(type(point.rep) is SplitQuaternion for point in plane.points)
+
+
+@pytest.mark.parametrize("group", list(GroupTag))
+def test_wavefront_row_is_its_row_of_the_sample(group):
+    # eta = -4/3, n = 9: rows 2 and 6 are light-like, 0 and 8 the poles
+    m = metric_from_eta(-4.0 / 3.0)
+    n = 9
+    for t in (0.5 * injectivity_radius(m), 2.0 * injectivity_radius(m)):
+        front = wavefront_sample(m, t, n, group)
+        for i in range(n):
+            # NamedTuple equality: every field, the causal record included
+            assert wavefront_row(m, t, n, i, group) == front[i * n:(i + 1) * n]
+
+
+@pytest.mark.parametrize("group", list(GroupTag))
+@pytest.mark.parametrize("eta", ETAS)
+def test_plane_validation_error_is_the_worst_gap_to_the_ideal(eta, group):
+    m = metric_from_eta(eta)
+    for n, rho_max in ((8, 3.0), (9, 0.5)):
+        plane = cut_locus_sample(m, group, n, rho_max)[0]
+        worst = 0.0
+        for k, point in enumerate(plane.points):
+            i, j = divmod(k, n)
+            rho = rho_max * (i + 1) / n
+            phi = 2.0 * math.pi * j / n
+            x, y = rho * math.cos(phi), rho * math.sin(phi)
+            sheet = math.sqrt(1.0 + rho * rho)
+            ideal = (0.0, x, y, sheet) if group is GroupTag.PSL2 else (-sheet, x, y, 0.0)
+            worst = max([worst] + [abs(a - b) for a, b in zip(point.components(), ideal)])
+        assert plane.validation_error == worst
+        assert worst < 1e-9
