@@ -52,10 +52,6 @@ class NegativeTime(DomainError):
     """Times must be non-negative."""
 
 
-class StepCountTooSmall(DomainError):
-    """The fixed-step integrator needs at least the documented step count."""
-
-
 # ---- root_solver ------------------------------------------------------
 
 class NoRootFound(HypgeoError):

@@ -1,5 +1,5 @@
-"""Geodesic flow of the metrics: closed forms, an ODE oracle, Jacobians
-and the discrete symmetries of the exponential map.
+"""Geodesic flow of the metrics: closed forms, Jacobians and the
+discrete symmetries of the exponential map.
 
 A geodesic through the identity with initial covector p on C is the
 product of two one-parameter subgroups,
@@ -18,22 +18,16 @@ plus `orbit_point` (q1, q2 from one covector's p1, p2).  The grids build
 each row with `orbit_points`, which runs exactly these floats per point
 and gives every column covector the row's causal record, so their points
 equal `exp_map` of their covectors bit for bit.
-
-`exp_map_ode_oracle` integrates the underlying Hamiltonian system with a
-fixed-step RK4 scheme and is kept deliberately independent of the closed
-forms so each can check the other.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .algebra import SplitQuaternion
-from .errors import DomainError, LightLikeInput, NegativeTime, StepCountTooSmall
+from .errors import DomainError, LightLikeInput, NegativeTime
 from .metric_space import CausalType, Covector, Metric, covector_from_components
-
-MIN_ORACLE_STEPS = 100
 
 
 class GeodesicSample(NamedTuple):
@@ -126,8 +120,11 @@ def vertical_flow(m: Metric, p: Covector, t: float) -> Covector:
     """Momentum at time t: precession of (p1, p2) by angle -t eta p3 / I1.
 
     Leaves p3, the causal character and the energy constraint invariant,
-    so the result is again a covector on C.
+    so the result is again a covector on C.  DomainError for a time that
+    is not finite.
     """
+    if not math.isfinite(t):
+        raise DomainError(f"flow time must be finite, got {t!r}")
     angle = -t * m.eta * p.p3 / m.i1
     x, y = _rotate(p.p1, p.p2, angle)
     return covector_from_components(m, x, y, p.p3)
@@ -144,89 +141,6 @@ def sample_geodesic(m: Metric, p: Covector, t_end: float, n: int) -> list[Geodes
     return out
 
 
-# ---- ODE oracle --------------------------------------------------------
-#
-# Hamiltonian form: Qdot = Q * Omega(p), pdot = vertical precession, with
-# Omega = (p1/I1) e1 + (p2/I1) e2 - (p3/I3) e3 and e_a = (i/2, j/2, k/2).
-# Integrated with classical RK4 and a pseudo-norm renormalization each
-# step to hold the trajectory on the group.
-
-def _ode_rhs(q, p, i1: float, i3: float):
-    import numpy as np
-
-    w1 = p[:, 0] / (2.0 * i1)
-    w2 = p[:, 1] / (2.0 * i1)
-    w3 = -p[:, 2] / (2.0 * i3)
-    q0, q1, q2, q3 = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    dq = np.stack(
-        [
-            q1 * w1 + q2 * w2 - q3 * w3,
-            q0 * w1 + q2 * w3 - q3 * w2,
-            q0 * w2 + q3 * w1 - q1 * w3,
-            q0 * w3 - q1 * w2 + q2 * w1,
-        ],
-        axis=1,
-    )
-    rate = p[:, 2] * (1.0 / i1 + 1.0 / i3)
-    dp = np.stack([-rate * p[:, 1], rate * p[:, 0], np.zeros_like(rate)], axis=1)
-    return dq, dp
-
-
-def exp_map_ode_oracle_batch(
-    m: Metric,
-    covectors: Sequence[Covector],
-    times: Sequence[float],
-    steps: int = 10_000,
-) -> list[SplitQuaternion]:
-    """RK4-integrated endpoints for many (covector, time) pairs at once.
-
-    Each trajectory uses its own step size t/steps; the whole batch is
-    advanced together so the cost is steps * O(batch) numpy work.  numpy
-    is imported here, not at module load, since nothing else needs it.
-    """
-    import numpy as np
-
-    if steps < MIN_ORACLE_STEPS:
-        raise StepCountTooSmall(f"need >= {MIN_ORACLE_STEPS} steps, got {steps}")
-    ts = np.asarray([float(t) for t in times], dtype=float)
-    if np.any(ts < 0.0):
-        raise NegativeTime("geodesic times must be >= 0")
-    if len(covectors) != ts.shape[0]:
-        raise DomainError("covectors and times must have equal length")
-    n = ts.shape[0]
-    if n == 0:
-        return []
-
-    q = np.zeros((n, 4))
-    q[:, 0] = 1.0
-    p = np.asarray([c.components() for c in covectors], dtype=float)
-    h = ts / steps
-
-    for _ in range(steps):
-        k1q, k1p = _ode_rhs(q, p, m.i1, m.i3)
-        k2q, k2p = _ode_rhs(
-            q + 0.5 * h[:, None] * k1q, p + 0.5 * h[:, None] * k1p, m.i1, m.i3
-        )
-        k3q, k3p = _ode_rhs(
-            q + 0.5 * h[:, None] * k2q, p + 0.5 * h[:, None] * k2p, m.i1, m.i3
-        )
-        k4q, k4p = _ode_rhs(q + h[:, None] * k3q, p + h[:, None] * k3p, m.i1, m.i3)
-        q = q + (h[:, None] / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-        p = p + (h[:, None] / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        # project back onto the unit pseudo-norm surface
-        pn = q[:, 0] **2 - q[:, 1] **2 - q[:, 2] **2 + q[:, 3] **2
-        q = q / np.sqrt(pn)[:, None]
-
-    return [SplitQuaternion(*row) for row in q.tolist()]
-
-
-def exp_map_ode_oracle(
-    m: Metric, p: Covector, t: float, steps: int = 10_000
-) -> SplitQuaternion:
-    """Single-trajectory front end of the batch integrator."""
-    return exp_map_ode_oracle_batch(m, [p], [t], steps)[0]
-
-
 # ---- Jacobian of the exponential map -----------------------------------
 
 def jacobian(m: Metric, ctype: CausalType, pbar3: float, tau: float) -> float:
@@ -237,10 +151,12 @@ def jacobian(m: Metric, ctype: CausalType, pbar3: float, tau: float) -> float:
     where (s, c) = (sin, cos)(tau) for time-like covectors (type = +1) and
     (sinh, cosh)(tau) for space-like ones (type = -1).  Vanishing of J
     signals a conjugate point; light-like covectors admit none and are
-    rejected.
+    rejected, and so is a pbar3 or tau that is not finite (DomainError).
     """
     if ctype is CausalType.LIGHT_LIKE:
         raise LightLikeInput("jacobian factor is undefined on the light cone")
+    if not (math.isfinite(pbar3) and math.isfinite(tau)):
+        raise DomainError(f"pbar3 and tau must be finite, got {pbar3!r}, {tau!r}")
     eta = m.eta
     if ctype is CausalType.TIME_LIKE:
         type_sign = 1.0

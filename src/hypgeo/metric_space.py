@@ -156,6 +156,8 @@ def light_covector(m: Metric, phase: float, p3_sign: int = 1) -> Covector:
     """
     if p3_sign not in (1, -1):
         raise DomainError("p3_sign must be +1 or -1")
+    if not math.isfinite(phase):
+        raise DomainError(f"phase must be finite, got {phase!r}")
     p3 = p3_sign * m.light_cone_p3()
     radial = abs(p3)
     return covector_from_components(
@@ -164,7 +166,10 @@ def light_covector(m: Metric, phase: float, p3_sign: int = 1) -> Covector:
 
 
 def tau_of_t(m: Metric, p: Covector, t: float) -> float:
-    """Rescaled time tau = t*|p|/(2*I1) used by the closed-form geodesics."""
+    """Rescaled time tau = t*|p|/(2*I1) used by the closed-form geodesics;
+    DomainError for a time that is not finite."""
     if p.ctype is CausalType.LIGHT_LIKE:
         raise LightLikeInput("tau is undefined for light-like covectors")
+    if not math.isfinite(t):
+        raise DomainError(f"time must be finite, got {t!r}")
     return t * p.norm / (2.0 * m.i1)

@@ -2,20 +2,23 @@
 cut times, injectivity radius, cut-locus and wavefront sampling, and the
 inverse of the exponential map on its diffeomorphism domain.
 
-Group conventions.  PSL(2,R) identifies antipodal unit split quaternions;
-its cut times come from the first vanishing of q0 (point-reflection
-targets) capped by the first conjugate time.  SL(2,R) keeps the full
-quaternion and swaps the roles: q3-roots capped by the conjugate time.
-Both caps happen at the rescaled time tau = pi, where a whole circle of
-rotated geodesics meets again and the Jacobian of the exponential map
-vanishes.
+Group conventions.  PSL(2,R), whose points are pairs {q, -q}, and
+SL(2,R) run the same code and differ only in their `_GROUPS` record.  A
+geodesic is cut where the falling phase of q0 + i q3 first reaches the
+record's target, -pi/2 (q0 = 0) or -pi (q3 = 0, q0 < 0), or earlier at
+the first conjugate time tau = pi.  The cap comes first for time-like
+|pbar3| <= -c/eta, with c = 3/2 or 2 (ETA_POLE_SPLIT_* = -c), a band
+beyond the poles only when eta > -c.  There the witnesses with
+pole * pbar3 in [1, -c/eta] reach -(cos, 0, 0, sin)(pi eta pbar3) at
+tau = pi: pbar3 = +-1 gives the conjugate circle, the rest the axis
+stratum.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .algebra import Psl2Element, SplitQuaternion, psl2_canonicalize
 from .errors import DomainError, IdentityTarget, NoConvergence, OnCutLocus
@@ -40,6 +43,47 @@ ON_CUT_TOLERANCE = 1e-8
 class GroupTag(Enum):
     PSL2 = "psl2"
     SL2 = "sl2"
+
+
+def _upper(q: SplitQuaternion) -> Psl2Element:
+    """The PSL(2,R) point of q by its lift with q3 > 0: on and near the
+    plane q0 = 0 the sign of q0 is rounding noise, that of q3 is not.
+    Built with tuple.__new__, which skips the record's Python-level
+    __new__ (it runs once per plane point)."""
+    return tuple.__new__(Psl2Element, (-q if q[3] < 0.0 else q,))
+
+
+class _Group(NamedTuple):
+    """What PSL(2,R) and SL(2,R) differ in (see the module docstring)."""
+
+    maxwell_root: Callable  # (m, p) -> first zero of q0 or q3
+    target_phase: float     # of q0 + i q3 at the cut
+    pole_split: float       # -c: the pbar3 threshold is -c/eta; axis strata exist for eta > -c
+    pole: float             # sign of the axis witnesses' pbar3
+    ideal: tuple            # the plane's (q0, q3) per unit sheet height
+    lift: Callable          # group point of a plane or axis quaternion
+    circle_lift: Callable   # group point of a conjugate-circle quaternion
+    maxwell_stratum: str
+    plane: str
+    axis: str
+
+
+# the lambdas look the module names up at call time, so a rebinding of
+# them (as the bench tracer does) reaches every call
+_GROUPS = {
+    GroupTag.PSL2: _Group(
+        maxwell_root=lambda m, p: maxwell_root_q0(m, p), target_phase=-0.5 * math.pi,
+        pole_split=ETA_POLE_SPLIT_PSL2, pole=-1.0, ideal=(0.0, 1.0),
+        lift=_upper, circle_lift=lambda q: psl2_canonicalize(q),
+        maxwell_stratum="M0", plane="Z", axis="R_eta",
+    ),
+    GroupTag.SL2: _Group(
+        maxwell_root=lambda m, p: maxwell_root_q3(m, p), target_phase=-math.pi,
+        pole_split=ETA_POLE_SPLIT_SL2, pole=1.0, ideal=(-1.0, 0.0),
+        lift=lambda q: q, circle_lift=lambda q: q,
+        maxwell_stratum="M3", plane="H", axis="T_eta",
+    ),
+}
 
 
 class CutDescriptor(NamedTuple):
@@ -81,28 +125,18 @@ def first_conjugate_time(m: Metric, p: Covector) -> float:
     return math.inf
 
 
-# per group: the first zero that makes a Maxwell point, and the time-like
-# |pbar3| at or below which the conjugate cap comes first; the lambdas
-# look the root functions up at call time, so a rebinding of the module
-# names (as the bench tracer does) reaches every call
-_MAXWELL = {
-    GroupTag.PSL2: (lambda m, p: maxwell_root_q0(m, p), Metric.pbar3_threshold_psl2),
-    GroupTag.SL2: (lambda m, p: maxwell_root_q3(m, p), Metric.pbar3_threshold_sl2),
-}
-
-
-def _maxwell_time(m: Metric, p: Covector, group: GroupTag) -> float:
-    root, threshold = _MAXWELL[group]
+def _maxwell_time(m: Metric, p: Covector, group: GroupTag = GroupTag.PSL2) -> float:
+    g = _GROUPS[group]
     if p.ctype is CausalType.LIGHT_LIKE:
-        return root(m, p)
+        return g.maxwell_root(m, p)
     if p.ctype is CausalType.SPACE_LIKE:
         if abs(p.pbar3) < EQUATOR_TOLERANCE:
             return math.inf
-        return root(m, p)
-    if abs(p.pbar3) <= threshold(m):
+        return g.maxwell_root(m, p)
+    if abs(p.pbar3) <= g.pole_split / m.eta:
         # the root sits at or beyond tau = pi; the rotational cap wins
         return first_conjugate_time(m, p)
-    return min(root(m, p), first_conjugate_time(m, p))
+    return min(g.maxwell_root(m, p), first_conjugate_time(m, p))
 
 
 def maxwell_time(m: Metric, p: Covector) -> float:
@@ -116,7 +150,7 @@ def maxwell_time(m: Metric, p: Covector) -> float:
     space-like equator.  SL(2,R) swaps in the q3-zero and the threshold
     -2/eta (see cut_time).
     """
-    return _maxwell_time(m, p, GroupTag.PSL2)
+    return _maxwell_time(m, p)
 
 
 def cut_time(m: Metric, p: Covector, group: GroupTag = GroupTag.PSL2) -> float:
@@ -143,7 +177,7 @@ def describe_cut(m: Metric, p: Covector, group: GroupTag = GroupTag.PSL2) -> Cut
     elif p.ctype is CausalType.TIME_LIKE and t_conj <= t_cut * (1.0 + 1e-12):
         stratum = "M12"
     else:
-        stratum = "M0" if group is GroupTag.PSL2 else "M3"
+        stratum = _GROUPS[group].maxwell_stratum
     return CutDescriptor(group, t_max, t_conj, t_cut, stratum)
 
 
@@ -178,34 +212,6 @@ def _rotated(m: Metric, p: Covector, delta: float) -> Covector:
     )
 
 
-def _upper(q: SplitQuaternion) -> Psl2Element:
-    """The PSL(2,R) point of q by its lift with q3 > 0: on and near the
-    plane q0 = 0 the sign of q0 is rounding noise, that of q3 is not."""
-    return Psl2Element(-q if q.q3 < 0.0 else q)
-
-
-def _stratum(name: str, witnesses, normal) -> LocusSample:
-    """The points normal(q) for (p, t, q = Exp(p, t), ideal components) in
-    witnesses, and their worst component gap to the ideal."""
-    points, params = [], []
-    worst = 0.0
-    for p, t, q, ideal in witnesses:
-        e = normal(q)
-        worst = max(worst, max(abs(a - b) for a, b in zip(e.components(), ideal)))
-        points.append(e)
-        params.append((p, t))
-    return LocusSample(name, tuple(points), tuple(params), worst)
-
-
-def _conjugate_witnesses(m: Metric, pairs):
-    """(covector, conjugate time, Exp, ideal) for (time-like pbar3, ideal)
-    pairs: the axis points are reached at the rotational collapse tau = pi."""
-    for pbar3, ideal in pairs:
-        p = covector_from_pbar3(m, pbar3, 0.0, CausalType.TIME_LIKE)
-        t = first_conjugate_time(m, p)
-        yield p, t, exp_map(m, p, t), ideal
-
-
 def _phases(n: int) -> list[tuple[float, float, float]]:
     """(phi, cos phi, sin phi) of the column phases phi = 2 pi j/n, which
     every row of a grid shares."""
@@ -223,28 +229,34 @@ def _plane_stratum(m: Metric, group: GroupTag, n: int, rho_max: float) -> LocusS
     Rows are horizontal radii rho_max*i/n, columns are phases; every point
     is produced as Exp(witness covector, cut time), never fabricated.  The
     row's witness is the phase-0 geodesic whose unwrapped q0 + i q3 phase
-    reaches -pi/2 (Z) or -pi (H) exactly at radius rho: one root of the
+    reaches the group's target exactly at radius rho: one root of the
     phase along the radius level curve (`radius_level_root`), monotone and
     so unique because Exp is a diffeomorphism below the cut time.
     A row is a rotation orbit: its factors are computed once, and each
     column turns the witness, so `exp_map` of it gives its point exactly.
-    The worst gap is to the ideal point (0, x, y, sqrt(1 + rho^2)) on Z,
-    (-sqrt(1 + rho^2), x, y, 0) on H, with (x, y) = rho (cos, sin) phi.
+    The worst gap is to the ideal point with horizontal part
+    (x, y) = rho (cos, sin) phi and (q0, q3) = the group's ideal times
+    the sheet height sqrt(1 + rho^2).
     """
-    psl2 = group is GroupTag.PSL2
-    new = tuple.__new__  # a record without its generated __new__, as in orbit_points
+    g = _GROUPS[group]
+    lift = g.lift
     table = _phases(n)
     points, params = [], []
     worst = 0.0
     for i in range(1, n + 1):
         rho = rho_max * i / n
-        p0 = radius_level_root(m, rho, -0.5 * math.pi if psl2 else -math.pi)
+        p0 = radius_level_root(m, rho, g.target_phase)
         t = cut_time(m, p0, group)
         orbit = orbit_factors(m, p0, t)
         first = orbit_point(orbit, p0.p1, p0.p2)
-        _, x0, y0, _ = _upper(first).rep if psl2 else first
-        gamma0 = math.atan2(y0, x0)
+        if lift(first).components() != first:
+            # the row shares q0 and q3: negate every point via its factors
+            q0, q3, radial, c, s, norm = orbit
+            orbit = (-q0, -q3, -radial, c, s, norm)
+            first = -first
+        gamma0 = math.atan2(first.q2, first.q1)
         sheet = math.sqrt(1.0 + rho * rho)
+        ideal0, ideal3 = g.ideal[0] * sheet, g.ideal[1] * sheet
         a1, a2 = p0.p1, p0.p2
         turns = []
         for phi, _, _ in table:
@@ -252,72 +264,31 @@ def _plane_stratum(m: Metric, group: GroupTag, n: int, rho_max: float) -> LocusS
             turns.append((a1 * c - a2 * s, a1 * s + a2 * c))
         for (_, cos_phi, sin_phi), (p, q) in zip(table, orbit_points(orbit, p0, turns)):
             q0, q1, q2, q3 = q
-            x, y = rho * cos_phi, rho * sin_phi
-            if psl2:
-                if q3 < 0.0:
-                    q0, q1, q2, q3 = -q0, -q1, -q2, -q3
-                    q = new(SplitQuaternion, (q0, q1, q2, q3))
-                points.append(new(Psl2Element, (q,)))
-                gap = max(abs(q0), abs(q1 - x), abs(q2 - y), abs(q3 - sheet))
-            else:
-                points.append(q)
-                gap = max(abs(q0 + sheet), abs(q1 - x), abs(q2 - y), abs(q3))
+            gap = max(abs(q0 - ideal0), abs(q1 - rho * cos_phi), abs(q2 - rho * sin_phi),
+                      abs(q3 - ideal3))
             if gap > worst:
                 worst = gap
+            points.append(lift(q))
             params.append((p, t))
-    return LocusSample("Z" if psl2 else "H", tuple(points), tuple(params), worst)
+    return LocusSample(g.plane, tuple(points), tuple(params), worst)
 
 
-def _rotation_stratum_psl2(m: Metric, n: int) -> LocusSample:
-    """Axis-rotation stratum of the PSL(2,R) cut locus, eta > -3/2 only.
-
-    n rotation angles sweep the open-left interval (-2 pi (1+eta), pi];
-    the mirror arc of negative angles is the flip3 image and is not
-    duplicated.  Witnesses run at the conjugate-capped time tau = pi with
-    pbar3 = (phi + 2 pi)/(2 pi eta).  Every point cos(phi/2) +
-    sin(phi/2) k has q3 > 0, which fixes the sign of the phi = pi end on
-    the plane q0 = 0.
-    """
-    phi_left = -2.0 * math.pi * (1.0 + m.eta)
-    phis = [phi_left + (math.pi - phi_left) * k / n for k in range(1, n + 1)]
-    pairs = [
-        ((phi + 2.0 * math.pi) / (2.0 * math.pi * m.eta),
-         (math.cos(0.5 * phi), 0.0, 0.0, math.sin(0.5 * phi)))
-        for phi in phis
-    ]
-    return _stratum("R_eta", _conjugate_witnesses(m, pairs), _upper)
-
-
-def _conjugate_circle_psl2(m: Metric) -> LocusSample:
-    """The two conjugate endpoints of the rotation stratum, angles
-    +-2 pi (1+eta), reached by the pole covectors at the conjugate time."""
-    half = -math.pi * (1.0 + m.eta)
-    pairs = [(-sign, (math.cos(half), 0.0, 0.0, sign * math.sin(half))) for sign in (1.0, -1.0)]
-    return _stratum("ConjugateCircle", _conjugate_witnesses(m, pairs), psl2_canonicalize)
-
-
-def _axis_stratum_sl2(m: Metric, n: int) -> LocusSample:
-    """Antipodal axis-rotation stratum of the SL(2,R) cut locus, eta > -2.
-
-    Points -(cos(pi eta s) + sin(pi eta s) k) for s in (1, -2/eta]; the
-    q3-mirror arc (witnessed by negative pbar3) is not duplicated.  The
-    s = 1 endpoint is conjugate and reported separately.
-    """
-    s_max = m.pbar3_threshold_sl2()
-    ss = [1.0 + (s_max - 1.0) * k / n for k in range(1, n + 1)]
-    pairs = [
-        (s, (-math.cos(math.pi * m.eta * s), 0.0, 0.0, -math.sin(math.pi * m.eta * s)))
-        for s in ss
-    ]
-    return _stratum("T_eta", _conjugate_witnesses(m, pairs), lambda q: q)
-
-
-def _conjugate_circle_sl2(m: Metric) -> LocusSample:
-    """Conjugate endpoints of the SL(2,R) axis stratum (s = 1, both pole
-    signs)."""
-    turn = math.pi * m.eta
-    pairs = [(sign, (-math.cos(turn), 0.0, 0.0, -sign * math.sin(turn))) for sign in (1.0, -1.0)]
-    return _stratum("ConjugateCircle", _conjugate_witnesses(m, pairs), lambda q: q)
+def _axis_stratum(m: Metric, name: str, pbar3s, lift) -> LocusSample:
+    """The points lift(Exp(p, t)) of the phase-0 time-like witnesses p
+    with these pbar3, at their conjugate time t (tau = pi), where they
+    reach -(cos, 0, 0, sin)(pi eta pbar3); the worst gap is to that law."""
+    points, params = [], []
+    worst = 0.0
+    for pbar3 in pbar3s:
+        p = covector_from_pbar3(m, pbar3, 0.0, CausalType.TIME_LIKE)
+        t = first_conjugate_time(m, p)
+        e = lift(exp_map(m, p, t))
+        turn = math.pi * m.eta * pbar3
+        ideal = (-math.cos(turn), 0.0, 0.0, -math.sin(turn))
+        worst = max(worst, max(abs(a - b) for a, b in zip(e.components(), ideal)))
+        points.append(e)
+        params.append((p, t))
+    return LocusSample(name, tuple(points), tuple(params), worst)
 
 
 def cut_locus_sample(
@@ -325,24 +296,22 @@ def cut_locus_sample(
 ) -> list[LocusSample]:
     """Sampled cut locus of the group, one LocusSample per stratum.
 
-    PSL(2,R): the point-reflection plane Z always, plus the axis-rotation
-    interval and its conjugate endpoints when eta > -3/2.  SL(2,R): the
-    lower symmetric sheet H always, plus the antipodal rotations T_eta and
-    their conjugate endpoints when eta > -2.
+    The plane stratum (Z for PSL(2,R), H for SL(2,R)) always; when
+    eta > -c, also the axis stratum (R_eta, T_eta: the witnesses
+    pole * (1 + (-c/eta - 1) k/n), k = 1..n; the mirror arc of the other
+    pole is not duplicated) and its conjugate endpoints (pbar3 = +-1).
     """
     if n < 2:
         raise DomainError("need n >= 2")
     if not (0.0 < rho_max < math.inf):
         raise DomainError(f"rho_max must be finite and > 0, got {rho_max!r}")
+    g = _GROUPS[group]
     out = [_plane_stratum(m, group, n, rho_max)]
-    if group is GroupTag.PSL2:
-        if m.eta > ETA_POLE_SPLIT_PSL2:
-            out.append(_rotation_stratum_psl2(m, n))
-            out.append(_conjugate_circle_psl2(m))
-    else:
-        if m.eta > ETA_POLE_SPLIT_SL2:
-            out.append(_axis_stratum_sl2(m, n))
-            out.append(_conjugate_circle_sl2(m))
+    if m.eta > g.pole_split:
+        top = g.pole_split / m.eta
+        out.append(_axis_stratum(
+            m, g.axis, [g.pole * (1.0 + (top - 1.0) * k / n) for k in range(1, n + 1)], g.lift))
+        out.append(_axis_stratum(m, "ConjugateCircle", (g.pole, -g.pole), g.circle_lift))
     return out
 
 
@@ -471,7 +440,7 @@ def riemannian_log(
     for i in range(nx):
         x = x_cap * (-1.0 + 2.0 * (i + 0.5) / nx)
         p = _chain_covector(m, x)
-        tc = cut_time(m, p, GroupTag.PSL2)
+        tc = cut_time(m, p)
         t_hi = t_cap_global if math.isinf(tc) else min(tc * (1.0 - 1e-9), t_cap_global)
         for j in range(nt):
             t = t_hi * (j + 0.5) / nt
@@ -528,7 +497,7 @@ def riemannian_log(
         err = max(abs(a - b) for a, b in zip(final.components(), q.components()))
         if err > max(tol, 1e-9):
             continue
-        if t > cut_time(m, p, GroupTag.PSL2) * (1.0 - 1e-12):
+        if t > cut_time(m, p) * (1.0 - 1e-12):
             # landed on a non-minimizing preimage; try the next seed
             continue
         return p, t

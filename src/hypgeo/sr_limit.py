@@ -36,9 +36,13 @@ class SrMomentum(NamedTuple):
 
 
 def sr_exp_map(sp: SrMomentum, t: float) -> SplitQuaternion:
-    """Endpoint of the unit-speed sub-Riemannian geodesic at time t."""
+    """Endpoint of the unit-speed sub-Riemannian geodesic at time t.
+    NegativeTime for t < 0, DomainError for a t, beta or phi0 that is
+    not finite."""
     if t < 0.0:
         raise NegativeTime(f"geodesic time must be >= 0, got {t!r}")
+    if not (math.isfinite(t) and math.isfinite(sp.beta) and math.isfinite(sp.phi0)):
+        raise DomainError(f"time and momentum must be finite, got {t!r}, {sp!r}")
     first = sq_exp(t * math.cos(sp.phi0), t * math.sin(sp.phi0), t * sp.beta)
     return sq_mul(first, sq_exp(0.0, 0.0, -t * sp.beta))
 

@@ -8,7 +8,7 @@ separate code paths.
 import math
 import random
 
-from hypgeo import CausalType, covector_from_pbar3, light_covector
+from hypgeo import CausalType, SplitQuaternion, covector_from_pbar3, light_covector
 
 
 def mul4(a, b):
@@ -128,6 +128,76 @@ def rk4_reference(m, p, t, steps):
     for _ in range(steps):
         state = step(state, h)
     return state[0]
+
+
+MIN_ORACLE_STEPS = 100
+
+
+def _ode_rhs(q, p, i1, i3):
+    """rk4_reference's right-hand side on (n, 4) and (n, 3) numpy arrays."""
+    import numpy as np
+
+    w1 = p[:, 0] / (2.0 * i1)
+    w2 = p[:, 1] / (2.0 * i1)
+    w3 = -p[:, 2] / (2.0 * i3)
+    q0, q1, q2, q3 = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    dq = np.stack(
+        [
+            q1 * w1 + q2 * w2 - q3 * w3,
+            q0 * w1 + q2 * w3 - q3 * w2,
+            q0 * w2 + q3 * w1 - q1 * w3,
+            q0 * w3 - q1 * w2 + q2 * w1,
+        ],
+        axis=1,
+    )
+    rate = p[:, 2] * (1.0 / i1 + 1.0 / i3)
+    dp = np.stack([-rate * p[:, 1], rate * p[:, 0], np.zeros_like(rate)], axis=1)
+    return dq, dp
+
+
+def exp_map_ode_oracle_batch(m, covectors, times, steps=10_000):
+    """RK4-integrated endpoints for many (covector, time) pairs at once.
+
+    The system of rk4_reference, advanced for the whole batch together
+    (each trajectory with its own step t/steps) in numpy, with a
+    pseudo-norm renormalization each step to hold it on the group.
+    Raises ValueError for fewer than MIN_ORACLE_STEPS steps, a negative
+    time or unequal lengths.
+    """
+    import numpy as np
+
+    if steps < MIN_ORACLE_STEPS:
+        raise ValueError(f"need >= {MIN_ORACLE_STEPS} steps, got {steps}")
+    ts = np.asarray([float(t) for t in times], dtype=float)
+    if np.any(ts < 0.0):
+        raise ValueError("geodesic times must be >= 0")
+    if len(covectors) != ts.shape[0]:
+        raise ValueError("covectors and times must have equal length")
+    n = ts.shape[0]
+    if n == 0:
+        return []
+
+    q = np.zeros((n, 4))
+    q[:, 0] = 1.0
+    p = np.asarray([c.components() for c in covectors], dtype=float)
+    h = ts[:, None] / steps
+
+    for _ in range(steps):
+        k1q, k1p = _ode_rhs(q, p, m.i1, m.i3)
+        k2q, k2p = _ode_rhs(q + 0.5 * h * k1q, p + 0.5 * h * k1p, m.i1, m.i3)
+        k3q, k3p = _ode_rhs(q + 0.5 * h * k2q, p + 0.5 * h * k2p, m.i1, m.i3)
+        k4q, k4p = _ode_rhs(q + h * k3q, p + h * k3p, m.i1, m.i3)
+        q = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        pn = q[:, 0] ** 2 - q[:, 1] ** 2 - q[:, 2] ** 2 + q[:, 3] ** 2
+        q = q / np.sqrt(pn)[:, None]
+
+    return [SplitQuaternion(*row) for row in q.tolist()]
+
+
+def exp_map_ode_oracle(m, p, t, steps=10_000):
+    """Single-trajectory front end of the batch integrator."""
+    return exp_map_ode_oracle_batch(m, [p], [t], steps)[0]
 
 
 def _shift(state, deriv, h):

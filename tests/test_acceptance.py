@@ -21,7 +21,7 @@ import time
 import pytest
 
 from conftest import record
-from helpers import CUBE_ROOT_GAP_COEFF, q0_phase_cut_time
+from helpers import CUBE_ROOT_GAP_COEFF, exp_map_ode_oracle_batch, q0_phase_cut_time
 from hypgeo import (
     ETA_INJ_SPLIT,
     CausalType,
@@ -37,7 +37,6 @@ from hypgeo import (
     cut_time,
     describe_cut,
     exp_map,
-    exp_map_ode_oracle_batch,
     first_conjugate_time,
     injectivity_radius,
     jacobian,

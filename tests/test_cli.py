@@ -401,7 +401,7 @@ def test_module_invocation_matches_inprocess(capfdbinary):
 
 
 def test_cli_import_does_not_load_numpy():
-    # numpy is a test extra: only the RK4 oracle imports it, when called
+    # numpy is a test extra: only the RK4 oracle in tests/helpers.py uses it
     code = "import sys, hypgeo.cli; print('numpy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
     assert proc.returncode == 0, proc.stderr
@@ -494,7 +494,7 @@ PINNED_OUTPUTS = [
       "--format", "json"),
      "7a4332f459e54595fd5d8b02747701349c3a9791be564561c2aa5f435fc8fc9f"),
     (("cut-locus", "--eta", "-1.25", "--grid", "12"),
-     "aa185a16ce99e3412720363d20d3edfd7e25af239cdeb38680884b81ffde9a6e"),
+     "cc625f99360a71c8163ba9e642b4dddc04cd5b25a71deceeee0ea5a0ab1a4566"),
     (("cut-locus", "--eta", "-1.8", "--grid", "9", "--group", "sl2", "--rho-max", "5",
       "--format", "json"),
      "8e9d5526d477f6b4cdd8c19f8c34be1ea80409e8df7e9543576491bc993cdc78"),

@@ -60,6 +60,10 @@ def test_components_constructor_rejects_nan():
     # used to return a NaN covector tagged space-like
     with pytest.raises(NotOnC):
         covector_from_pbar3(m, math.nan, 0.0, CausalType.TIME_LIKE)
+    # an infinite phase used to leak a bare ValueError (math domain error)
+    for phase in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            light_covector(m, phase)
 
 
 def test_split_constants():
@@ -178,3 +182,7 @@ def test_tau_rescaling():
     assert abs(tau_of_t(m, p, 3.0) - 3.0 * p.norm / 2.0) < 1e-15
     with pytest.raises(LightLikeInput):
         tau_of_t(m, light_covector(m, 0.0), 1.0)
+    # nan used to come back as a silent NaN
+    for t in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            tau_of_t(m, p, t)

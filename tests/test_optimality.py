@@ -341,15 +341,33 @@ def test_rotation_stratum_endpoint_lies_on_the_upper_sheet():
             assert reta.validation_error < 1e-9, (m.eta, n, reta.validation_error)
 
 
+# per group: axis stratum name, pole side of its witnesses, pbar3 threshold -c/eta;
+# test_axis_stratum_parameters runs the same checks on both groups
+AXIS_DATA = {
+    GroupTag.PSL2: ("R_eta", -1.0, M.pbar3_threshold_psl2()),
+    GroupTag.SL2: ("T_eta", 1.0, M.pbar3_threshold_sl2()),
+}
+
+
 def test_axis_stratum_parameters():
-    strata = cut_locus_sample(M, GroupTag.SL2, 8)
-    teta = strata[1]
-    assert teta.stratum == "T_eta"
-    for q, (p, t) in zip(teta.points, teta.parameters):
-        assert math.hypot(q.q1, q.q2) < 1e-10
-        # witnesses are pole-side momenta cut exactly at tau = pi
-        assert abs(t - first_conjugate_time(M, p)) < 1e-12 * t
-        assert 1.0 < p.pbar3 <= M.pbar3_threshold_sl2() + 1e-12
+    for group, (name, pole, top) in AXIS_DATA.items():
+        axis, circle = cut_locus_sample(M, group, 8)[1:]
+        assert (axis.stratum, circle.stratum) == (name, "ConjugateCircle")
+        # PSL(2,R) points are classes {q, -q}
+        close = projective_gap if group is GroupTag.PSL2 else gap
+        for sample in (axis, circle):
+            for q, (p, t) in zip(sample.points, sample.parameters):
+                s = pole * p.pbar3
+                if sample is axis:
+                    assert 1.0 < s <= top * (1.0 + 1e-12)
+                else:
+                    assert abs(abs(s) - 1.0) < 1e-12
+                # witnesses are cut exactly at tau = pi, on the axis law
+                assert abs(t - first_conjugate_time(M, p)) < 1e-12 * t
+                turn = math.pi * M.eta * p.pbar3
+                ideal = SplitQuaternion(-math.cos(turn), 0.0, 0.0, -math.sin(turn))
+                assert close(q, ideal) < 1e-12, (group, sample.stratum, p.pbar3)
+        assert [pole * p.pbar3 for p, _ in circle.parameters] == [1.0, -1.0]
 
 
 def test_conjugate_circles_have_two_points():

@@ -1,10 +1,20 @@
-"""The public names of the package.
+"""The public names of the package and its runtime dependencies.
 
 `hypgeo.__all__` is pinned here, so adding or removing a public name is a
-deliberate change that shows in this file's diff.
+deliberate change that shows in this file's diff.  The package runs on
+the standard library alone: no module imports anything else, and
+pyproject.toml declares no runtime dependency.
 """
 
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
 import hypgeo
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC_NAMES = [
     "CausalType", "Covector", "CutDescriptor", "DegenerateDenominator",
@@ -13,11 +23,11 @@ PUBLIC_NAMES = [
     "IdentityInput", "IdentityTarget", "IsometryClass", "IsometryKind", "LightLikeInput",
     "LocusSample", "Metric", "NegativeTime", "NoConvergence", "NoRootFound",
     "NonPositiveEigenvalue", "NotOnC", "NotTimeLike", "OnCutLocus", "OutsideDisk", "Psl2Element",
-    "SplitQuaternion", "SrMomentum", "StepCountTooSmall", "SymmetryElement", "UndefinedAtEquator",
+    "SplitQuaternion", "SrMomentum", "SymmetryElement", "UndefinedAtEquator",
     "WavefrontPoint", "apply_symmetry_image", "apply_symmetry_preimage", "beta_from_pbar3",
     "classify_isometry", "conjugate_roots", "covector_from_components", "covector_from_pbar3",
-    "cut_locus_sample", "cut_time", "describe_cut", "exp_map", "exp_map_ode_oracle",
-    "exp_map_ode_oracle_batch", "first_conjugate_time", "from_sl2", "hyperbolic_distance",
+    "cut_locus_sample", "cut_time", "describe_cut", "exp_map", "first_conjugate_time",
+    "from_sl2", "hyperbolic_distance",
     "injectivity_radius", "jacobian", "light_covector", "limit_comparison", "make_metric",
     "maxwell_root_q0", "maxwell_root_q3", "maxwell_time", "metric_from_eta", "psl2_canonicalize",
     "riemannian_log", "sample_geodesic", "sq_exp", "sq_mul", "sr_cut_time", "sr_exp_map",
@@ -32,3 +42,27 @@ def test_every_public_name_resolves():
 
 def test_public_names_are_pinned():
     assert sorted(hypgeo.__all__) == PUBLIC_NAMES
+
+
+def test_package_imports_only_the_standard_library():
+    outside = []
+    for path in sorted((ROOT / "src" / "hypgeo").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top != "hypgeo" and top not in sys.stdlib_module_names:
+                    outside.append(f"{path.name}:{node.lineno} {name}")
+    assert outside == []
+
+
+def test_no_runtime_dependency_is_declared():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert project["dependencies"] == []

@@ -55,6 +55,12 @@ def test_beta_round_trip():
 def test_sr_exp_map_rejects_negative_time():
     with pytest.raises(NegativeTime):
         sr_exp_map(SrMomentum(1.2, 0.0), -0.5)
+    # a phase or time of inf used to leak a bare ValueError, nan gave NaNs
+    for sp, t in ((SrMomentum(0.5, math.inf), 1.0), (SrMomentum(math.inf, 0.0), 1.0),
+                  (SrMomentum(0.5, math.nan), 1.0), (SrMomentum(0.5, 0.0), math.inf),
+                  (SrMomentum(0.5, 0.0), math.nan)):
+        with pytest.raises(DomainError):
+            sr_exp_map(sp, t)
 
 
 def test_sr_exp_map_is_unit_pseudo_norm_curve():
