@@ -123,9 +123,12 @@ def sq_exp(v1: float, v2: float, v3: float) -> SplitQuaternion:
         kappa > 0:  cosh(|v|/2) + sinh(|v|/2) * vhat
 
     with |v| = sqrt(|kappa|) and vhat = v/|v|.  Arguments within the
-    relative light tolerance of the cone take the affine branch.
+    relative light tolerance of the cone take the affine branch.  Raises
+    DomainError when kappa is not finite or cosh/sinh overflows.
     """
     kappa = v1 * v1 + v2 * v2 - v3 * v3
+    if not math.isfinite(kappa):
+        raise DomainError(f"exponent ({v1!r}, {v2!r}, {v3!r}) is not finite or too large")
     scale = v1 * v1 + v2 * v2 + v3 * v3 + 1.0
     if abs(kappa) < _EXP_LIGHT_TOLERANCE * scale:
         return SplitQuaternion(1.0, 0.5 * v1, 0.5 * v2, 0.5 * v3)
@@ -134,8 +137,12 @@ def sq_exp(v1: float, v2: float, v3: float) -> SplitQuaternion:
     if kappa < 0.0:
         s = math.sin(half) / norm
         return SplitQuaternion(math.cos(half), s * v1, s * v2, s * v3)
-    s = math.sinh(half) / norm
-    return SplitQuaternion(math.cosh(half), s * v1, s * v2, s * v3)
+    try:
+        ch, sh = math.cosh(half), math.sinh(half)
+    except OverflowError:
+        raise DomainError(f"exponent norm {norm!r} overflows cosh") from None
+    s = sh / norm
+    return SplitQuaternion(ch, s * v1, s * v2, s * v3)
 
 
 def from_sl2(a: float, b: float, c: float, d: float) -> SplitQuaternion:

@@ -6,17 +6,17 @@ indices), floats at 17 significant digits, a single CSV header row,
 JSON with a schema field and sorted keys, and no timestamps.  Identical
 invocations produce byte-identical files.  Exit codes: 0 success,
 1 usage error, 2 domain error, 3 convergence failure.
+
+The configuration is argparse's Namespace: argparse converts each flag
+(comma lists to float tuples, --group to a GroupTag) for the library.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
-from typing import NamedTuple
 
 from .algebra import SplitQuaternion, psl2_canonicalize
 from .errors import HypgeoError, NoConvergence
@@ -37,7 +37,6 @@ from .optimality import (
     check_log_target,
     cut_locus_sample,
     describe_cut,
-    first_conjugate_time,
     injectivity_radius,
     maxwell_time,
     riemannian_log,
@@ -45,19 +44,6 @@ from .optimality import (
 )
 from .root_solver import conjugate_roots
 from .sr_limit import limit_comparison
-
-COMMANDS = (
-    "geodesic",
-    "vertical-flow",
-    "maxwell",
-    "conjugate",
-    "cut-time",
-    "cut-locus",
-    "wavefront",
-    "injrad",
-    "log",
-    "sr-compare",
-)
 
 
 class UsageError(Exception):
@@ -69,48 +55,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-class RunConfig(NamedTuple):
-    """Validated invocation: one command plus everything it may need."""
-
-    command: str
-    i1: float = 1.0
-    i3: float | None = None
-    eta: float | None = None
-    group: GroupTag = GroupTag.PSL2
-    grid_n: int = 64
-    t: float | None = None
-    t_max: float | None = None
-    samples: int = 200
-    p: tuple[float, float, float] | None = None
-    pbar3: float | None = None
-    phase: float = 0.0
-    ctype: str | None = None
-    target: tuple[float, float, float, float] | None = None
-    eta_list: tuple[float, ...] = ()
-    k_max: int = 6
-    rho_max: float = 3.0
-    out: str | None = None
-    format: str = "csv"
-    tol: float = 1e-10
-
-
 # ---- parsing -------------------------------------------------------------
 
-def _floats(raw: str, count: int, flag: str) -> tuple[float, ...]:
-    parts = raw.split(",")
-    if len(parts) != count:
-        raise UsageError(f"{flag} needs {count} comma-separated numbers")
-    try:
-        return tuple(float(x) for x in parts)
-    except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
-
-
-def _float_list(raw: str, flag: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in raw.split(","))
-    except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
+def _floats(count: int | None = None):
+    """argparse type for comma-separated floats, `count` of them unless
+    None; a bad value is a usage error that names the flag."""
+    def floats(raw: str) -> tuple[float, ...]:
+        values = tuple(float(x) for x in raw.split(","))
+        if count is not None and len(values) != count:
+            raise argparse.ArgumentTypeError(f"needs {count} comma-separated numbers")
+        return values
+    return floats
 
 
 def _add_metric_flags(sp: argparse.ArgumentParser) -> None:
@@ -120,7 +75,7 @@ def _add_metric_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _add_covector_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--p", dest="p_raw", type=str, default=None,
+    sp.add_argument("--p", dest="p", type=_floats(3), default=None,
                     help="covector components p1,p2,p3 (validated on C)")
     sp.add_argument("--pbar3", dest="pbar3", type=float, default=None)
     sp.add_argument("--phase", dest="phase", type=float, default=0.0)
@@ -133,7 +88,8 @@ def _add_output_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _add_group_flag(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--group", dest="group", choices=("psl2", "sl2"), default="psl2")
+    sp.add_argument("--group", dest="group", type=GroupTag, default=GroupTag.PSL2,
+                    metavar="{%s}" % ",".join(g.value for g in GroupTag))
 
 
 # flags whose comma-joined values may start with a minus sign, which
@@ -154,7 +110,7 @@ def _merge_list_flags(argv: list[str]) -> list[str]:
     return merged
 
 
-def parse_args(argv=None) -> RunConfig:
+def parse_args(argv=None) -> argparse.Namespace:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     argv = _merge_list_flags(argv)
     parser = _Parser(prog="hypgeo", description=__doc__.splitlines()[0])
@@ -199,7 +155,7 @@ def parse_args(argv=None) -> RunConfig:
     sp = subs.add_parser("log")
     _add_metric_flags(sp)
     _add_output_flags(sp)
-    sp.add_argument("--target", dest="target_raw", type=str, required=True,
+    sp.add_argument("--target", dest="target", type=_floats(4), required=True,
                     help="target element q0,q1,q2,q3 (unit pseudo-norm)")
     sp.add_argument("--tol", dest="tol", type=float, default=1e-10)
 
@@ -207,26 +163,17 @@ def parse_args(argv=None) -> RunConfig:
     _add_output_flags(sp)
     sp.add_argument("--pbar3", dest="pbar3", type=float, required=True)
     sp.add_argument("--type", dest="ctype", choices=("tl", "sl"), required=True)
-    sp.add_argument("--eta-list", dest="eta_list_raw", type=str, required=True)
+    sp.add_argument("--eta-list", dest="eta_list", type=_floats(), required=True)
 
-    given = vars(parser.parse_args(argv))
-    fields = {name: v for name, v in given.items() if name in RunConfig._fields}
-    if "group" in fields:
-        fields["group"] = GroupTag(fields["group"])
-    if given.get("p_raw") is not None:
-        fields["p"] = _floats(given["p_raw"], 3, "--p")
-    if given.get("target_raw") is not None:
-        fields["target"] = _floats(given["target_raw"], 4, "--target")
-    if given.get("eta_list_raw") is not None:
-        fields["eta_list"] = _float_list(given["eta_list_raw"], "--eta-list")
-    if fields.get("format") is None:
-        fields["format"] = "json" if (fields.get("out") or "").endswith(".json") else "csv"
-    return RunConfig(**fields)
+    args = parser.parse_args(argv)
+    if args.format is None:
+        args.format = "json" if (args.out or "").endswith(".json") else "csv"
+    return args
 
 
 # ---- shared builders ------------------------------------------------------
 
-def _build_metric(cfg: RunConfig) -> Metric:
+def _build_metric(cfg: argparse.Namespace) -> Metric:
     if (cfg.i3 is None) == (cfg.eta is None):
         raise UsageError("specify exactly one of --I3 or --eta")
     if cfg.i3 is not None:
@@ -234,7 +181,7 @@ def _build_metric(cfg: RunConfig) -> Metric:
     return metric_from_eta(cfg.eta, cfg.i1)
 
 
-def _build_covector(cfg: RunConfig, m: Metric) -> Covector:
+def _build_covector(cfg: argparse.Namespace, m: Metric) -> Covector:
     if cfg.p is not None:
         if cfg.pbar3 is not None or cfg.ctype is not None:
             raise UsageError("--p conflicts with --pbar3/--type")
@@ -267,12 +214,9 @@ def _json_cell(v):
 
 
 def _render_csv(columns, rows) -> bytes:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(columns)
-    for row in rows:
-        w.writerow([_csv_cell(v) for v in row])
-    return buf.getvalue().encode("utf-8")
+    # no cell holds a comma, a quote or a line break, so none needs quoting
+    lines = [",".join(columns), *(",".join(map(_csv_cell, row)) for row in rows)]
+    return ("\r\n".join(lines) + "\r\n").encode("utf-8")
 
 
 def _render_json(payload: dict) -> bytes:
@@ -280,7 +224,7 @@ def _render_json(payload: dict) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-def _render_table(cfg: RunConfig, columns, rows) -> bytes:
+def _render_table(cfg: argparse.Namespace, columns, rows) -> bytes:
     if cfg.format == "csv":
         return _render_csv(columns, rows)
     payload = {
@@ -294,7 +238,7 @@ def _render_table(cfg: RunConfig, columns, rows) -> bytes:
 
 # ---- command bodies -------------------------------------------------------
 
-def _cmd_geodesic(cfg: RunConfig) -> bytes:
+def _cmd_geodesic(cfg: argparse.Namespace) -> bytes:
     m = _build_metric(cfg)
     p = _build_covector(cfg, m)
     if cfg.samples < 2:
@@ -304,7 +248,7 @@ def _cmd_geodesic(cfg: RunConfig) -> bytes:
     return _render_table(cfg, ("t", "q0", "q1", "q2", "q3"), rows)
 
 
-def _cmd_vertical_flow(cfg: RunConfig) -> bytes:
+def _cmd_vertical_flow(cfg: argparse.Namespace) -> bytes:
     m = _build_metric(cfg)
     p = _build_covector(cfg, m)
     if cfg.samples < 2:
@@ -317,13 +261,13 @@ def _cmd_vertical_flow(cfg: RunConfig) -> bytes:
     return _render_table(cfg, ("t", "p1", "p2", "p3"), rows)
 
 
-def _cmd_maxwell(cfg: RunConfig) -> bytes:
+def _cmd_maxwell(cfg: argparse.Namespace) -> bytes:
     m = _build_metric(cfg)
     p = _build_covector(cfg, m)
     return _render_table(cfg, ("t_maxwell",), [(maxwell_time(m, p),)])
 
 
-def _cmd_conjugate(cfg: RunConfig) -> bytes:
+def _cmd_conjugate(cfg: argparse.Namespace) -> bytes:
     m = _build_metric(cfg)
     p = _build_covector(cfg, m)
     columns = ("index", "tau", "t")
@@ -338,7 +282,7 @@ def _cmd_conjugate(cfg: RunConfig) -> bytes:
     return _render_table(cfg, columns, rows)
 
 
-def _cmd_cut_time(cfg: RunConfig) -> bytes:
+def _cmd_cut_time(cfg: argparse.Namespace) -> bytes:
     m = _build_metric(cfg)
     p = _build_covector(cfg, m)
     d = describe_cut(m, p, cfg.group)
@@ -346,7 +290,7 @@ def _cmd_cut_time(cfg: RunConfig) -> bytes:
     return _render_table(cfg, ("group", "t_cut", "t_max", "t_conj", "stratum"), rows)
 
 
-def _cmd_cut_locus(cfg: RunConfig) -> bytes:
+def _cmd_cut_locus(cfg: argparse.Namespace) -> bytes:
     m = _build_metric(cfg)
     if cfg.grid_n < 2:
         raise UsageError("--grid must be >= 2")
@@ -354,17 +298,12 @@ def _cmd_cut_locus(cfg: RunConfig) -> bytes:
     point_cols = ("q0", "q1", "q2", "q3", "p1", "p2", "p3", "t")
 
     def stratum_rows(s):
-        rows = []
-        for idx, (pt, (pw, tw)) in enumerate(zip(s.points, s.parameters)):
-            rows.append((idx, *pt.components(), pw.p1, pw.p2, pw.p3, tw))
-        return rows
+        return [(idx, *pt.components(), pw.p1, pw.p2, pw.p3, tw)
+                for idx, (pt, (pw, tw)) in enumerate(zip(s.points, s.parameters))]
 
     if cfg.format == "csv":
         columns = ("stratum", "index", *point_cols, "validation_error")
-        rows = []
-        for s in strata:
-            for row in stratum_rows(s):
-                rows.append((s.stratum, *row, s.validation_error))
+        rows = [(s.stratum, *row, s.validation_error) for s in strata for row in stratum_rows(s)]
         return _render_csv(columns, rows)
     payload = {
         "schema": 1,
@@ -383,11 +322,11 @@ def _cmd_cut_locus(cfg: RunConfig) -> bytes:
     return _render_json(payload)
 
 
-def _cmd_wavefront(cfg: RunConfig) -> bytes:
+def _cmd_wavefront(cfg: argparse.Namespace) -> bytes:
     m = _build_metric(cfg)
     if cfg.grid_n < 8:
         raise UsageError("--grid must be >= 8")
-    if cfg.t is None or cfg.t <= 0.0:
+    if cfg.t <= 0.0:
         raise UsageError("--t must be positive")
     n = cfg.grid_n
     rows = []
@@ -400,14 +339,14 @@ def _cmd_wavefront(cfg: RunConfig) -> bytes:
     return _render_table(cfg, columns, rows)
 
 
-def _cmd_injrad(cfg: RunConfig) -> bytes:
+def _cmd_injrad(cfg: argparse.Namespace) -> bytes:
     m = _build_metric(cfg)
     eta = m.eta
     case = 1 if eta <= -2.0 else (2 if eta <= ETA_INJ_SPLIT else 3)
     return _render_table(cfg, ("radius", "case"), [(injectivity_radius(m), case)])
 
 
-def _cmd_log(cfg: RunConfig) -> bytes:
+def _cmd_log(cfg: argparse.Namespace) -> bytes:
     m = _build_metric(cfg)
     q = check_log_target(SplitQuaternion(*cfg.target))
     pn = q.pseudo_norm()
@@ -419,9 +358,7 @@ def _cmd_log(cfg: RunConfig) -> bytes:
     return _render_table(cfg, ("p1", "p2", "p3", "t"), [(p.p1, p.p2, p.p3, t)])
 
 
-def _cmd_sr_compare(cfg: RunConfig) -> bytes:
-    if not cfg.eta_list:
-        raise UsageError("--eta-list must be non-empty")
+def _cmd_sr_compare(cfg: argparse.Namespace) -> bytes:
     ct = CausalType.TIME_LIKE if cfg.ctype == "tl" else CausalType.SPACE_LIKE
     rows = limit_comparison(cfg.pbar3, ct, list(cfg.eta_list))
     return _render_table(cfg, ("eta", "riemannian_cut", "sr_cut", "abs_diff"), rows)
@@ -439,9 +376,10 @@ _DISPATCH = {
     "log": _cmd_log,
     "sr-compare": _cmd_sr_compare,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg: argparse.Namespace) -> int:
     """Execute one validated configuration; returns the exit status."""
     try:
         data = _DISPATCH[cfg.command](cfg)

@@ -46,7 +46,8 @@ def orbit_factors(m: Metric, p: Covector, t: float) -> tuple:
     """(q0, q3, radial, cos, sin of the turn, norm) of Exp(p, t): the part
     shared by p's rotation orbit.  radial is sin/sinh tau (t/(2 I1) and
     norm 0 on the light cone).  Raises NegativeTime for t < 0 and
-    DomainError for a time that is not finite."""
+    DomainError for a time that is not finite or, space-like, so long
+    that cosh tau overflows."""
     if t < 0.0:
         raise NegativeTime(f"geodesic time must be >= 0, got {t!r}")
     if not math.isfinite(t):
@@ -64,7 +65,10 @@ def orbit_factors(m: Metric, p: Covector, t: float) -> tuple:
     if p.ctype is CausalType.TIME_LIKE:
         ct, st = math.cos(tau), math.sin(tau)
     else:
-        ct, st = math.cosh(tau), math.sinh(tau)
+        try:
+            ct, st = math.cosh(tau), math.sinh(tau)
+        except OverflowError:
+            raise DomainError(f"geodesic time {t!r} overflows cosh tau") from None
     q0, q3 = ct * ce - pbar3 * st * se, ct * se + pbar3 * st * ce
     return (q0, q3, st, math.cos(-theta), math.sin(-theta), p.norm)
 
@@ -151,7 +155,8 @@ def jacobian(m: Metric, ctype: CausalType, pbar3: float, tau: float) -> float:
     where (s, c) = (sin, cos)(tau) for time-like covectors (type = +1) and
     (sinh, cosh)(tau) for space-like ones (type = -1).  Vanishing of J
     signals a conjugate point; light-like covectors admit none and are
-    rejected, and so is a pbar3 or tau that is not finite (DomainError).
+    rejected, and so is a pbar3 or tau that is not finite, or one where
+    J overflows (DomainError).
     """
     if ctype is CausalType.LIGHT_LIKE:
         raise LightLikeInput("jacobian factor is undefined on the light cone")
@@ -163,11 +168,17 @@ def jacobian(m: Metric, ctype: CausalType, pbar3: float, tau: float) -> float:
         s, c = math.sin(tau), math.cos(tau)
     else:
         type_sign = -1.0
-        s, c = math.sinh(tau), math.cosh(tau)
+        try:
+            s, c = math.sinh(tau), math.cosh(tau)
+        except OverflowError:
+            raise DomainError(f"jacobian overflows at tau {tau!r}") from None
     bracket = tau * eta * (1.0 - type_sign * pbar3 * pbar3) * c + (
         1.0 + type_sign * eta * pbar3 * pbar3
     ) * s
-    return type_sign * s **3 * bracket
+    j = type_sign * s * s * s * bracket
+    if not math.isfinite(j):
+        raise DomainError(f"jacobian overflows at tau {tau!r}")
+    return j
 
 
 # ---- discrete symmetries ------------------------------------------------

@@ -130,6 +130,8 @@ def covector_from_pbar3(
     """
     if ctype is CausalType.LIGHT_LIKE:
         raise DomainError("light-like covectors have no pbar3; use light_covector")
+    if not math.isfinite(phase):
+        raise DomainError(f"phase must be finite, got {phase!r}")
     if ctype is CausalType.TIME_LIKE:
         if abs(pbar3) < 1.0:
             raise DomainError(f"time-like needs |pbar3| >= 1, got {pbar3!r}")

@@ -57,12 +57,12 @@ def beta_from_pbar3(pbar3: float, ctype: CausalType) -> float:
     """
     if ctype is CausalType.LIGHT_LIKE:
         raise DomainError("light-like covectors sit at the |beta| = 1 horizon")
+    if not math.isfinite(pbar3):
+        raise DomainError(f"pbar3 must be finite, got {pbar3!r}")
     if ctype is CausalType.TIME_LIKE:
         if abs(pbar3) <= 1.0:
             raise DomainError(f"time-like dictionary needs |pbar3| > 1, got {pbar3!r}")
         return pbar3 / math.sqrt(pbar3 * pbar3 - 1.0)
-    if not math.isfinite(pbar3):
-        raise DomainError("space-like pbar3 must be finite")
     return pbar3 / math.sqrt(pbar3 * pbar3 + 1.0)
 
 
@@ -74,8 +74,11 @@ def sr_cut_time(beta: float) -> float:
     two-frequency q0-type oscillation; exactly 1, the parabolic equation
     cos(t/2) + (t/2) sin(t/2) = 0 on (pi, 2 pi); below 1 the hyperbolic
     variant with its root in (pi/|beta|, 2 pi/|beta|); +inf at beta = 0.
-    All branches are even in beta and glue continuously.
+    All branches are even in beta and glue continuously.  DomainError for
+    a NaN beta; |beta| = inf gives 0.
     """
+    if math.isnan(beta):
+        raise DomainError("beta must not be NaN")
     b = abs(beta)
     if b == 0.0:
         return math.inf

@@ -110,6 +110,17 @@ def test_exp_lands_on_unit_pseudo_norm_surface(seed):
     assert abs(q.pseudo_norm() - 1.0) < 1e-11
 
 
+@pytest.mark.parametrize("v", [
+    (1e300, 1e300, 0.0),   # kappa overflows: came back (inf, nan, nan, nan)
+    (0.0, 0.0, 1e300),
+    (math.nan, 0.0, 0.0),
+    (2000.0, 0.0, 0.0),    # cosh(|v|/2) overflowed with a bare OverflowError
+])
+def test_exp_rejects_an_exponent_that_is_not_finite_or_overflows(v):
+    with pytest.raises(DomainError):
+        sq_exp(*v)
+
+
 def test_exp_one_parameter_subgroup_property():
     v = (0.8, -0.3, 1.4)
     whole = sq_exp(*v)

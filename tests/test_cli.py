@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from hypgeo import (
     psl2_canonicalize,
     sample_geodesic,
 )
-from hypgeo.cli import main, parse_args
+from hypgeo.cli import COMMANDS, main, parse_args
 
 
 def run_cli(capfdbinary, *args):
@@ -68,6 +69,28 @@ def test_parse_negative_list_values():
     assert cfg.target == (-1.5, 0.0, 0.0, -0.5)
 
 
+def help_text(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_parser_subcommands_are_the_commands_in_order(capsys):
+    listed = re.search(r"\{([a-z,-]+)\}", help_text(capsys)).group(1)
+    assert tuple(listed.split(",")) == COMMANDS
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_has_help(capsys, command):
+    assert help_text(capsys, command).startswith(f"usage: hypgeo {command} ")
+
+
+@pytest.mark.parametrize("command", ["cut-time", "cut-locus", "wavefront"])
+def test_group_help_lists_both_groups(capsys, command):
+    assert "--group {psl2,sl2}" in help_text(capsys, command)
+
+
 # ---- exit codes ------------------------------------------------------------
 
 USAGE_CASES = [
@@ -91,6 +114,7 @@ USAGE_CASES = [
     ["conjugate", "--eta", "-1.25", "--pbar3", "2", "--type", "tl",
      "--k-max", "0"],
     ["sr-compare", "--pbar3", "1.2", "--type", "tl", "--eta-list", "x"],
+    ["cut-time", "--eta", "-1.25", "--pbar3", "2", "--type", "tl", "--group", "bad"],
 ]
 
 
@@ -410,7 +434,7 @@ def test_cli_import_does_not_load_numpy():
 
 def _loaded_after_import(module):
     code = (f"import sys, {module}; "
-            "print([m for m in ('dataclasses', 'inspect', 'numpy') if m in sys.modules])")
+            "print([m for m in ('csv', 'dataclasses', 'inspect', 'numpy') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -423,7 +447,8 @@ def test_package_import_loads_no_dataclasses_inspect_or_numpy():
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_numpy():
-    # RunConfig is a NamedTuple too, so a hypgeo process skips them as well
+    # the configuration is argparse's namespace and a CSV table is one join,
+    # so a hypgeo process skips them, and csv, as well
     assert _loaded_after_import("hypgeo.cli") == b"[]\n"
 
 

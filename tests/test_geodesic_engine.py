@@ -33,6 +33,7 @@ from hypgeo import (
     sq_mul,
     tau_of_t,
     vertical_flow,
+    wavefront_sample,
 )
 
 M = make_metric(1.0, 4.0)
@@ -167,6 +168,13 @@ def test_exp_map_rejects_a_time_that_is_negative_or_not_finite(ctype):
     for t in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             vertical_flow(M, p, t)
+    if ctype is CausalType.SPACE_LIKE:
+        # cosh tau used to leak a bare OverflowError at a long finite time
+        m = metric_from_eta(-1.3)
+        with pytest.raises(DomainError):
+            exp_map(m, covector_from_pbar3(m, 0.5, 0.4, ctype), 1e5)
+        with pytest.raises(DomainError):
+            wavefront_sample(m, 1e300, 8)
 
 
 def test_sample_geodesic_endpoints_and_count():
@@ -194,6 +202,14 @@ def test_jacobian_rejects_values_that_are_not_finite(ctype, pbar3, tau):
     # tau = inf used to leak a bare ValueError, the others came back NaN
     with pytest.raises(DomainError):
         jacobian(M, ctype, pbar3, tau)
+
+
+@pytest.mark.parametrize("tau", [180.0, 240.0, 800.0])
+def test_jacobian_rejects_a_space_like_tau_where_it_overflows(tau):
+    # J came back inf from tau = 177 on; from 237.5 on s ** 3, and from
+    # 710.5 on sinh itself, leaked a bare OverflowError
+    with pytest.raises(DomainError):
+        jacobian(metric_from_eta(-1.3), CausalType.SPACE_LIKE, 0.5, tau)
 
 
 def test_jacobian_vanishes_at_pi_for_time_like():

@@ -164,6 +164,10 @@ def test_pbar3_constructor_rejects_wrong_ranges():
         covector_from_pbar3(m, math.inf, 0.0, CausalType.SPACE_LIKE)
     with pytest.raises(DomainError):
         covector_from_pbar3(m, 1.0, 0.0, CausalType.LIGHT_LIKE)
+    # a phase of inf used to leak a bare ValueError from cos
+    for phase in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            covector_from_pbar3(m, 2.0, phase, CausalType.TIME_LIKE)
 
 
 def test_light_covector_components():

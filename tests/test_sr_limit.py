@@ -43,6 +43,14 @@ def test_beta_dictionary_rejects_bad_input():
         beta_from_pbar3(1.0, CausalType.LIGHT_LIKE)
     with pytest.raises(DomainError):
         beta_from_pbar3(0.9, CausalType.TIME_LIKE)
+    # a time-like pbar3 of inf or nan used to come back as nan
+    for pbar3 in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            beta_from_pbar3(pbar3, CausalType.TIME_LIKE)
+    # sr_cut_time(nan) used to raise NoRootFound; |beta| = inf is the cap 0
+    with pytest.raises(DomainError):
+        sr_cut_time(math.nan)
+    assert sr_cut_time(math.inf) == 0.0
 
 
 def test_beta_round_trip():
@@ -58,7 +66,9 @@ def test_sr_exp_map_rejects_negative_time():
     # a phase or time of inf used to leak a bare ValueError, nan gave NaNs
     for sp, t in ((SrMomentum(0.5, math.inf), 1.0), (SrMomentum(math.inf, 0.0), 1.0),
                   (SrMomentum(0.5, math.nan), 1.0), (SrMomentum(0.5, 0.0), math.inf),
-                  (SrMomentum(0.5, 0.0), math.nan)):
+                  (SrMomentum(0.5, 0.0), math.nan),
+                  # the closed form overflows: a bare ValueError, an OverflowError
+                  (SrMomentum(0.5, 0.3), 1e300), (SrMomentum(0.5, 0.3), 1e5)):
         with pytest.raises(DomainError):
             sr_exp_map(sp, t)
 
