@@ -52,9 +52,13 @@ class SplitQuaternion(NamedTuple):
         return (self.q0, self.q1, self.q2, self.q3)
 
     def pseudo_norm(self) -> float:
-        """q0^2 - q1^2 - q2^2 + q3^2; equals 1 on the group."""
+        """q0^2 - q1^2 - q2^2 + q3^2; equals 1 on the group.  DomainError
+        when that is not finite (a component NaN, or squares that overflow)."""
         q0, q1, q2, q3 = self
-        return q0 * q0 - q1 * q1 - q2 * q2 + q3 * q3
+        pn = q0 * q0 - q1 * q1 - q2 * q2 + q3 * q3
+        if not math.isfinite(pn):
+            raise DomainError(f"pseudo-norm of {self!r} is not finite")
+        return pn
 
     def __neg__(self) -> "SplitQuaternion":
         return SplitQuaternion(-self.q0, -self.q1, -self.q2, -self.q3)

@@ -14,10 +14,10 @@ rate -eta p3 / I1 while p3 and the horizontal radius stay fixed.
 Rotations R about e3 fix the identity and, as I1 = I2, are isometries:
 Exp(R p, t) = R Exp(p, t).  So `exp_map` is `orbit_factors` (all that
 depends only on t, p3, norm, pbar3 and the causal type, once per orbit)
-plus `orbit_point` (q1, q2 from one covector's p1, p2).  The grids build
-each row with `orbit_points`, which runs exactly these floats per point
-and gives every column covector the row's causal record, so their points
-equal `exp_map` of their covectors bit for bit.
+plus `orbit_point` (q1, q2 from one covector's p1, p2).  The grids in
+`optimality` build each row from one set of factors, run exactly these
+floats per point and give every column covector the row's causal record,
+so their points equal `exp_map` of their covectors bit for bit.
 """
 
 from __future__ import annotations
@@ -79,28 +79,6 @@ def orbit_point(factors: tuple, p1: float, p2: float) -> SplitQuaternion:
     if norm:
         p1, p2 = p1 / norm, p2 / norm
     return SplitQuaternion(q0, radial * (p1 * c - p2 * s), radial * (p1 * s + p2 * c), q3)
-
-
-def orbit_points(factors: tuple, p: Covector, horizontals) -> list:
-    """(covector, Exp) for each horizontal part (p1, p2) of p's rotation
-    orbit, in order.  Each covector keeps p's causal record, and each
-    point is orbit_point(factors, p1, p2) float for float, so `exp_map`
-    of the covector gives the point exactly.  The records are built with
-    tuple.__new__, which skips the NamedTuples' Python-level __new__."""
-    q0, q3, radial, c, s, norm = factors
-    _, _, p3, kil, ctype, p_norm, pbar3 = p
-    new = tuple.__new__
-    out = []
-    for p1, p2 in horizontals:
-        if norm:
-            x, y = p1 / norm, p2 / norm
-        else:
-            x, y = p1, p2
-        out.append((
-            new(Covector, (p1, p2, p3, kil, ctype, p_norm, pbar3)),
-            new(SplitQuaternion, (q0, radial * (x * c - y * s), radial * (x * s + y * c), q3)),
-        ))
-    return out
 
 
 def exp_map(m: Metric, p: Covector, t: float) -> SplitQuaternion:

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 from .algebra import Psl2Element, SplitQuaternion, psl2_canonicalize
 from .errors import DomainError, IdentityTarget, NoConvergence, OnCutLocus
-from .geodesic_engine import exp_map, orbit_factors, orbit_point, orbit_points
+from .geodesic_engine import exp_map, orbit_factors, orbit_point
 from .metric_space import (
     ETA_INJ_SPLIT,
     ETA_POLE_SPLIT_PSL2,
@@ -49,7 +49,7 @@ def _upper(q: SplitQuaternion) -> Psl2Element:
     """The PSL(2,R) point of q by its lift with q3 > 0: on and near the
     plane q0 = 0 the sign of q0 is rounding noise, that of q3 is not.
     Built with tuple.__new__, which skips the record's Python-level
-    __new__ (it runs once per plane point)."""
+    __new__."""
     return tuple.__new__(Psl2Element, (-q if q[3] < 0.0 else q,))
 
 
@@ -62,6 +62,7 @@ class _Group(NamedTuple):
     pole: float             # sign of the axis witnesses' pbar3
     ideal: tuple            # the plane's (q0, q3) per unit sheet height
     lift: Callable          # group point of a plane or axis quaternion
+    box: type | None        # record of a lifted plane quaternion (None: the quaternion)
     circle_lift: Callable   # group point of a conjugate-circle quaternion
     maxwell_stratum: str
     plane: str
@@ -74,13 +75,13 @@ _GROUPS = {
     GroupTag.PSL2: _Group(
         maxwell_root=lambda m, p: maxwell_root_q0(m, p), target_phase=-0.5 * math.pi,
         pole_split=ETA_POLE_SPLIT_PSL2, pole=-1.0, ideal=(0.0, 1.0),
-        lift=_upper, circle_lift=lambda q: psl2_canonicalize(q),
+        lift=_upper, box=Psl2Element, circle_lift=lambda q: psl2_canonicalize(q),
         maxwell_stratum="M0", plane="Z", axis="R_eta",
     ),
     GroupTag.SL2: _Group(
         maxwell_root=lambda m, p: maxwell_root_q3(m, p), target_phase=-math.pi,
         pole_split=ETA_POLE_SPLIT_SL2, pole=1.0, ideal=(-1.0, 0.0),
-        lift=lambda q: q, circle_lift=lambda q: q,
+        lift=lambda q: q, box=None, circle_lift=lambda q: q,
         maxwell_stratum="M3", plane="H", axis="T_eta",
     ),
 }
@@ -228,48 +229,45 @@ def _plane_stratum(m: Metric, group: GroupTag, n: int, rho_max: float) -> LocusS
 
     Rows are horizontal radii rho_max*i/n, columns are phases; every point
     is produced as Exp(witness covector, cut time), never fabricated.  The
-    row's witness is the phase-0 geodesic whose unwrapped q0 + i q3 phase
-    reaches the group's target exactly at radius rho: one root of the
-    phase along the radius level curve (`radius_level_root`), monotone and
-    so unique because Exp is a diffeomorphism below the cut time.
-    A row is a rotation orbit: its factors are computed once, and each
-    column turns the witness, so `exp_map` of it gives its point exactly.
-    The worst gap is to the ideal point with horizontal part
-    (x, y) = rho (cos, sin) phi and (q0, q3) = the group's ideal times
-    the sheet height sqrt(1 + rho^2).
+    row's witness and its cut time are one root of the unwrapped
+    q0 + i q3 phase along the radius level curve (`radius_level_root`),
+    monotone and so unique because Exp is a diffeomorphism below the cut
+    time.  A row is a rotation orbit: its factors, lift and the gap terms
+    of q0 and q3 are computed once, and each column turns the witness, so
+    `exp_map` of it gives its point exactly.  The worst gap is to the
+    ideal point with horizontal part (x, y) = rho (cos, sin) phi and
+    (q0, q3) = the group's ideal times the sheet height sqrt(1 + rho^2).
     """
     g = _GROUPS[group]
-    lift = g.lift
+    box = g.box
     table = _phases(n)
+    new = tuple.__new__
     points, params = [], []
     worst = 0.0
     for i in range(1, n + 1):
         rho = rho_max * i / n
-        p0 = radius_level_root(m, rho, g.target_phase)
-        t = cut_time(m, p0, group)
-        orbit = orbit_factors(m, p0, t)
-        first = orbit_point(orbit, p0.p1, p0.p2)
-        if lift(first).components() != first:
+        p0, t = radius_level_root(m, rho, g.target_phase)
+        a1, _, p3, kil, ctype, norm, pbar3 = p0
+        orbit = q0, q3, radial, c, s, _ = orbit_factors(m, p0, t)
+        first = orbit_point(orbit, a1, 0.0)
+        if g.lift(first).components() != first:
             # the row shares q0 and q3: negate every point via its factors
-            q0, q3, radial, c, s, norm = orbit
-            orbit = (-q0, -q3, -radial, c, s, norm)
+            q0, q3, radial = -q0, -q3, -radial
             first = -first
         gamma0 = math.atan2(first.q2, first.q1)
         sheet = math.sqrt(1.0 + rho * rho)
-        ideal0, ideal3 = g.ideal[0] * sheet, g.ideal[1] * sheet
-        a1, a2 = p0.p1, p0.p2
-        turns = []
-        for phi, _, _ in table:
-            c, s = math.cos(phi - gamma0), math.sin(phi - gamma0)
-            turns.append((a1 * c - a2 * s, a1 * s + a2 * c))
-        for (_, cos_phi, sin_phi), (p, q) in zip(table, orbit_points(orbit, p0, turns)):
-            q0, q1, q2, q3 = q
-            gap = max(abs(q0 - ideal0), abs(q1 - rho * cos_phi), abs(q2 - rho * sin_phi),
-                      abs(q3 - ideal3))
+        row_gap = max(abs(q0 - g.ideal[0] * sheet), abs(q3 - g.ideal[1] * sheet))
+        d = norm if norm else 1.0
+        for phi, cos_phi, sin_phi in table:
+            p1, p2 = a1 * math.cos(phi - gamma0), a1 * math.sin(phi - gamma0)
+            x, y = p1 / d, p2 / d
+            q1, q2 = radial * (x * c - y * s), radial * (x * s + y * c)
+            gap = max(row_gap, abs(q1 - rho * cos_phi), abs(q2 - rho * sin_phi))
             if gap > worst:
                 worst = gap
-            points.append(lift(q))
-            params.append((p, t))
+            q = new(SplitQuaternion, (q0, q1, q2, q3))
+            points.append(new(box, (q,)) if box else q)
+            params.append((new(Covector, (p1, p2, p3, kil, ctype, norm, pbar3)), t))
     return LocusSample(g.plane, tuple(points), tuple(params), worst)
 
 
@@ -320,15 +318,23 @@ def _wavefront_row(
 ) -> list[WavefrontPoint]:
     """wavefront_row on the column table _phases(n)."""
     u = -1.0 + 2.0 * i / (n - 1)
-    radial = math.sqrt(max(m.i1 * (1.0 - u * u), 0.0))
-    p3 = u * math.sqrt(m.i3)
-    p_row = covector_from_components(m, radial, 0.0, p3)
-    orbit = orbit_factors(m, p_row, t)
+    horizontal = math.sqrt(max(m.i1 * (1.0 - u * u), 0.0))
+    p_row = covector_from_components(m, horizontal, 0.0, u * math.sqrt(m.i3))
+    _, _, p3, kil, ctype, norm, pbar3 = p_row
+    q0, q3, radial, c, s, _ = orbit_factors(m, p_row, t)
     optimal = t < cut_time(m, p_row, group)
-    horizontals = [(radial * c, radial * s) for _, c, s in table]
+    d = norm if norm else 1.0
     new = tuple.__new__
-    return [new(WavefrontPoint, (p, q, optimal))
-            for p, q in orbit_points(orbit, p_row, horizontals)]
+    out = []
+    for _, cos_phi, sin_phi in table:
+        p1, p2 = horizontal * cos_phi, horizontal * sin_phi
+        x, y = p1 / d, p2 / d
+        out.append(new(WavefrontPoint, (
+            new(Covector, (p1, p2, p3, kil, ctype, norm, pbar3)),
+            new(SplitQuaternion, (q0, radial * (x * c - y * s), radial * (x * s + y * c), q3)),
+            optimal,
+        )))
+    return out
 
 
 def wavefront_row(
@@ -424,7 +430,10 @@ def riemannian_log(
     inner_tol = min(1e-12, tol)
 
     def resid(x: float, t: float) -> tuple[float, float]:
-        e = exp_map(m, _chain_covector(m, min(max(x, -x_cap), x_cap)), t)
+        try:
+            e = exp_map(m, _chain_covector(m, min(max(x, -x_cap), x_cap)), t)
+        except DomainError:  # cosh tau overflows: a failed trial, not a bad target
+            return math.inf, math.inf
         return e.q0 - q.q0, e.q3 - q.q3
 
     # distance-scale cap so near-equatorial seeds don't sweep huge times

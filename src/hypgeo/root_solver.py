@@ -17,6 +17,7 @@ window (`conjugate_roots`), so one solver serves every root here.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable
 
 from .errors import (
@@ -26,7 +27,7 @@ from .errors import (
     NotTimeLike,
     UndefinedAtEquator,
 )
-from .metric_space import CausalType, Covector, Metric, covector_from_pbar3, light_covector
+from .metric_space import CausalType, Covector, Metric, light_covector
 
 # below this vertical size a space-like covector is treated as equatorial
 EQUATOR_TOLERANCE = 1e-14
@@ -52,7 +53,8 @@ EQUATOR_TOLERANCE = 1e-14
 # tau < (pi/2 + |target|)/(a - 1).  Both windows matter as eta -> -1.
 
 _TARGET_PHASE = {"q0": -0.5 * math.pi, "q3": -math.pi}
-# a phase function returns (phi, dphi/dx)
+# a phase function returns (phi, dphi/dx); the solvers bind its leading
+# parameters with functools.partial, a C call that adds no Python frame
 _Phase = Callable[[float], tuple[float, float]]
 
 
@@ -94,33 +96,26 @@ def _phase_root(phase: _Phase, target: float, lo: float, hi: float) -> float:
     return x
 
 
-def _timelike_phase(b: float, eta: float) -> _Phase:
+def _timelike_phase(b: float, eta: float, tau: float) -> tuple[float, float]:
     # 1 + eta b, summed so that it keeps its digits as eta -> -1, b -> 1
     rate = (1.0 + eta) + eta * (b - 1.0)
-
-    def phase(tau: float) -> tuple[float, float]:
-        s, c = math.sin(tau), math.cos(tau)
-        return (
-            rate * tau + math.atan2((b - 1.0) * s * c, c * c + b * s * s),
-            b / (c * c + b * b * s * s) + eta * b,
-        )
-
-    return phase
+    s, c = math.sin(tau), math.cos(tau)
+    return (
+        rate * tau + math.atan2((b - 1.0) * s * c, c * c + b * s * s),
+        b / (c * c + b * b * s * s) + eta * b,
+    )
 
 
-def _spacelike_phase(b: float, eta: float) -> _Phase:
-    def phase(tau: float) -> tuple[float, float]:
-        th = math.tanh(tau)
-        return (
-            math.atan(b * th) + eta * b * tau,
-            b * (1.0 - th * th) / (1.0 + b * b * th * th) + eta * b,
-        )
-
-    return phase
+def _spacelike_phase(b: float, eta: float, tau: float) -> tuple[float, float]:
+    th = math.tanh(tau)
+    return (
+        math.atan(b * th) + eta * b * tau,
+        b * (1.0 - th * th) / (1.0 + b * b * th * th) + eta * b,
+    )
 
 
-def _lightlike_phase(eta: float) -> _Phase:
-    return lambda tau: (math.atan(tau) + eta * tau, 1.0 / (1.0 + tau * tau) + eta)
+def _lightlike_phase(eta: float, tau: float) -> tuple[float, float]:
+    return math.atan(tau) + eta * tau, 1.0 / (1.0 + tau * tau) + eta
 
 
 def _root_tau(m: Metric, p: Covector, which: str) -> float:
@@ -128,12 +123,12 @@ def _root_tau(m: Metric, p: Covector, which: str) -> float:
     eta = m.eta
     target = _TARGET_PHASE[which]
     if p.ctype is CausalType.LIGHT_LIKE:
-        b, phase = 1.0, _lightlike_phase(eta)
+        b, phase = 1.0, partial(_lightlike_phase, eta)
     elif p.ctype is CausalType.TIME_LIKE:
         b = abs(p.pbar3)
         if b == 1.0:
             return target / (1.0 + eta)
-        phase = _timelike_phase(b, eta)
+        phase = partial(_timelike_phase, b, eta)
     else:
         b = abs(p.pbar3)
         if b < EQUATOR_TOLERANCE:
@@ -144,7 +139,7 @@ def _root_tau(m: Metric, p: Covector, which: str) -> float:
             raise DegenerateIdenticallyZero(
                 "q3 vanishes identically on equatorial space-like geodesics"
             )
-        phase = _spacelike_phase(b, eta)
+        phase = partial(_spacelike_phase, b, eta)
     a = -eta * b
     depth = -target
     hi = depth / (-b * (1.0 + eta))
@@ -169,55 +164,75 @@ def _root_tau(m: Metric, p: Covector, which: str) -> float:
 # b = hypot(1, rho cosh lambda).  notes/decisions.md derives the brackets.
 
 
-def _spacelike_level_phase(rho: float, eta: float) -> _Phase:
-    def phase(b: float) -> tuple[float, float]:
-        tau = math.asinh(rho / math.hypot(1.0, b))
-        th = math.tanh(tau)
-        phi, dphi_dtau = _spacelike_phase(b, eta)(tau)
-        dphi_db = th / (1.0 + b * b * th * th) + eta * tau
-        return phi, dphi_db - dphi_dtau * b * th / (1.0 + b * b)
-
-    return phase
+def _spacelike_level_phase(rho: float, eta: float, b: float) -> tuple[float, float]:
+    tau = math.asinh(rho / math.hypot(1.0, b))
+    th = math.tanh(tau)
+    phi, dphi_dtau = _spacelike_phase(b, eta, tau)
+    dphi_db = th / (1.0 + b * b * th * th) + eta * tau
+    return phi, dphi_db - dphi_dtau * b * th / (1.0 + b * b)
 
 
-def _timelike_level_phase(rho: float, eta: float) -> _Phase:
-    def phase(lam: float) -> tuple[float, float]:
-        s, c = 1.0 / math.cosh(lam), -math.tanh(lam)
-        # tau = 2 atan(e^lam), with its digits kept past pi/2
-        tau = math.pi - 2.0 * math.atan(math.exp(-lam)) if lam > 0.0 else 2.0 * math.atan(math.exp(lam))
-        b = math.hypot(1.0, rho * math.cosh(lam))
-        phi, dphi_dtau = _timelike_phase(b, eta)(tau)
-        dphi_db = eta * tau + s * c / (c * c + b * b * s * s)
-        return phi, dphi_dtau * s - dphi_db * (b * b - 1.0) * c / b
-
-    return phase
+def _lambda_tau(lam: float) -> float:
+    # tau = 2 atan(e^lam), with its digits kept past pi/2
+    if lam > 0.0:
+        return math.pi - 2.0 * math.atan(math.exp(-lam))
+    return 2.0 * math.atan(math.exp(lam))
 
 
-def radius_level_root(m: Metric, rho: float, target: float) -> Covector:
+def _timelike_level_phase(rho: float, eta: float, lam: float) -> tuple[float, float]:
+    s, c = 1.0 / math.cosh(lam), -math.tanh(lam)
+    b = math.hypot(1.0, rho * math.cosh(lam))
+    tau = _lambda_tau(lam)
+    phi, dphi_dtau = _timelike_phase(b, eta, tau)
+    dphi_db = eta * tau + s * c / (c * c + b * b * s * s)
+    return phi, dphi_dtau * s - dphi_db * (b * b - 1.0) * c / b
+
+
+def _level_witness(
+    m: Metric, ctype: CausalType, b: float, radial: float, tau: float
+) -> tuple[Covector, float]:
+    """The phase-0 covector with pbar3 = b and p1 = |p| radial, its record
+    built from these exact values, and its time at rescaled time tau."""
+    sign = 1.0 if ctype is CausalType.TIME_LIKE else -1.0
+    norm = math.sqrt(m.i1 / -(sign * (1.0 + sign * m.eta * b * b)))
+    p = Covector(norm * radial, 0.0, b * norm, -sign * norm * norm, ctype, norm, b)
+    return p, 2.0 * m.i1 * tau / norm
+
+
+def radius_level_root(m: Metric, rho: float, target: float) -> tuple[Covector, float]:
     """The phase-0 covector, pbar3 >= 0, whose geodesic reaches horizontal
     radius rho > 0 exactly when its unwrapped q0 + i q3 phase equals
-    target < 0: light-like at the light-cone phase atan(rho) + eta rho,
-    time-like below it and space-like above it.
+    target < 0 (light-like at the light-cone phase atan(rho) + eta rho,
+    time-like below it and space-like above it), and that time t.
+
+    Both come from the root's own parameter, so the covector's causal
+    record is exact rather than re-derived from rounded components.
     """
     if not (0.0 < rho < math.inf and -math.inf < target < 0.0):
         raise DomainError(f"need finite rho > 0 and target < 0, got {rho!r}, {target!r}")
     eta = m.eta
     phi_light = math.atan(rho) + eta * rho
     if target == phi_light:
-        return light_covector(m, 0.0, 1)
+        p = light_covector(m, 0.0, 1)
+        return p, 2.0 * m.i1 * rho / p.p3
     k = (math.atan(rho) - target) / -eta
     gap = abs(phi_light - target) / -eta  # |k - rho|, free of cancellation
     if target > phi_light:
         b_hi = k * math.hypot(1.0, rho) / (math.sqrt(gap) * math.sqrt(rho + k))
-        b = _phase_root(_spacelike_level_phase(rho, eta), target, 0.0, b_hi)
-        return covector_from_pbar3(m, b, 0.0, CausalType.SPACE_LIKE)
+        b = _phase_root(partial(_spacelike_level_phase, rho, eta), target, 0.0, b_hi)
+        h = math.hypot(1.0, b)
+        return _level_witness(m, CausalType.SPACE_LIKE, b, h, math.asinh(rho / h))
     r2 = rho * rho
     w = gap * (k + rho) / (r2 + 2.0 + math.sqrt((r2 + 2.0) ** 2 + r2 * gap * (k + rho)))
     far = (math.pi - target) / -eta / (0.5 * math.pi * rho)
     lam = _phase_root(
-        _timelike_level_phase(rho, eta), target, 0.5 * math.log(w), math.acosh(max(1.0, far))
+        partial(_timelike_level_phase, rho, eta), target, 0.5 * math.log(w),
+        math.acosh(max(1.0, far)),
     )
-    return covector_from_pbar3(m, math.hypot(1.0, rho * math.cosh(lam)), 0.0, CausalType.TIME_LIKE)
+    radial = rho * math.cosh(lam)
+    return _level_witness(
+        m, CausalType.TIME_LIKE, math.hypot(1.0, radial), radial, _lambda_tau(lam)
+    )
 
 
 def _tau_to_t(m: Metric, p: Covector, tau: float) -> float:
@@ -242,6 +257,10 @@ def maxwell_root_q3(m: Metric, p: Covector) -> float:
     space-like covectors with pbar3 = 0, where q3 vanishes identically.
     """
     return _tau_to_t(m, p, _root_tau(m, p, "q3"))
+
+
+def _conjugate_phase(sigma: float, tau: float) -> tuple[float, float]:
+    return math.atan(sigma * tau) - tau, sigma / (1.0 + (sigma * tau) ** 2) - 1.0
 
 
 def conjugate_roots(m: Metric, pbar3: float, k_max: int) -> list[float]:
@@ -269,11 +288,8 @@ def conjugate_roots(m: Metric, pbar3: float, k_max: int) -> list[float]:
     if not math.isfinite(sigma):
         raise DomainError(f"conjugate roots need a finite pbar3^2, got {pbar3!r}")
 
-    def phase(tau: float) -> tuple[float, float]:
-        return math.atan(sigma * tau) - tau, sigma / (1.0 + (sigma * tau) ** 2) - 1.0
-
     out = []
     for k in range(1, k_max + 1):
         lo = math.pi * k
-        out.extend([lo, _phase_root(phase, -lo, lo, lo + 0.5 * math.pi)])
+        out.extend([lo, _phase_root(partial(_conjugate_phase, sigma), -lo, lo, lo + 0.5 * math.pi)])
     return out

@@ -18,6 +18,7 @@ Everything here pins I1 = 1; a general I1 only rescales time by sqrt(I1).
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple
 
 from .algebra import SplitQuaternion, sq_exp, sq_mul
@@ -85,7 +86,7 @@ def sr_cut_time(beta: float) -> float:
     half_pi = 0.5 * math.pi
     if b == 1.0:
         # cos u + u sin u in u = t/2: the light-like phase at eta = -1
-        return 2.0 * _phase_root(_lightlike_phase(-1.0), -half_pi, half_pi, math.pi)
+        return 2.0 * _phase_root(partial(_lightlike_phase, -1.0), -half_pi, half_pi, math.pi)
     # in s = w t/2 and with k = b/w, the matching pbar3, the q0-type
     # function has the eta = -1 time-like (b > 1) or space-like (b < 1) phase
     w = math.sqrt(abs(b * b - 1.0))
@@ -96,9 +97,9 @@ def sr_cut_time(beta: float) -> float:
             # conjugate cap s = pi comes first (a triple zero at k = 1.5);
             # k is NaN at |beta| = inf, where the cap is 0
             return 2.0 * math.pi / w
-        s = _phase_root(_timelike_phase(k, -1.0), -half_pi, half_pi / k, math.pi)
+        s = _phase_root(partial(_timelike_phase, k, -1.0), -half_pi, half_pi / k, math.pi)
     else:
-        s = _phase_root(_spacelike_phase(k, -1.0), -half_pi, half_pi / k, math.pi / k)
+        s = _phase_root(partial(_spacelike_phase, k, -1.0), -half_pi, half_pi / k, math.pi / k)
     return 2.0 * s / w
 
 

@@ -195,11 +195,17 @@ def test_classification_rejects_identity():
         classify_isometry(SplitQuaternion(-1.0, 0.0, 0.0, 0.0))
 
 
-def test_off_group_squares_overflow_to_inf_not_an_exception():
-    # x * x overflows to inf where x ** 2 raised OverflowError
-    q = SplitQuaternion(1e200, 1e200, 0.0, 0.0)
-    assert math.isnan(q.pseudo_norm())
-    assert SplitQuaternion(1e200, 0.0, 0.0, 0.0).pseudo_norm() == math.inf
+def test_off_group_pseudo_norm_that_is_not_finite_raises():
+    for q in (
+        (1e200, 1e200, 0.0, 0.0),  # inf - inf, where x ** 2 raised OverflowError
+        (1e200, 0.0, 0.0, 0.0),    # inf
+        (1.0, math.nan, 0.0, 0.0),
+        (1.0, 0.0, 0.0, -math.inf),
+    ):
+        with pytest.raises(DomainError):
+            SplitQuaternion(*q).pseudo_norm()
+    # squares that do not overflow still give a finite value
+    assert SplitQuaternion(1e154, 1e154, 0.0, 0.0).pseudo_norm() == 0.0
 
 
 @pytest.mark.parametrize("q", [

@@ -392,6 +392,14 @@ def test_log_inverts_far_exp_map_endpoint(capfdbinary):
     assert csv_rows(out)[1][3] == "20"
 
 
+def test_log_that_fails_to_converge_exits_3(capfdbinary):
+    # a trial step whose cosh tau overflows is a failed step, not bad input
+    target = "107203458684.24858,-152655396560.0727,59555350881.29433,123927109074.81767"
+    code, out, err = run_cli(capfdbinary, "log", "--eta", "-1.4347758888779447",
+                             "--target", target)
+    assert code == 3 and out == b"", err
+
+
 def test_sr_compare_diffs_decrease(capfdbinary):
     code, out, _ = run_cli(capfdbinary, "sr-compare", "--pbar3", "1.2",
                            "--type", "tl", "--eta-list",
@@ -519,10 +527,10 @@ PINNED_OUTPUTS = [
       "--format", "json"),
      "7a4332f459e54595fd5d8b02747701349c3a9791be564561c2aa5f435fc8fc9f"),
     (("cut-locus", "--eta", "-1.25", "--grid", "12"),
-     "cc625f99360a71c8163ba9e642b4dddc04cd5b25a71deceeee0ea5a0ab1a4566"),
+     "94c025d1a5f8a793425b943c00ddc4c173fe5c7c1a562cc712fd3c66c39f0762"),
     (("cut-locus", "--eta", "-1.8", "--grid", "9", "--group", "sl2", "--rho-max", "5",
       "--format", "json"),
-     "8e9d5526d477f6b4cdd8c19f8c34be1ea80409e8df7e9543576491bc993cdc78"),
+     "2818f46224dc7218b8d1b8b2f86c1d8cabafa1d381579532856b8bcce6067aa4"),
 ]
 
 

@@ -11,6 +11,7 @@ from hypgeo import (
     DomainError,
     GroupTag,
     IdentityTarget,
+    NoConvergence,
     OnCutLocus,
     SplitQuaternion,
     SymmetryElement,
@@ -264,16 +265,23 @@ def test_plane_stratum_is_accurate_over_eta_and_radius(group):
             assert plane.validation_error <= 1e-9, (eta, rho_max, plane.validation_error)
 
 
+_SEAM_ETAS = (-1.001, -1.05, -1.25, -1.6, -2.0, -2.75, -4.0, -9.0, -30.0)
+
+
+def _seam(m, group):
+    light = light_covector(m, 0.0, 1)
+    e = exp_map(m, light, cut_time(m, light, group))
+    return math.hypot(e.q1, e.q2)
+
+
 @pytest.mark.parametrize("group", list(GroupTag))
 def test_radius_level_root_across_the_light_cone(group):
     # the radius at which the light-like geodesic is cut is the seam of the
     # time-like and space-like branches of the radius level curve
     target = -0.5 * math.pi if group is GroupTag.PSL2 else -math.pi
-    for eta in (-1.001, -1.05, -1.25, -1.6, -2.0, -2.75, -4.0, -9.0, -30.0):
+    for eta in _SEAM_ETAS:
         m = metric_from_eta(eta)
-        light = light_covector(m, 0.0, 1)
-        e = exp_map(m, light, cut_time(m, light, group))
-        seam = math.hypot(e.q1, e.q2)
+        seam = _seam(m, group)
         for scale, ctype in (
             (1.0 - 1e-6, CausalType.TIME_LIKE),
             (1.0 - 4e-16, None),
@@ -282,7 +290,7 @@ def test_radius_level_root_across_the_light_cone(group):
             (1.0 + 1e-6, CausalType.SPACE_LIKE),
         ):
             rho = seam * scale
-            p = radius_level_root(m, rho, target)
+            p, _ = radius_level_root(m, rho, target)
             assert p.p2 == 0.0 and p.p1 > 0.0 and p.p3 > 0.0
             if ctype is not None:
                 assert p.ctype is ctype
@@ -292,6 +300,73 @@ def test_radius_level_root_across_the_light_cone(group):
                 assert abs(w.q0) <= 1e-12
             else:
                 assert abs(w.q3) <= 1e-12 and w.q0 < -1.0
+
+
+@pytest.mark.parametrize("group", list(GroupTag))
+def test_plane_rows_next_to_the_light_cone_keep_their_radius(group):
+    # a witness within 1e-9 of the light cone keeps its exact causal record,
+    # so its points are not run as light-like and land on their radius
+    for eta in _SEAM_ETAS:
+        m = metric_from_eta(eta)
+        for scale in (1.0 - 1e-9, 1.0 + 1e-9):
+            rho = _seam(m, group) * scale
+            # n = 2: the last row's radius is rho_max * 2 / 2 = rho exactly
+            plane = cut_locus_sample(m, group, 2, rho)[0]
+            for point in plane.points[2:]:
+                q = point.rep if group is GroupTag.PSL2 else point
+                assert abs(math.hypot(q.q1, q.q2) - rho) <= 1e-12 * rho, (eta, scale)
+
+
+_TINY_ETAS = (-1.001, -1.01, -1.25, -2.0, -30.0)
+_TINY_RHO_MAX = (1e-6, 1e-4)
+
+
+@pytest.mark.parametrize("group", list(GroupTag))
+def test_plane_stratum_is_exact_at_tiny_radii(group):
+    # the witness's p1 is |p| rho cosh(lambda), not |p| sqrt(b^2 - 1) from
+    # a b that has rounded next to the pole
+    for eta in _TINY_ETAS:
+        m = metric_from_eta(eta)
+        for n in (4, 8, 12, 16):
+            for rho_max in _TINY_RHO_MAX:
+                plane = cut_locus_sample(m, group, n, rho_max)[0]
+                assert plane.validation_error <= 1e-13, (eta, n, rho_max)
+
+
+@pytest.mark.parametrize("group", list(GroupTag))
+def test_radius_level_root_time_is_the_cut_time(group):
+    target = -0.5 * math.pi if group is GroupTag.PSL2 else -math.pi
+    radii = {0.1, 1.0, 3.0, 30.0}
+    for n in (4, 8, 12, 16):
+        for rho_max in _TINY_RHO_MAX:
+            radii.update(rho_max * i / n for i in range(1, n + 1))
+    for eta in _TINY_ETAS:
+        m = metric_from_eta(eta)
+        for rho in sorted(radii):
+            p, t = radius_level_root(m, rho, target)
+            want = cut_time(m, p, group)
+            assert abs(t - want) <= 1e-11 * want, (eta, rho, t, want)
+
+
+def test_cut_locus_makes_no_maxwell_root_calls(monkeypatch):
+    # each plane row's cut time comes with its level-curve root, and the
+    # axis strata are cut at tau = pi
+    import hypgeo.optimality as optimality
+
+    calls = []
+    for name in ("maxwell_root_q0", "maxwell_root_q3"):
+        real = getattr(optimality, name)
+        monkeypatch.setattr(
+            optimality, name, lambda m, p, real=real: calls.append(p) or real(m, p)
+        )
+    assert cut_time(M, covector_from_pbar3(M, 2.0, 0.0, CausalType.TIME_LIKE), GroupTag.SL2)
+    assert len(calls) == 1  # the counters see the group records' calls
+    calls.clear()
+    # eta -1.25: both groups have axis strata; -1.8: SL(2,R) only; -4: neither
+    counts = {len(cut_locus_sample(metric_from_eta(eta), group, 6))
+              for group in GroupTag for eta in (-1.25, -1.8, -4.0)}
+    assert counts == {1, 3}
+    assert calls == []
 
 
 @pytest.mark.parametrize("group", list(GroupTag))
@@ -470,6 +545,24 @@ def test_log_accepts_far_targets_within_their_rounding():
     got_p, got_t = riemannian_log(m, q)
     assert abs(got_t - 20.0) <= 1e-12
     assert max(abs(a - b) for a, b in zip(got_p.components(), p.components())) < 1e-12
+
+
+# a far space-like target on the group (the `log` workload's seed 2, op 341)
+# where a Newton trial step reaches a time at which cosh tau overflows
+_FAR_LOG_ETA = -1.4347758888779447
+_FAR_LOG_TARGET = (107203458684.24858, -152655396560.0727, 59555350881.29433,
+                   123927109074.81767)
+
+
+def test_log_counts_an_overflowing_trial_as_a_failed_step():
+    m = metric_from_eta(_FAR_LOG_ETA)
+    q = SplitQuaternion(*_FAR_LOG_TARGET)
+    try:
+        p, t = riemannian_log(m, q)
+    except NoConvergence as exc:
+        assert math.isfinite(exc.best_residual)
+        return
+    assert gap(psl2_canonicalize(exp_map(m, p, t)).rep, psl2_canonicalize(q).rep) < 1e-9
 
 
 def test_log_on_reflection_plane_raises():
