@@ -156,7 +156,7 @@ def from_sl2(a: float, b: float, c: float, d: float) -> SplitQuaternion:
     DeterminantError unless a*d - b*c = 1 within tolerance.
     """
     det = a * d - b * c
-    if abs(det - 1.0) > DETERMINANT_TOLERANCE:
+    if not abs(det - 1.0) <= DETERMINANT_TOLERANCE:  # NaN fails too
         raise DeterminantError(f"determinant {det!r} is not 1")
     return SplitQuaternion(
         0.5 * (a + d), 0.5 * (a - d), 0.5 * (b + c), 0.5 * (c - b)
@@ -177,8 +177,11 @@ def psl2_canonicalize(q: SplitQuaternion) -> Psl2Element:
     """Canonical representative of {q, -q}.
 
     Keeps q when q0 > 0, or when q0 == 0 and q3 > 0; otherwise flips the
-    sign.  q0 = q3 = 0 cannot occur on the unit pseudo-norm surface.
+    sign.  q0 = q3 = 0 cannot occur on the unit pseudo-norm surface, and a
+    component that is not finite has no sign: both raise DomainError.
     """
+    if not all(map(math.isfinite, q)):
+        raise DomainError(f"cannot canonicalize {q!r}: a component is not finite")
     if q.q0 < 0.0 or (q.q0 == 0.0 and q.q3 < 0.0):
         q = -q
     elif q.q0 == 0.0 and q.q3 == 0.0:
@@ -189,9 +192,14 @@ def psl2_canonicalize(q: SplitQuaternion) -> Psl2Element:
     return Psl2Element(q)
 
 
-def _halfplane_coeffs(q: SplitQuaternion) -> tuple[complex, complex]:
-    """Numerator and denominator coefficients of the disk automorphism."""
-    return (complex(q.q0, q.q3), complex(q.q1, q.q2))
+def _mobius(q: SplitQuaternion, z: complex) -> complex:
+    """The disk automorphism's formula at any z (see to_mobius_apply);
+    DegenerateDenominator where its denominator vanishes."""
+    alpha, beta = complex(q.q0, q.q3), complex(q.q1, q.q2)
+    den = beta.conjugate() * z + alpha.conjugate()
+    if abs(den) < 1e-14 * (abs(alpha) + abs(beta)):
+        raise DegenerateDenominator("automorphism denominator vanished")
+    return (alpha * z + beta) / den
 
 
 def to_mobius_apply(q: SplitQuaternion, z: complex) -> complex:
@@ -202,13 +210,9 @@ def to_mobius_apply(q: SplitQuaternion, z: complex) -> complex:
     Unit quaternions map the open disk onto itself and q, -q act
     identically, so this factors through PSL(2,R).
     """
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:  # NaN fails too
         raise OutsideDisk(f"|z| = {abs(z)!r} is not < 1")
-    alpha, beta = _halfplane_coeffs(q)
-    den = beta.conjugate() * z + alpha.conjugate()
-    if abs(den) < 1e-14 * (abs(alpha) + abs(beta)):
-        raise DegenerateDenominator("automorphism denominator vanished")
-    return (alpha * z + beta) / den
+    return _mobius(q, z)
 
 
 def classify_isometry(q: SplitQuaternion) -> IsometryClass:
@@ -264,36 +268,23 @@ def classify_isometry(q: SplitQuaternion) -> IsometryClass:
 
 
 def hyperbolic_distance(z1: complex, z2: complex, c: float = 1.0) -> float:
-    """Distance between two points of the unit disk, curvature scale c.
+    """Distance between two points of the unit disk, curvature scale c:
 
-    Computed from the definition: the geodesic through z1, z2 meets the
-    boundary circle at ideal endpoints u, v, and
+        rho(z1, z2) = c artanh(x),   x = |z2 - z1| / |1 - conj(z1) z2|,
 
-        rho(z1, z2) = (c/2) |ln |[u, v, z1, z2]||,
-
-    where [u, v, z1, z2] = ((z1-u)/(z1-v)) : ((z2-u)/(z2-v)).  The
-    endpoints are found by sending z1 to the origin with a disk
-    automorphism, where the geodesic is a diameter.
+    the distance from the origin of z2's image under the automorphism
+    sending z1 to 0.  It is evaluated as (c/2) log1p(2x / (1 - x)) with
+    1 - x = (1 - |z1|^2)(1 - |z2|^2) / (|1 - conj(z1) z2|^2 (1 + x)),
+    which does not cancel: near the boundary x rounds to 1, 1 - x does not.
     """
-    z1 = complex(z1)
-    z2 = complex(z2)
-    if abs(z1) >= 1.0 or abs(z2) >= 1.0:
+    z1, z2 = complex(z1), complex(z2)
+    r1, r2 = abs(z1), abs(z2)
+    if not (r1 < 1.0 and r2 < 1.0):  # NaN fails too
         raise OutsideDisk("distance arguments must lie in the open disk")
-    if z1 == z2:
-        return 0.0
-
-    w = (z2 - z1) / (1.0 - z1.conjugate() * z2)
-    if abs(w) == 0.0:
-        return 0.0
-    what = w / abs(w)
-
-    def pull_back(u: complex) -> complex:
-        return (u + z1) / (1.0 + z1.conjugate() * u)
-
-    u = pull_back(-what)
-    v = pull_back(what)
-    ratio = ((z1 - u) / (z1 - v)) / ((z2 - u) / (z2 - v))
-    return 0.5 * c * abs(math.log(abs(ratio)))
+    den = abs(1.0 - z1.conjugate() * z2)
+    x = abs(z2 - z1) / den
+    one_minus_x = (1.0 - r1) * (1.0 + r1) * (1.0 - r2) * (1.0 + r2) / (den * den * (1.0 + x))
+    return 0.5 * c * math.log1p(2.0 * x / one_minus_x)
 
 
 def mobius_fixed_point_residual(q: SplitQuaternion, z: complex) -> float:
@@ -303,8 +294,4 @@ def mobius_fixed_point_residual(q: SplitQuaternion, z: complex) -> float:
     points of parabolic and hyperbolic maps are outside the domain of
     to_mobius_apply, so the guard is skipped here.
     """
-    alpha, beta = _halfplane_coeffs(q)
-    den = beta.conjugate() * z + alpha.conjugate()
-    if abs(den) < 1e-14 * (abs(alpha) + abs(beta)):
-        raise DegenerateDenominator("automorphism denominator vanished")
-    return abs((alpha * z + beta) / den - z)
+    return abs(_mobius(q, z) - z)

@@ -18,7 +18,7 @@ import json
 import math
 import sys
 
-from .algebra import SplitQuaternion, psl2_canonicalize
+from .algebra import SplitQuaternion
 from .errors import HypgeoError, NoConvergence
 from .geodesic_engine import sample_geodesic, vertical_flow
 from .metric_space import (
@@ -34,7 +34,6 @@ from .metric_space import (
 )
 from .optimality import (
     GroupTag,
-    check_log_target,
     cut_locus_sample,
     describe_cut,
     injectivity_radius,
@@ -157,7 +156,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     _add_output_flags(sp)
     sp.add_argument("--target", dest="target", type=_floats(4), required=True,
                     help="target element q0,q1,q2,q3 (unit pseudo-norm)")
-    sp.add_argument("--tol", dest="tol", type=float, default=1e-10)
 
     sp = subs.add_parser("sr-compare")
     _add_output_flags(sp)
@@ -348,13 +346,13 @@ def _cmd_injrad(cfg: argparse.Namespace) -> bytes:
 
 def _cmd_log(cfg: argparse.Namespace) -> bytes:
     m = _build_metric(cfg)
-    q = check_log_target(SplitQuaternion(*cfg.target))
-    pn = q.pseudo_norm()
+    q = SplitQuaternion(*cfg.target)
+    pn = q.pseudo_norm()  # DomainError unless finite; riemannian_log checks the rest
     if abs(pn - 1.0) <= 1e-8:
         # snap a near target onto the group; a far one need only be within
         # 1e-8 |q|^2, and rescaling it would move it by (pn - 1)/2 relative
         q = SplitQuaternion(*(c / math.sqrt(pn) for c in q))
-    p, t = riemannian_log(m, psl2_canonicalize(q), cfg.tol)
+    p, t = riemannian_log(m, q)
     return _render_table(cfg, ("p1", "p2", "p3", "t"), [(p.p1, p.p2, p.p3, t)])
 
 

@@ -237,9 +237,5 @@ def apply_symmetry_preimage(
 
 def apply_symmetry_image(s: SymmetryElement, q: SplitQuaternion) -> SplitQuaternion:
     """Action of s on the group: O(2) on (q1, q2), Z2 on q3, q0 fixed."""
-    x, y = q.q1, q.q2
-    if s.mirror:
-        y = -y
-    x, y = _rotate(x, y, s.angle)
-    q3 = -q.q3 if s.flip3 else q.q3
+    x, y, q3 = s.act_on_vector(q.q1, q.q2, q.q3)
     return SplitQuaternion(q.q0, x, y, q3)

@@ -313,6 +313,13 @@ def cut_locus_sample(
     return out
 
 
+def _check_wavefront(t: float, n: int) -> None:
+    if t <= 0.0:
+        raise DomainError("wavefront time must be positive")
+    if n < 8:
+        raise DomainError("need n >= 8")
+
+
 def _wavefront_row(
     m: Metric, t: float, n: int, i: int, group: GroupTag, table: list
 ) -> list[WavefrontPoint]:
@@ -344,8 +351,12 @@ def wavefront_row(
 
     A row is a rotation orbit, so its cut time, optimality flag and Exp
     factors are computed once; each column turns the row covector, and
-    `exp_map` of it reproduces the column's point bit for bit.
+    `exp_map` of it reproduces the column's point bit for bit.  Checks t
+    and n as wavefront_sample does, and 0 <= i < n.
     """
+    _check_wavefront(t, n)
+    if not 0 <= i < n:
+        raise DomainError(f"row index must be in [0, {n}), got {i!r}")
     return _wavefront_row(m, t, n, i, group, _phases(n))
 
 
@@ -359,10 +370,7 @@ def wavefront_sample(
     minimizing at t (t < cut time).  The column phases are shared by all
     rows (`wavefront_row` gives row i alone).
     """
-    if t <= 0.0:
-        raise DomainError("wavefront time must be positive")
-    if n < 8:
-        raise DomainError("need n >= 8")
+    _check_wavefront(t, n)
     table = _phases(n)
     out = []
     for i in range(n):
@@ -398,17 +406,20 @@ def check_log_target(q: SplitQuaternion) -> SplitQuaternion:
 
 
 def riemannian_log(
-    m: Metric, target: Psl2Element | SplitQuaternion, tol: float = 1e-10
+    m: Metric, target: Psl2Element | SplitQuaternion
 ) -> tuple[Covector, float]:
     """Inverse of the exponential map on its diffeomorphism domain.
 
     Returns the unique (covector, t) with t below the cut time and
-    Exp(covector, t) = target within tol; t is the Riemannian distance
-    from the identity.  Rotational symmetry reduces the search to the
-    (q0, q3) slice: a seeded, damped two-dimensional Newton iteration over
-    (vertical momentum, time), with the horizontal phase restored exactly
-    afterwards.  Axis targets are inverted in closed form along the pole
-    geodesics.
+    Exp(covector, t) = target, up to sign, within 1e-9 s in every
+    component, s = max(1, |q|_inf) of the target; t is the Riemannian
+    distance from the identity.  Both stops scale with s (the Newton
+    iteration's is 1e-12 s), so a far space-like target is held to its
+    own rounding, not to an absolute gap below its ulp.  Rotational
+    symmetry reduces the search to the (q0, q3) slice: a seeded, damped
+    two-dimensional Newton iteration over (vertical momentum, time),
+    with the horizontal phase restored exactly afterwards.  Axis targets
+    are inverted in closed form along the pole geodesics.
 
     Raises DomainError unless check_log_target passes, IdentityTarget at
     the identity, OnCutLocus when the target sits on a cut stratum (|q0|
@@ -427,7 +438,7 @@ def riemannian_log(
 
     x_max = math.sqrt(m.i3)
     x_cap = x_max * (1.0 - 1e-12)
-    inner_tol = min(1e-12, tol)
+    scale = max(1.0, *map(abs, q))
 
     def resid(x: float, t: float) -> tuple[float, float]:
         try:
@@ -465,7 +476,7 @@ def riemannian_log(
             r0, r3 = resid(x, t)
             err = max(abs(r0), abs(r3))
             best_residual = min(best_residual, err)
-            if err < inner_tol:
+            if err < 1e-12 * scale:
                 return x, t
             hx = 1e-7 * x_max
             if x + hx > x_cap:
@@ -504,7 +515,7 @@ def riemannian_log(
         p = _rotated(m, p0, delta)
         final = psl2_canonicalize(exp_map(m, p, t)).rep
         err = max(abs(a - b) for a, b in zip(final.components(), q.components()))
-        if err > max(tol, 1e-9):
+        if err > 1e-9 * scale:
             continue
         if t > cut_time(m, p) * (1.0 - 1e-12):
             # landed on a non-minimizing preimage; try the next seed

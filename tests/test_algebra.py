@@ -152,6 +152,8 @@ def test_sl2_round_trip(seed):
 def test_from_sl2_rejects_wrong_determinant():
     with pytest.raises(DeterminantError):
         from_sl2(1.0, 0.0, 0.0, 2.0)
+    with pytest.raises(DeterminantError):  # a NaN determinant is not 1
+        from_sl2(math.nan, 0.0, 0.0, 1.0)
 
 
 def test_canonicalize_picks_positive_leading_component():
@@ -172,6 +174,18 @@ def test_canonicalize_on_the_plane_uses_q3():
     assert e.rep.q1 == -0.6
     # -0.0 must not survive as a component
     assert math.copysign(1.0, e.rep.q0) == 1.0
+
+
+@pytest.mark.parametrize("q", [
+    (math.nan, 0.0, 0.0, 1.0),
+    (0.0, 1.0, 0.0, math.nan),
+    (1.0, math.nan, 0.0, 0.0),
+    (-math.inf, 0.0, 0.0, 0.0),
+    (0.0, 1.0, 0.0, 0.0),  # q0 = q3 = 0
+])
+def test_canonicalize_rejects_a_quaternion_without_a_sign(q):
+    with pytest.raises(DomainError):
+        psl2_canonicalize(SplitQuaternion(*q))
 
 
 @pytest.mark.parametrize(
@@ -283,6 +297,46 @@ def test_distance_matches_artanh_formula(seed):
     assert abs(hyperbolic_distance(z, w) - want) < 1e-12
 
 
+def cross_ratio_distance(z1, z2, c=1.0):
+    """(c/2) |ln |[u, v, z1, z2]|| from the ideal endpoints u, v of the
+    geodesic through z1, z2, found by sending z1 to the origin, where the
+    geodesic is a diameter: the definition, independent of the artanh form."""
+    w = (z2 - z1) / (1.0 - z1.conjugate() * z2)
+    what = w / abs(w)
+
+    def pull_back(u):
+        return (u + z1) / (1.0 + z1.conjugate() * u)
+
+    u, v = pull_back(-what), pull_back(what)
+    ratio = ((z1 - u) / (z1 - v)) / ((z2 - u) / (z2 - v))
+    return 0.5 * c * abs(math.log(abs(ratio)))
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_distance_matches_cross_ratio_definition(seed):
+    rnd = random.Random(47000 + seed)
+    z = complex(rnd.uniform(-0.6, 0.6), rnd.uniform(-0.6, 0.6))
+    w = complex(rnd.uniform(-0.6, 0.6), rnd.uniform(-0.6, 0.6))
+    c = rnd.uniform(0.5, 3.0)
+    want = cross_ratio_distance(z, w, c)
+    assert abs(hyperbolic_distance(z, w, c) - want) <= 1e-12 * want
+
+
+def test_distance_near_the_boundary_is_finite_and_accurate():
+    # 1 - |z|^2 enters as a product, so the artanh argument never rounds
+    # up to 1; opposite points at radius r are 2 artanh r = ln((1+r)/(1-r))
+    # apart, and a point at radius r is artanh r from the origin
+    for r in (1.0 - 2.0 ** -53, 1.0 - 1e-12, 0.999999):
+        want = math.log((1.0 + r) / (1.0 - r))
+        assert abs(hyperbolic_distance(r, -r) - want) <= 1e-13 * want
+        assert abs(hyperbolic_distance(0.0, 1j * r) - math.atanh(r)) <= 1e-13 * math.atanh(r)
+    rnd = random.Random(99)
+    for _ in range(200):
+        z1, z2 = (complex(math.cos(a), math.sin(a)) * (1.0 - 10.0 ** rnd.uniform(-15.5, -1.0))
+                  for a in (rnd.uniform(0.0, 6.3), rnd.uniform(0.0, 6.3)))
+        assert math.isfinite(hyperbolic_distance(z1, z2))
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_distance_is_isometry_invariant(seed):
     rnd = random.Random(333 + seed)
@@ -296,6 +350,13 @@ def test_distance_is_isometry_invariant(seed):
 def test_distance_rejects_boundary_points():
     with pytest.raises(OutsideDisk):
         hyperbolic_distance(1.0 + 0.0j, 0.0 + 0.0j)
+    # NaN is not inside the disk: no NaN distance or image
+    with pytest.raises(OutsideDisk):
+        hyperbolic_distance(math.nan, 0.0)
+    with pytest.raises(OutsideDisk):
+        hyperbolic_distance(0.0, complex(0.5, math.nan))
+    with pytest.raises(OutsideDisk):
+        to_mobius_apply(sq_exp(0.3, -0.2, 0.5), complex(math.nan, 0.0))
 
 
 def test_degenerate_denominator_is_reported():

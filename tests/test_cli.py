@@ -86,6 +86,33 @@ def test_every_command_has_help(capsys, command):
     assert help_text(capsys, command).startswith(f"usage: hypgeo {command} ")
 
 
+_METRIC_FLAGS = ("--I1", "--I3", "--eta")
+_COVECTOR_FLAGS = ("--p", "--pbar3", "--phase", "--type")
+_OUTPUT_FLAGS = ("--format", "--help", "--out")
+
+# each subcommand's options, pinned like hypgeo.__all__: adding or
+# removing a flag must be deliberate
+COMMAND_FLAGS = {
+    "geodesic": {*_METRIC_FLAGS, *_COVECTOR_FLAGS, *_OUTPUT_FLAGS, "--samples", "--t-max"},
+    "vertical-flow": {*_METRIC_FLAGS, *_COVECTOR_FLAGS, *_OUTPUT_FLAGS, "--samples", "--t-max"},
+    "maxwell": {*_METRIC_FLAGS, *_COVECTOR_FLAGS, *_OUTPUT_FLAGS},
+    "conjugate": {*_METRIC_FLAGS, *_COVECTOR_FLAGS, *_OUTPUT_FLAGS, "--k-max"},
+    "cut-time": {*_METRIC_FLAGS, *_COVECTOR_FLAGS, *_OUTPUT_FLAGS, "--group"},
+    "cut-locus": {*_METRIC_FLAGS, *_OUTPUT_FLAGS, "--grid", "--group", "--rho-max"},
+    "wavefront": {*_METRIC_FLAGS, *_OUTPUT_FLAGS, "--grid", "--group", "--t"},
+    "injrad": {*_METRIC_FLAGS, *_OUTPUT_FLAGS},
+    "log": {*_METRIC_FLAGS, *_OUTPUT_FLAGS, "--target"},
+    "sr-compare": {*_OUTPUT_FLAGS, "--eta-list", "--pbar3", "--type"},
+}
+
+
+def test_command_flags_are_pinned(capsys):
+    assert tuple(COMMAND_FLAGS) == COMMANDS
+    for command, flags in COMMAND_FLAGS.items():
+        listed = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", help_text(capsys, command)))
+        assert listed == flags, command
+
+
 @pytest.mark.parametrize("command", ["cut-time", "cut-locus", "wavefront"])
 def test_group_help_lists_both_groups(capsys, command):
     assert "--group {psl2,sl2}" in help_text(capsys, command)
@@ -115,6 +142,8 @@ USAGE_CASES = [
      "--k-max", "0"],
     ["sr-compare", "--pbar3", "1.2", "--type", "tl", "--eta-list", "x"],
     ["cut-time", "--eta", "-1.25", "--pbar3", "2", "--type", "tl", "--group", "bad"],
+    # the logarithm's tolerance scales with the target and is not a flag
+    ["log", "--eta", "-1.25", "--target", "1,0,0,0", "--tol", "1e-10"],
 ]
 
 
@@ -154,17 +183,6 @@ def test_domain_errors_exit_2(capfdbinary, argv):
     assert code == 2
     assert out == b""
     assert b"domain error" in err
-
-
-def test_no_convergence_exits_3(capfdbinary):
-    m = metric_from_eta(-1.25, 1.0)
-    p = covector_from_pbar3(m, 2.0, 0.7, CausalType.TIME_LIKE)
-    q = psl2_canonicalize(exp_map(m, p, 1.0)).rep
-    target = ",".join(repr(c) for c in q.components())
-    code, out, err = run_cli(capfdbinary, "log", "--eta", "-1.25",
-                             "--target", target, "--tol", "1e-300")
-    assert code == 3
-    assert b"convergence failure" in err
 
 
 # ---- CSV format ------------------------------------------------------------
@@ -392,12 +410,25 @@ def test_log_inverts_far_exp_map_endpoint(capfdbinary):
     assert csv_rows(out)[1][3] == "20"
 
 
-def test_log_that_fails_to_converge_exits_3(capfdbinary):
-    # a trial step whose cosh tau overflows is a failed step, not bad input
+def test_log_of_a_far_target_with_overflowing_trials_exits_0(capfdbinary):
+    # a trial step whose cosh tau overflows is a failed step, not bad input,
+    # and the search goes on to the preimage (the `log` workload's seed 2,
+    # op 341, generated at t = 53.05071799401598)
     target = "107203458684.24858,-152655396560.0727,59555350881.29433,123927109074.81767"
     code, out, err = run_cli(capfdbinary, "log", "--eta", "-1.4347758888779447",
                              "--target", target)
+    assert code == 0, err
+    assert abs(float(csv_rows(out)[1][3]) - 53.05071799401598) <= 1e-12 * 53.06
+
+
+def test_log_that_fails_to_converge_exits_3(capfdbinary):
+    # every seeded Newton solve lands on a preimage past its cut time (the
+    # `log` workload's seed 7, op 416)
+    target = "92552194585.95049,152932206974.97745,1311252541.1821074,-121754139932.85178"
+    code, out, err = run_cli(capfdbinary, "log", "--eta", "-1.070141719925123",
+                             "--target", target)
     assert code == 3 and out == b"", err
+    assert b"convergence failure" in err
 
 
 def test_sr_compare_diffs_decrease(capfdbinary):

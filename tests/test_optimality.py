@@ -491,6 +491,13 @@ def test_wavefront_validates_arguments():
     for t in (math.nan, math.inf):
         with pytest.raises(DomainError):
             wavefront_sample(M, t, 8)
+    # a single row takes the same checks, and its index must name a row
+    for t, n in ((0.0, 16), (1.0, 4), (1.0, 1)):
+        with pytest.raises(DomainError):
+            wavefront_row(M, t, n, 0)
+    for i in (-1, 16):
+        with pytest.raises(DomainError, match="row index"):
+            wavefront_row(M, 1.0, 16, i)
 
 
 # --- riemannian logarithm ----------------------------------------------------------
@@ -562,7 +569,105 @@ def test_log_counts_an_overflowing_trial_as_a_failed_step():
     except NoConvergence as exc:
         assert math.isfinite(exc.best_residual)
         return
-    assert gap(psl2_canonicalize(exp_map(m, p, t)).rep, psl2_canonicalize(q).rep) < 1e-9
+    # the documented gap, 1e-9 max(1, |q|_inf): one ulp of q is 3e-5 here
+    size = max(map(abs, _FAR_LOG_TARGET))
+    assert gap(psl2_canonicalize(exp_map(m, p, t)).rep, psl2_canonicalize(q).rep) <= 1e-9 * size
+
+
+# (seed, op, eta, t, target) of the far space-like `log` workload ops of
+# seeds 1-3 (|q|_inf from 1.5e3 to 2.6e11) that an absolute 1e-12 Newton
+# stop and 1e-9 final check failed: Exp's rounding at that size is larger
+_FAR_LOG_OPS = [
+    (1, 8, -1.3462513869279462, 28.887311567108128,
+     (892891.9574688647, 875728.5249680728, -326960.81723044027, -276672.69062047504)),
+    (1, 29, -2.307990804596878, 39.88300704949524,
+     (51421037.628549434, -210712957.35780343, -76832007.28567477, 218309378.24844074)),
+    (1, 77, -2.585756981037986, 28.299984913611766,
+     (422907.34907399165, -685008.5227377599, 86874.12204590565, 545832.5415407403)),
+    (1, 104, -1.5710239551348144, 38.07098251778011,
+     (76280148.95706221, -91871051.14492004, 2564975.779246849, 51266051.28453953)),
+    (1, 108, -1.201634896276364, 44.99026640734701,
+     (2579248705.316516, -1602793827.2037036, -2449443759.427315, 1384268362.4365587)),
+    (1, 127, -1.8931588620093571, 34.578447046393414,
+     (15232609.516546883, -16029723.913386967, 1508178.9419159146, -5214811.5763328355)),
+    (1, 241, -1.689792690187284, 50.68140188663152,
+     (44165082224.25963, 22790891207.13552, -45023149784.32777, -24412174230.123104)),
+    (1, 288, -1.3037026723620118, 41.563517989167195,
+     (257577235.4500328, -497550491.0747146, -147664516.80837923, -450572156.7860803)),
+    (1, 336, -1.402262033455676, 54.173937358018605,
+     (183110629017.62286, 125098800898.81126, -258497333515.24017, -221226307119.1584)),
+    (1, 389, -2.7812390962451845, 47.83583414698908,
+     (6642195014.170808, 6649009508.166375, 10121235641.20765, -10125709048.667324)),
+    (1, 405, -1.641244104790878, 32.176251968285726,
+     (1782287.4052184783, 3096914.72385743, -3562339.4228290706, 4370880.297547358)),
+    (2, 2, -2.9729225270235395, 29.162231813079195,
+     (159984.7526401831, -1044378.2668792282, 107627.33613634978, -1037648.5371922067)),
+    (2, 32, -1.4390352417518102, 35.33034382441685,
+     (14696414.617160078, -16125569.807781987, -16564398.098787304, -17844570.137755714)),
+    (2, 80, -1.937055004144116, 33.455227682390586,
+     (8723415.745683992, -5997903.949443094, -6953545.503545969, 2868564.899838086)),
+    (2, 116, -3.7205187294550672, 35.54965436538216,
+     (13239464.542385688, -12086471.162319507, -23014783.90522061, 22371402.32512249)),
+    (2, 135, -3.1882095007204367, 30.60965994274814,
+     (1816211.4685734983, -1742829.7785304766, 1356564.6438918984, -1256622.1275360542)),
+    (2, 208, -3.320854619704344, 48.245139093481086,
+     (1602403401.883951, 5469512854.734529, -13720645315.615187, -14683459472.57151)),
+    (2, 210, -2.361505538324385, 39.15252673540284,
+     (40230121.96898514, 91965871.027622, -125773401.23490047, 150526433.48736143)),
+    (2, 253, -1.0658928443920945, 34.4615790348586,
+     (1998517.4053679863, -9025617.37186666, -11143574.608443653, -14200244.79288063)),
+    (2, 282, -1.7543589035781488, 16.147605938180877,
+     (328.05304578010816, -931.2622455815986, -1171.8745027857904, 1460.4524708046883)),
+    (2, 299, -1.6074508457754202, 36.94776315377777,
+     (44093201.16102098, 51527312.237570025, 9700743.591162262, -28371780.769335736)),
+    (2, 341, -1.4347758888779447, 53.05071799401598,
+     (107203458684.24858, -152655396560.0727, 59555350881.29433, 123927109074.81767)),
+    (2, 342, -2.8457269050230996, 46.712614782986634,
+     (3945646268.6191106, -6457188571.702471, -2457167817.948788, 5671404892.883269)),
+    (2, 351, -2.260469213605417, 42.63889863306267,
+     (746206264.5347347, -668237883.4979252, -609028083.3777294, -510522561.74791604)),
+    (2, 387, -1.2294968666896797, 43.86704704334419,
+     (1482466586.0124283, -1496423205.3395543, 740920324.7315085, -768464806.2439852)),
+    (2, 427, -2.0236356650171663, 41.02147930370174,
+     (237934957.37979752, -386093408.5917679, -104333373.89968683, 321466217.7025381)),
+    (3, 20, -1.8844118491745991, 42.79502877451493,
+     (510943906.40999913, -67499128.82224415, -966147156.5931946, 822759250.9886272)),
+    (3, 210, -1.6100220459456185, 51.33173199344228,
+     (60217151448.796875, 7046499650.827528, -69466264055.71434, -35342745657.06522)),
+    (3, 242, -2.649944153506999, 48.48616425379983,
+     (8448810561.741938, 16739747601.291681, 409286485.69248754, 14456979811.638357)),
+    (3, 248, -2.2708062345453928, 39.30249330312785,
+     (143381211.86373708, 83953422.34176823, 148418758.29279777, -92293732.29292105)),
+    (3, 256, -3.726469890210974, 54.17729973308473,
+     (143655639078.63028, 152831052488.09433, -245380353447.70502, -250862324440.41806)),
+    (3, 264, -1.8037878385984687, 35.22877715320378,
+     (20940458.010448176, 19211086.008194145, -11287058.336893475, -7613194.456161429)),
+    (3, 293, -3.46455130242114, 35.647885790351836,
+     (12785204.225248713, 22431871.452336803, -15499555.455728287, -24082434.03599483)),
+    (3, 343, -2.1990366622008013, 38.95437926543259,
+     (29923569.18002669, -140161340.22287452, -12131323.889864495, 137466178.8219973)),
+    (3, 369, -1.3796698677028243, 42.14806104277068,
+     (678554262.8208398, -276163872.3095224, 652986809.0039973, -205480825.16351637)),
+    (3, 385, -2.768388862406083, 28.953266252638574,
+     (99518.07643947541, 439540.80150590045, -833420.2346982132, -936953.3372882883)),
+    (3, 400, -1.1960829502292638, 51.0771967119405,
+     (10876580978.79922, -59461903682.445366, 5489132089.201445, -58715828758.902245)),
+    (3, 433, -1.56376531087889, 31.50816653468478,
+     (1220570.9041063138, -1452295.0133339027, -3041044.5726190754, -3141228.9898160174)),
+]
+
+
+@pytest.mark.parametrize(
+    "eta, t, target", [op[2:] for op in _FAR_LOG_OPS],
+    ids=[f"seed{seed}-op{op}" for seed, op, *_ in _FAR_LOG_OPS],
+)
+def test_log_inverts_far_space_like_targets_to_their_size(eta, t, target):
+    m = metric_from_eta(eta)
+    q = SplitQuaternion(*target)
+    got_p, got_t = riemannian_log(m, q)
+    assert abs(got_t - t) <= 1e-12 * t
+    size = max(1.0, *map(abs, target))
+    assert projective_gap(exp_map(m, got_p, got_t), q) <= 1e-9 * size
 
 
 def test_log_on_reflection_plane_raises():
