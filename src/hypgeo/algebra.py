@@ -193,8 +193,10 @@ def psl2_canonicalize(q: SplitQuaternion) -> Psl2Element:
 
 
 def _mobius(q: SplitQuaternion, z: complex) -> complex:
-    """The disk automorphism's formula at any z (see to_mobius_apply);
-    DegenerateDenominator where its denominator vanishes."""
+    """The disk automorphism's formula at any z (see to_mobius_apply); DomainError
+    for a q that is not finite, DegenerateDenominator where it has a pole."""
+    if not all(map(math.isfinite, q)):
+        raise DomainError(f"automorphism of {q!r}: a component is not finite")
     alpha, beta = complex(q.q0, q.q3), complex(q.q1, q.q2)
     den = beta.conjugate() * z + alpha.conjugate()
     if abs(den) < 1e-14 * (abs(alpha) + abs(beta)):
@@ -277,6 +279,8 @@ def hyperbolic_distance(z1: complex, z2: complex, c: float = 1.0) -> float:
     1 - x = (1 - |z1|^2)(1 - |z2|^2) / (|1 - conj(z1) z2|^2 (1 + x)),
     which does not cancel: near the boundary x rounds to 1, 1 - x does not.
     """
+    if not 0.0 < c < math.inf:  # NaN fails too
+        raise DomainError(f"curvature scale must be finite and > 0, got {c!r}")
     z1, z2 = complex(z1), complex(z2)
     r1, r2 = abs(z1), abs(z2)
     if not (r1 < 1.0 and r2 < 1.0):  # NaN fails too

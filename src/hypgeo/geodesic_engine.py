@@ -213,6 +213,8 @@ class SymmetryElement(NamedTuple):
         )
 
     def act_on_vector(self, x: float, y: float, z: float) -> tuple[float, float, float]:
+        if not math.isfinite(self.angle):
+            raise DomainError(f"symmetry angle must be finite, got {self.angle!r}")
         if self.flip3:
             z = -z
         if self.mirror:

@@ -33,7 +33,9 @@ from .metric_space import (
     covector_from_components,
     covector_from_pbar3,
 )
-from .root_solver import EQUATOR_TOLERANCE, maxwell_root_q0, maxwell_root_q3, radius_level_root
+from .root_solver import (
+    EQUATOR_TOLERANCE, maxwell_root_q0, maxwell_root_q3, phase_above, radius_level_root,
+)
 
 # a target is declared to sit on the cut locus when its stratum equation
 # (q0 = 0 for PSL2, the rotation band for axis targets) holds this tightly
@@ -126,18 +128,28 @@ def first_conjugate_time(m: Metric, p: Covector) -> float:
     return math.inf
 
 
+def _cut_rule(m: Metric, p: Covector, g: _Group) -> tuple[float, bool]:
+    """(cap, crossing): p's cut time is the cap (the conjugate time, +inf
+    off the time-like cone), lowered to the phase's first crossing of the
+    group's target if crossing.  There is none at the space-like equator,
+    nor for time-like |pbar3| <= -c/eta, where it lies at or past tau = pi."""
+    if p.ctype is CausalType.TIME_LIKE:
+        return first_conjugate_time(m, p), abs(p.pbar3) > g.pole_split / m.eta
+    return math.inf, p.ctype is CausalType.LIGHT_LIKE or abs(p.pbar3) >= EQUATOR_TOLERANCE
+
+
 def _maxwell_time(m: Metric, p: Covector, group: GroupTag = GroupTag.PSL2) -> float:
+    """The cap, or min(the group's q0 or q3 root, cap), as _cut_rule says."""
     g = _GROUPS[group]
-    if p.ctype is CausalType.LIGHT_LIKE:
-        return g.maxwell_root(m, p)
-    if p.ctype is CausalType.SPACE_LIKE:
-        if abs(p.pbar3) < EQUATOR_TOLERANCE:
-            return math.inf
-        return g.maxwell_root(m, p)
-    if abs(p.pbar3) <= g.pole_split / m.eta:
-        # the root sits at or beyond tau = pi; the rotational cap wins
-        return first_conjugate_time(m, p)
-    return min(g.maxwell_root(m, p), first_conjugate_time(m, p))
+    cap, crossing = _cut_rule(m, p, g)
+    return min(g.maxwell_root(m, p), cap) if crossing else cap
+
+
+def _minimizing(m: Metric, p: Covector, t: float, group: GroupTag) -> bool:
+    """t < cut_time(m, p, group) for finite t: the cap and one phase comparison."""
+    g = _GROUPS[group]
+    cap, crossing = _cut_rule(m, p, g)
+    return t < cap and (not crossing or phase_above(m, p, t, g.target_phase))
 
 
 def maxwell_time(m: Metric, p: Covector) -> float:
@@ -241,7 +253,7 @@ def _plane_stratum(m: Metric, group: GroupTag, n: int, rho_max: float) -> LocusS
     g = _GROUPS[group]
     box = g.box
     table = _phases(n)
-    new = tuple.__new__
+    new, cos, sin = tuple.__new__, math.cos, math.sin
     points, params = [], []
     worst = 0.0
     for i in range(1, n + 1):
@@ -256,13 +268,16 @@ def _plane_stratum(m: Metric, group: GroupTag, n: int, rho_max: float) -> LocusS
             first = -first
         gamma0 = math.atan2(first.q2, first.q1)
         sheet = math.sqrt(1.0 + rho * rho)
-        row_gap = max(abs(q0 - g.ideal[0] * sheet), abs(q3 - g.ideal[1] * sheet))
+        worst = max(worst, abs(q0 - g.ideal[0] * sheet), abs(q3 - g.ideal[1] * sheet))
         d = norm if norm else 1.0
         for phi, cos_phi, sin_phi in table:
-            p1, p2 = a1 * math.cos(phi - gamma0), a1 * math.sin(phi - gamma0)
+            p1, p2 = a1 * cos(phi - gamma0), a1 * sin(phi - gamma0)
             x, y = p1 / d, p2 / d
             q1, q2 = radial * (x * c - y * s), radial * (x * s + y * c)
-            gap = max(row_gap, abs(q1 - rho * cos_phi), abs(q2 - rho * sin_phi))
+            gap = abs(q1 - rho * cos_phi)
+            if gap > worst:
+                worst = gap
+            gap = abs(q2 - rho * sin_phi)
             if gap > worst:
                 worst = gap
             q = new(SplitQuaternion, (q0, q1, q2, q3))
@@ -314,8 +329,8 @@ def cut_locus_sample(
 
 
 def _check_wavefront(t: float, n: int) -> None:
-    if t <= 0.0:
-        raise DomainError("wavefront time must be positive")
+    if not 0.0 < t < math.inf:  # NaN fails too
+        raise DomainError(f"wavefront time must be finite and positive, got {t!r}")
     if n < 8:
         raise DomainError("need n >= 8")
 
@@ -329,7 +344,7 @@ def _wavefront_row(
     p_row = covector_from_components(m, horizontal, 0.0, u * math.sqrt(m.i3))
     _, _, p3, kil, ctype, norm, pbar3 = p_row
     q0, q3, radial, c, s, _ = orbit_factors(m, p_row, t)
-    optimal = t < cut_time(m, p_row, group)
+    optimal = _minimizing(m, p_row, t, group)
     d = norm if norm else 1.0
     new = tuple.__new__
     out = []
@@ -349,11 +364,11 @@ def wavefront_row(
 ) -> list[WavefrontPoint]:
     """Row i of the wavefront grid: fixed u = -1 + 2i/(n-1), all n phases.
 
-    A row is a rotation orbit, so its cut time, optimality flag and Exp
-    factors are computed once; each column turns the row covector, and
-    `exp_map` of it reproduces the column's point bit for bit.  Checks t
-    and n as wavefront_sample does, and 0 <= i < n.
-    """
+    A row is a rotation orbit, so its optimality flag (the conjugate cap
+    and one phase comparison, no root solve) and Exp factors are computed
+    once; each column turns the row covector, and `exp_map` of it gives
+    the column's point bit for bit.  Checks that t is finite and positive
+    and n >= 8, as wavefront_sample does, and 0 <= i < n."""
     _check_wavefront(t, n)
     if not 0 <= i < n:
         raise DomainError(f"row index must be in [0, {n}), got {i!r}")
@@ -367,8 +382,8 @@ def wavefront_sample(
 
     Rows sweep u = p3/sqrt(I3) over [-1, 1] (poles included), columns the
     horizontal phase; each sample records whether its geodesic is still
-    minimizing at t (t < cut time).  The column phases are shared by all
-    rows (`wavefront_row` gives row i alone).
+    minimizing at t (t < cut time, up to its root's rounding).  The column
+    phases are shared by all rows (`wavefront_row` gives row i alone).
     """
     _check_wavefront(t, n)
     table = _phases(n)

@@ -51,6 +51,8 @@ EQUATOR_TOLERANCE = 1e-14
 # [|target|/a, |target|/(a - b)].  Off the time-like cone psi < pi/2,
 # so tau < (pi/2 + |target|)/a; on it psi < tau + pi/2, so
 # tau < (pi/2 + |target|)/(a - 1).  Both windows matter as eta -> -1.
+# As phi falls for every tau, t precedes the root exactly when phi(tau(t))
+# is above target: `phase_above` answers that with one evaluation.
 
 _TARGET_PHASE = {"q0": -0.5 * math.pi, "q3": -math.pi}
 # a phase function returns (phi, dphi/dx); the solvers bind its leading
@@ -64,16 +66,14 @@ def _phase_root(phase: _Phase, target: float, lo: float, hi: float) -> float:
     Safeguarded Newton (rtsafe, Numerical Recipes 9.4): a Newton step is
     taken when it stays in the bracket and is at most half the step before
     last, else the bracket is bisected; every evaluation narrows the
-    bracket, and a step of a few ulps ends the search.  An endpoint already
-    past the target (rounding at a bracket that is sharp in exact
-    arithmetic) is the root.
+    bracket, and a step of a few ulps ends the search.  The iterates never
+    read the bracket ends' phases, so an end is evaluated only when the
+    search never left it: an end already past the target (rounding at a
+    bracket that is sharp in exact arithmetic) is the root.
     """
     if not lo < hi:  # NaN input
         raise NoRootFound(f"empty phase bracket [{lo!r}, {hi!r}]")
-    if phase(lo)[0] <= target:
-        return lo
-    if phase(hi)[0] >= target:
-        return hi
+    lo0, hi0 = lo, hi
     x = 0.5 * (lo + hi)
     step = step_old = hi - lo
     for _ in range(200):
@@ -90,9 +90,13 @@ def _phase_root(phase: _Phase, target: float, lo: float, hi: float) -> float:
         if not (lo <= newton <= hi and 2.0 * abs(x - newton) <= abs(step_old)):
             newton = 0.5 * (lo + hi)
         step_old, step = step, x - newton
-        if abs(step) <= 4.0 * math.ulp(newton):
-            return newton
         x = newton
+        if abs(step) <= 4.0 * math.ulp(newton):
+            break
+    if lo == lo0 and phase(lo0)[0] <= target:
+        return lo0
+    if hi == hi0 and phase(hi0)[0] >= target:
+        return hi0
     return x
 
 
@@ -118,36 +122,46 @@ def _lightlike_phase(eta: float, tau: float) -> tuple[float, float]:
     return math.atan(tau) + eta * tau, 1.0 / (1.0 + tau * tau) + eta
 
 
-def _root_tau(m: Metric, p: Covector, which: str) -> float:
-    """First positive zero of q0 or q3 in rescaled time units."""
+def _geodesic_phase(m: Metric, p: Covector) -> tuple[_Phase, float, float]:
+    """The unwrapped phase of q0 + i q3 along p's geodesic as a function of
+    tau, its b (1 on the light cone) and 2 I1 dtau/dt (|p3| there, else |p|)."""
+    if p.ctype is CausalType.LIGHT_LIKE:
+        return partial(_lightlike_phase, m.eta), 1.0, abs(p.p3)
+    b = abs(p.pbar3)
+    if p.ctype is CausalType.TIME_LIKE:
+        return partial(_timelike_phase, b, m.eta), b, p.norm
+    return partial(_spacelike_phase, b, m.eta), b, p.norm
+
+
+def _root_time(m: Metric, p: Covector, which: str) -> float:
+    """First positive zero of q0 or q3."""
     eta = m.eta
     target = _TARGET_PHASE[which]
-    if p.ctype is CausalType.LIGHT_LIKE:
-        b, phase = 1.0, partial(_lightlike_phase, eta)
-    elif p.ctype is CausalType.TIME_LIKE:
-        b = abs(p.pbar3)
-        if b == 1.0:
-            return target / (1.0 + eta)
-        phase = partial(_timelike_phase, b, eta)
-    else:
-        b = abs(p.pbar3)
-        if b < EQUATOR_TOLERANCE:
-            if which == "q0":
-                raise UndefinedAtEquator(
-                    "q0 = cosh(tau) never vanishes on equatorial space-like geodesics"
-                )
-            raise DegenerateIdenticallyZero(
-                "q3 vanishes identically on equatorial space-like geodesics"
+    phase, b, speed = _geodesic_phase(m, p)
+    if p.ctype is CausalType.SPACE_LIKE and b < EQUATOR_TOLERANCE:
+        if which == "q0":
+            raise UndefinedAtEquator(
+                "q0 = cosh(tau) never vanishes on equatorial space-like geodesics"
             )
-        phase = partial(_spacelike_phase, b, eta)
-    a = -eta * b
-    depth = -target
-    hi = depth / (-b * (1.0 + eta))
-    if p.ctype is CausalType.TIME_LIKE:
-        hi = min(hi, (0.5 * math.pi + depth) / (a - 1.0))
+        raise DegenerateIdenticallyZero(
+            "q3 vanishes identically on equatorial space-like geodesics"
+        )
+    if p.ctype is CausalType.TIME_LIKE and b == 1.0:
+        tau = target / (1.0 + eta)
     else:
-        hi = min(hi, (0.5 * math.pi + depth) / a)
-    return _phase_root(phase, target, depth / a, hi)
+        a = -eta * b
+        cone = a - 1.0 if p.ctype is CausalType.TIME_LIKE else a
+        hi = min(-target / (-b * (1.0 + eta)), (0.5 * math.pi - target) / cone)
+        tau = _phase_root(phase, target, -target / a, hi)
+    return 2.0 * m.i1 * tau / speed
+
+
+def phase_above(m: Metric, p: Covector, t: float, target: float) -> bool:
+    """Whether the q0 + i q3 phase of p's geodesic at time t is still above
+    target < 0.  The phase falls strictly, so this is t < the time of its
+    first crossing of target, up to that root's rounding."""
+    phase, _, speed = _geodesic_phase(m, p)
+    return phase(t * speed / (2.0 * m.i1))[0] > target
 
 
 # ---- radius level curves --------------------------------------------------
@@ -235,19 +249,13 @@ def radius_level_root(m: Metric, rho: float, target: float) -> tuple[Covector, f
     )
 
 
-def _tau_to_t(m: Metric, p: Covector, tau: float) -> float:
-    if p.ctype is CausalType.LIGHT_LIKE:
-        return 2.0 * m.i1 * tau / abs(p.p3)
-    return 2.0 * m.i1 * tau / p.norm
-
-
 def maxwell_root_q0(m: Metric, p: Covector) -> float:
     """Time of the first vanishing of q0 along the geodesic of p.
 
     Raises UndefinedAtEquator for space-like covectors with pbar3 = 0,
     whose q0 coordinate stays >= 1 forever.
     """
-    return _tau_to_t(m, p, _root_tau(m, p, "q0"))
+    return _root_time(m, p, "q0")
 
 
 def maxwell_root_q3(m: Metric, p: Covector) -> float:
@@ -256,7 +264,7 @@ def maxwell_root_q3(m: Metric, p: Covector) -> float:
     The zero at t = 0 is ignored.  Raises DegenerateIdenticallyZero for
     space-like covectors with pbar3 = 0, where q3 vanishes identically.
     """
-    return _tau_to_t(m, p, _root_tau(m, p, "q3"))
+    return _root_time(m, p, "q3")
 
 
 def _conjugate_phase(sigma: float, tau: float) -> tuple[float, float]:

@@ -359,6 +359,29 @@ def test_distance_rejects_boundary_points():
         to_mobius_apply(sq_exp(0.3, -0.2, 0.5), complex(math.nan, 0.0))
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, -1.0])
+def test_distance_rejects_a_curvature_scale_that_is_not_finite_and_positive(c):
+    with pytest.raises(DomainError, match="curvature scale"):
+        hyperbolic_distance(0.1, 0.2, c)
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_mobius_apply_rejects_a_quaternion_that_is_not_finite(i):
+    for bad in (math.nan, math.inf):
+        q = [1.0, 0.0, 0.0, 0.0]
+        q[i] = bad
+        with pytest.raises(DomainError, match="not finite"):
+            to_mobius_apply(SplitQuaternion(*q), 0.3)
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_fixed_point_residual_rejects_a_quaternion_that_is_not_finite(i):
+    q = [1.0, 0.0, 0.0, 0.0]
+    q[i] = math.nan
+    with pytest.raises(DomainError, match="not finite"):
+        mobius_fixed_point_residual(SplitQuaternion(*q), 1.0 + 0.0j)
+
+
 def test_degenerate_denominator_is_reported():
     # the pole of the map lies outside the closed disk for unit
     # quaternions, so force it with a degenerate one

@@ -297,6 +297,23 @@ def test_symmetry_composition_is_group_law():
         assert max(abs(x - y) for x, y in zip(via_compose, stepwise)) < 1e-12
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf])
+def test_symmetry_image_rejects_an_angle_that_is_not_finite(angle):
+    q = exp_map(M, covector_from_pbar3(M, 1.9, 0.37, CausalType.TIME_LIKE), 1.3)
+    for s in (SymmetryElement(angle), SymmetryElement(angle, mirror=True)):
+        with pytest.raises(DomainError, match="symmetry angle"):
+            apply_symmetry_image(s, q)
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf])
+def test_symmetry_preimage_rejects_an_angle_that_is_not_finite(angle):
+    # the angle is the bad input, not the covector: not NotOnC
+    p = covector_from_pbar3(M, 1.9, 0.37, CausalType.TIME_LIKE)
+    for s in (SymmetryElement(angle), SymmetryElement(angle, mirror=True)):
+        with pytest.raises(DomainError, match="symmetry angle"):
+            apply_symmetry_preimage(M, s, p, 1.3)
+
+
 def test_reflection_that_passes_through_endpoint_fixes_geodesic():
     # the mirror whose axis contains the endpoint maps the arc to itself
     p = covector_from_pbar3(M, 1.9, 0.37, CausalType.TIME_LIKE)

@@ -33,6 +33,7 @@ from hypgeo import (
     wavefront_row,
     wavefront_sample,
 )
+from hypgeo.optimality import _minimizing
 from hypgeo.root_solver import radius_level_root
 
 M = make_metric(1.0, 4.0)
@@ -483,14 +484,68 @@ def test_wavefront_rows_concatenate():
         assert a.optimal == b.optimal
 
 
+def flag_covectors(rnd, m):
+    """Seeded covectors of all three causal types: time-like with |pbar3|
+    from 1 (the poles) to 100, light-like, and space-like from pbar3 = 0
+    (the equator) through 1e-16 .. 3e-13 (around its tolerance) to 10."""
+    out = [covector_from_pbar3(m, s, rnd.uniform(0.0, 6.3), CausalType.TIME_LIKE)
+           for s in (1.0, -1.0)]
+    out += [covector_from_pbar3(m, rnd.choice((1, -1)) * (1.0 + 10.0 ** rnd.uniform(-8, 2)),
+                                rnd.uniform(0.0, 6.3), CausalType.TIME_LIKE) for _ in range(4)]
+    out += [light_covector(m, rnd.uniform(0.0, 6.3), s) for s in (1, -1)]
+    out += [covector_from_pbar3(m, b, rnd.uniform(0.0, 6.3), CausalType.SPACE_LIKE)
+            for b in (0.0, 1e-16, -1e-15, 1e-13, -3e-13)]
+    out += [covector_from_pbar3(m, rnd.choice((1, -1)) * 10.0 ** rnd.uniform(-3, 1),
+                                rnd.uniform(0.0, 6.3), CausalType.SPACE_LIKE) for _ in range(4)]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_optimality_flag_is_t_below_the_cut_time(seed):
+    # one phase comparison gives the flag; outside the root's rounding it
+    # is t < cut_time, and at the conjugate time the cap makes it false
+    rnd = random.Random(16_000 + seed)
+    m = metric_from_eta(-1.0 - 10.0 ** rnd.uniform(-3.0, math.log10(29.0)))
+    for p in flag_covectors(rnd, m):
+        for group in GroupTag:
+            tc = cut_time(m, p, group)
+            if math.isinf(tc):
+                times = [10.0 ** rnd.uniform(-3, 3) for _ in range(3)]
+            else:
+                times = [tc * (1.0 - 1e-12), tc * (1.0 + 1e-12), tc * rnd.uniform(0.01, 3.0)]
+            times.append(first_conjugate_time(m, p))
+            for t in filter(math.isfinite, times):
+                assert _minimizing(m, p, t, group) == (t < tc), (m.eta, p, group, t, tc)
+
+
+@pytest.mark.parametrize("eta,n", [(-4.0 / 3.0, 9), (-1.001, 8), (-1.25, 16), (-30.0, 11)])
+def test_wavefront_flags_are_t_below_each_rows_cut_time(eta, n):
+    # rows with the light-like u = +-1/2 at eta = -4/3, the poles and, at
+    # odd n, the equator; each row's flag just below and above its cut time
+    m = metric_from_eta(eta)
+    for group in GroupTag:
+        for i in range(n):
+            row = wavefront_row(m, 1.0, n, i, group)
+            tc = cut_time(m, row[0].covector, group)
+            if math.isinf(tc):
+                assert all(w.optimal for w in row)
+                continue
+            for t in (tc * (1.0 - 1e-12), tc * (1.0 + 1e-12)):
+                flags = {w.optimal for w in wavefront_row(m, t, n, i, group)}
+                assert flags == {t < tc}, (eta, group, i, t, tc)
+
+
 def test_wavefront_validates_arguments():
     with pytest.raises(DomainError):
         wavefront_sample(M, 0.0, 16)
     with pytest.raises(DomainError):
         wavefront_sample(M, 1.0, 4)
-    for t in (math.nan, math.inf):
-        with pytest.raises(DomainError):
+    # a time that is not finite is refused before any row is built
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="wavefront time"):
             wavefront_sample(M, t, 8)
+        with pytest.raises(DomainError, match="wavefront time"):
+            wavefront_row(M, t, 8, 0)
     # a single row takes the same checks, and its index must name a row
     for t, n in ((0.0, 16), (1.0, 4), (1.0, 1)):
         with pytest.raises(DomainError):

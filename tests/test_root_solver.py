@@ -2,6 +2,7 @@
 
 import math
 import random
+from functools import partial
 
 import mpmath
 import pytest
@@ -11,10 +12,12 @@ from hypgeo import (
     CausalType,
     DegenerateIdenticallyZero,
     DomainError,
+    GroupTag,
     NotTimeLike,
     UndefinedAtEquator,
     conjugate_roots,
     covector_from_pbar3,
+    cut_locus_sample,
     exp_map,
     light_covector,
     make_metric,
@@ -22,6 +25,7 @@ from hypgeo import (
     maxwell_root_q3,
     metric_from_eta,
 )
+from hypgeo import root_solver
 
 M = make_metric(1.0, 4.0)
 
@@ -214,3 +218,69 @@ def test_conjugate_roots_match_a_40_digit_oracle(seed):
             ref = _mp_conjugate_root(m.eta, b, k)
             assert taus[2 * k - 2] == math.pi * k
             assert abs(taus[2 * k - 1] - ref) <= 1e-15 * ref
+
+
+# --- evaluation counts ----------------------------------------------------------
+
+
+def _recorded(phase):
+    """phase plus the list of points it was evaluated at."""
+    xs = []
+
+    def f(x):
+        xs.append(x)
+        return phase(x)
+
+    return f, xs
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_interior_phase_root_evaluates_no_bracket_end(sigma, k):
+    # the iterates never read the ends' phases; a search that leaves both
+    # ends does not evaluate them
+    lo, hi = math.pi * k, math.pi * k + 0.5 * math.pi
+    phase, xs = _recorded(partial(root_solver._conjugate_phase, sigma))
+    root = root_solver._phase_root(phase, -lo, lo, hi)
+    assert lo < root < hi
+    assert lo not in xs and hi not in xs
+    assert len(xs) <= 4
+
+
+def test_phase_root_at_its_lower_end_returns_that_end_exactly():
+    # the pole's conjugate phase -tau meets -pi k at tau = pi k itself
+    for k in (1, 2, 3):
+        lo = math.pi * k
+        phase, xs = _recorded(partial(root_solver._conjugate_phase, 0.0))
+        assert root_solver._phase_root(phase, -lo, lo, lo + 0.5 * math.pi) == lo
+        assert len(xs) <= 3
+    # an end already past the target (a bracket sharp in exact arithmetic,
+    # lost to rounding) is the root, and the other end is never evaluated
+    phase, xs = _recorded(lambda x: (-x - 1e-3, -1.0))
+    assert root_solver._phase_root(phase, -1.0, 1.0, 2.0) == 1.0
+    assert 2.0 not in xs
+    phase, xs = _recorded(lambda x: (-x + 1e-3, -1.0))
+    assert root_solver._phase_root(phase, -2.0, 1.0, 2.0) == 2.0
+    assert 1.0 not in xs
+
+
+def test_level_curve_rows_take_few_phase_evaluations(monkeypatch):
+    # a fixed sweep of cut-locus planes: 9 etas in [-30, -1.001], both
+    # groups, n in {8, 12, 16}; 7.97 evaluations per row when both bracket
+    # ends were evaluated up front, 6.10 when they are evaluated only for
+    # an end the search never left
+    count = [0]
+    for name in ("_spacelike_level_phase", "_timelike_level_phase"):
+        def counted(*args, phase=getattr(root_solver, name)):
+            count[0] += 1
+            return phase(*args)
+
+        monkeypatch.setattr(root_solver, name, counted)
+    rows = 0
+    for j in range(9):
+        eta = -1.0 - 10.0 ** (-3.0 + j * math.log10(29.0 / 0.001) / 8)
+        for group in GroupTag:
+            for n in (8, 12, 16):
+                cut_locus_sample(metric_from_eta(eta), group, n)
+                rows += n
+    assert count[0] / rows <= 6.5
