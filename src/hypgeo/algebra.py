@@ -35,10 +35,6 @@ DETERMINANT_TOLERANCE = 1e-9
 PARABOLIC_TOLERANCE = 1e-10
 IDENTITY_TOLERANCE = 1e-12
 
-# Light-cone tolerance of the algebra exponential, relative to the squared
-# size of the argument so that exp(t*v) routes consistently for small t.
-_EXP_LIGHT_TOLERANCE = 1e-9
-
 
 class SplitQuaternion(NamedTuple):
     """One split quaternion q0 + q1 i + q2 j + q3 k."""
@@ -102,16 +98,20 @@ def sq_mul(a: SplitQuaternion, b: SplitQuaternion) -> SplitQuaternion:
     """Product of two split quaternions.
 
     Bilinear extension of the unit table above; the pseudo norm is
-    multiplicative, so the group is closed under this product.
+    multiplicative, so the group is closed under this product.  DomainError
+    for a product that is not finite: a NaN or infinite factor reaches it.
     """
     a0, a1, a2, a3 = a.q0, a.q1, a.q2, a.q3
     b0, b1, b2, b3 = b.q0, b.q1, b.q2, b.q3
-    return SplitQuaternion(
+    q = SplitQuaternion(
         a0 * b0 + a1 * b1 + a2 * b2 - a3 * b3,
         a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
         a0 * b2 + a2 * b0 + a3 * b1 - a1 * b3,
         a0 * b3 + a3 * b0 - a1 * b2 + a2 * b1,
     )
+    if not all(map(math.isfinite, q)):
+        raise DomainError(f"product of {a!r} and {b!r} is not finite")
+    return q
 
 
 def sq_exp(v1: float, v2: float, v3: float) -> SplitQuaternion:
@@ -126,15 +126,15 @@ def sq_exp(v1: float, v2: float, v3: float) -> SplitQuaternion:
         kappa = 0:  1 + (v1 i + v2 j + v3 k)/2
         kappa > 0:  cosh(|v|/2) + sinh(|v|/2) * vhat
 
-    with |v| = sqrt(|kappa|) and vhat = v/|v|.  Arguments within the
-    relative light tolerance of the cone take the affine branch.  Raises
-    DomainError when kappa is not finite or cosh/sinh overflows.
+    with |v| = sqrt(|kappa|) and vhat = v/|v|.  Only kappa == 0 takes the
+    affine form: near the cone the others lose no digits, as sin(|v|/2)/|v|
+    and sinh(|v|/2)/|v| tend to 1/2.  Raises DomainError when kappa is not
+    finite or cosh/sinh overflows.
     """
     kappa = v1 * v1 + v2 * v2 - v3 * v3
     if not math.isfinite(kappa):
         raise DomainError(f"exponent ({v1!r}, {v2!r}, {v3!r}) is not finite or too large")
-    scale = v1 * v1 + v2 * v2 + v3 * v3 + 1.0
-    if abs(kappa) < _EXP_LIGHT_TOLERANCE * scale:
+    if kappa == 0.0:
         return SplitQuaternion(1.0, 0.5 * v1, 0.5 * v2, 0.5 * v3)
     norm = math.sqrt(abs(kappa))
     half = 0.5 * norm
@@ -164,13 +164,13 @@ def from_sl2(a: float, b: float, c: float, d: float) -> SplitQuaternion:
 
 
 def to_sl2(q: SplitQuaternion) -> tuple[float, float, float, float]:
-    """Inverse of from_sl2; returns the matrix entries (a, b, c, d)."""
-    return (
-        q.q0 + q.q1,
-        q.q2 - q.q3,
-        q.q2 + q.q3,
-        q.q0 - q.q1,
-    )
+    """Inverse of from_sl2; returns the matrix entries (a, b, c, d).
+    DomainError for an entry that is not finite (a component NaN or
+    infinite, or a sum that overflows)."""
+    entries = (q.q0 + q.q1, q.q2 - q.q3, q.q2 + q.q3, q.q0 - q.q1)
+    if not all(map(math.isfinite, entries)):
+        raise DomainError(f"SL(2,R) matrix of {q!r} is not finite")
+    return entries
 
 
 def psl2_canonicalize(q: SplitQuaternion) -> Psl2Element:

@@ -113,9 +113,12 @@ def vertical_flow(m: Metric, p: Covector, t: float) -> Covector:
 
 
 def sample_geodesic(m: Metric, p: Covector, t_end: float, n: int) -> list[GeodesicSample]:
-    """n evenly spaced samples of the geodesic on [0, t_end]."""
+    """n evenly spaced samples of the geodesic on [0, t_end]; DomainError
+    for a t_end that is not finite."""
     if n < 2:
         raise DomainError("need at least two samples")
+    if not math.isfinite(t_end):
+        raise DomainError(f"geodesic end time t_end must be finite, got {t_end!r}")
     out = []
     for i in range(n):
         t = t_end * i / (n - 1)

@@ -130,16 +130,11 @@ def covector_from_pbar3(
     """
     if ctype is CausalType.LIGHT_LIKE:
         raise DomainError("light-like covectors have no pbar3; use light_covector")
-    if not math.isfinite(phase):
-        raise DomainError(f"phase must be finite, got {phase!r}")
-    if ctype is CausalType.TIME_LIKE:
-        if abs(pbar3) < 1.0:
-            raise DomainError(f"time-like needs |pbar3| >= 1, got {pbar3!r}")
-        type_sign = 1.0
-    else:
-        if not math.isfinite(pbar3):
-            raise DomainError("space-like pbar3 must be finite")
-        type_sign = -1.0
+    if not (math.isfinite(phase) and math.isfinite(pbar3)):
+        raise DomainError(f"pbar3 and phase must be finite, got {pbar3!r}, {phase!r}")
+    if ctype is CausalType.TIME_LIKE and abs(pbar3) < 1.0:
+        raise DomainError(f"time-like needs |pbar3| >= 1, got {pbar3!r}")
+    type_sign = 1.0 if ctype is CausalType.TIME_LIKE else -1.0
     r = 1.0 + type_sign * m.eta * pbar3 * pbar3
     norm = math.sqrt(m.i1 / (-type_sign * r))
     radial = norm * math.sqrt(pbar3 * pbar3 - type_sign)

@@ -151,7 +151,9 @@ def _root_time(m: Metric, p: Covector, which: str) -> float:
     else:
         a = -eta * b
         cone = a - 1.0 if p.ctype is CausalType.TIME_LIKE else a
-        hi = min(-target / (-b * (1.0 + eta)), (0.5 * math.pi - target) / cone)
+        # phi' <= -slow; slow = 0 at eta = -1 (I3 = inf) leaves only the cone bound
+        slow = -b * (1.0 + eta)
+        hi = min(-target / slow if slow else math.inf, (0.5 * math.pi - target) / cone)
         tau = _phase_root(phase, target, -target / a, hi)
     return 2.0 * m.i1 * tau / speed
 

@@ -2,13 +2,16 @@
 
 As eta -> -1 (I3 -> infinity) with I1 pinned to 1, geodesics converge to
 the sub-Riemannian geodesics of the horizontal distribution span{e1, e2}.
-The limiting flow has its own closed form,
+The limit is itself a metric of the family: Metric(1, inf) has
+eta = -1 exactly, and there the geodesic product of `exp_map` reads
 
     g(t) = exp(t (A_p + A_k)) * exp(-t A_k),
 
 with horizontal momentum A_p = cos(phi0) e1 + sin(phi0) e2 and vertical
-parameter A_k = beta e3.  The dictionary between the two parametrizations
-is |p|^2 = beta^2 - 1 and pbar3 = beta / sqrt(|beta^2 - 1|): |beta| > 1
+parameter A_k = beta e3, the covector p = (cos phi0, sin phi0, beta).  So
+`sr_exp_map` and `sr_cut_time` are `exp_map` and `cut_time` on that
+metric.  The dictionary between the two parametrizations is
+Kil(p) = 1 - beta^2 and pbar3 = beta / sqrt(|beta^2 - 1|): |beta| > 1
 corresponds to time-like covectors, |beta| < 1 to space-like ones, and
 the light cone is the |beta| = 1 horizon.
 
@@ -18,14 +21,16 @@ Everything here pins I1 = 1; a general I1 only rescales time by sqrt(I1).
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import NamedTuple
 
-from .algebra import SplitQuaternion, sq_exp, sq_mul
-from .errors import DomainError, NegativeTime
-from .metric_space import CausalType, covector_from_pbar3, metric_from_eta
+from .algebra import SplitQuaternion
+from .errors import DomainError
+from .geodesic_engine import exp_map
+from .metric_space import CausalType, Covector, Metric, covector_from_pbar3, metric_from_eta
 from .optimality import GroupTag, cut_time
-from .root_solver import _lightlike_phase, _phase_root, _spacelike_phase, _timelike_phase
+
+# I3 = inf: eta = -1/inf - 1 = -1.0 exactly (make_metric rejects it)
+_LIMIT = Metric(1.0, math.inf)
 
 
 class SrMomentum(NamedTuple):
@@ -36,16 +41,26 @@ class SrMomentum(NamedTuple):
     phi0: float
 
 
+def _limit_covector(beta: float, phi0: float) -> Covector:
+    """The covector (cos phi0, sin phi0, beta) on the limit metric, its
+    causal record built from beta: near the pole pbar3 -> 1 (|beta| -> inf)
+    it keeps the digits that 1 - pbar3^2 would cancel."""
+    kil = 1.0 - beta * beta  # |kil| rounds beta^2 - 1 once: pbar3(3/sqrt(5)) = 1.5
+    c, s = math.cos(phi0), math.sin(phi0)
+    if kil == 0.0:
+        return Covector(c, s, beta, 0.0, CausalType.LIGHT_LIKE, 0.0, None)
+    norm = math.sqrt(abs(kil))
+    ctype = CausalType.TIME_LIKE if kil < 0.0 else CausalType.SPACE_LIKE
+    return Covector(c, s, beta, kil, ctype, norm, beta / norm)
+
+
 def sr_exp_map(sp: SrMomentum, t: float) -> SplitQuaternion:
     """Endpoint of the unit-speed sub-Riemannian geodesic at time t.
-    NegativeTime for t < 0, DomainError for a t, beta or phi0 that is
-    not finite."""
-    if t < 0.0:
-        raise NegativeTime(f"geodesic time must be >= 0, got {t!r}")
-    if not (math.isfinite(t) and math.isfinite(sp.beta) and math.isfinite(sp.phi0)):
-        raise DomainError(f"time and momentum must be finite, got {t!r}, {sp!r}")
-    first = sq_exp(t * math.cos(sp.phi0), t * math.sin(sp.phi0), t * sp.beta)
-    return sq_mul(first, sq_exp(0.0, 0.0, -t * sp.beta))
+    DomainError for a beta whose square or a phi0 that is not finite;
+    t as in exp_map (NegativeTime for t < 0, DomainError if not finite)."""
+    if not (math.isfinite(sp.beta * sp.beta) and math.isfinite(sp.phi0)):
+        raise DomainError(f"momentum must be finite, got {sp!r}")
+    return exp_map(_LIMIT, _limit_covector(sp.beta, sp.phi0), t)
 
 
 def beta_from_pbar3(pbar3: float, ctype: CausalType) -> float:
@@ -68,39 +83,17 @@ def beta_from_pbar3(pbar3: float, ctype: CausalType) -> float:
 
 
 def sr_cut_time(beta: float) -> float:
-    """Cut time of the sub-Riemannian geodesic with vertical parameter beta.
-
-    Four regimes in |beta|: above 3/sqrt(5) the conjugate cap
-    2 pi / sqrt(beta^2 - 1); in (1, 3/sqrt(5)] the first root of the
-    two-frequency q0-type oscillation; exactly 1, the parabolic equation
-    cos(t/2) + (t/2) sin(t/2) = 0 on (pi, 2 pi); below 1 the hyperbolic
-    variant with its root in (pi/|beta|, 2 pi/|beta|); +inf at beta = 0.
-    All branches are even in beta and glue continuously.  DomainError for
-    a NaN beta; |beta| = inf gives 0.
+    """Cut time of the sub-Riemannian geodesic with vertical parameter beta:
+    `cut_time` on the limit metric.  From |beta| = 3/sqrt(5) up (pbar3 <= 3/2)
+    it is the conjugate cap 2 pi / sqrt(beta^2 - 1); below, the first zero
+    of q0; +inf at beta = 0.  Even in beta.  DomainError for a NaN beta;
+    |beta| = inf gives 0.
     """
     if math.isnan(beta):
         raise DomainError("beta must not be NaN")
-    b = abs(beta)
-    if b == 0.0:
-        return math.inf
-    half_pi = 0.5 * math.pi
-    if b == 1.0:
-        # cos u + u sin u in u = t/2: the light-like phase at eta = -1
-        return 2.0 * _phase_root(partial(_lightlike_phase, -1.0), -half_pi, half_pi, math.pi)
-    # in s = w t/2 and with k = b/w, the matching pbar3, the q0-type
-    # function has the eta = -1 time-like (b > 1) or space-like (b < 1) phase
-    w = math.sqrt(abs(b * b - 1.0))
-    k = b / w
-    if b > 1.0:
-        if not k > 1.5:
-            # |beta| >= 3/sqrt(5): phi(pi) = pi (1 - k) >= -pi/2, so the
-            # conjugate cap s = pi comes first (a triple zero at k = 1.5);
-            # k is NaN at |beta| = inf, where the cap is 0
-            return 2.0 * math.pi / w
-        s = _phase_root(partial(_timelike_phase, k, -1.0), -half_pi, half_pi / k, math.pi)
-    else:
-        s = _phase_root(partial(_spacelike_phase, k, -1.0), -half_pi, half_pi / k, math.pi / k)
-    return 2.0 * s / w
+    if math.isinf(beta):
+        return 0.0
+    return cut_time(_LIMIT, _limit_covector(beta, 0.0))
 
 
 def limit_comparison(

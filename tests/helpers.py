@@ -88,6 +88,64 @@ def q0_phase_cut_time(eta, pbar3):
     return 2.0 * bisect(phase, 0.0, math.pi) / norm
 
 
+def sr_cut_time_oracle(beta):
+    """Cut time of the sub-Riemannian geodesic with vertical parameter beta,
+    from each regime's own equation in b = |beta|:
+
+    * b >= 3/sqrt(5): the conjugate cap 2 pi / sqrt(b^2 - 1);
+    * 1 < b < 3/sqrt(5): the first q0-zero of the time-like geodesic with
+      pbar3 = b / sqrt(b^2 - 1) at eta = -1 (q0_phase_cut_time);
+    * b = 1: t = 2u with cos u + u sin u = 0, u in (pi/2, pi);
+    * b < 1: the first zero of q0 / cosh(w t/2) =
+      cos(b t/2) + (b/w) tanh(w t/2) sin(b t/2), w = sqrt(1 - b^2), which
+      is positive up to t = pi/b and -1 at 2 pi/b;
+    * b = 0: +inf.
+
+    The last two come from the first component of
+    exp(t (A_p + A_k)) exp(-t A_k), solved by bisection.
+    """
+    b = abs(beta)
+    if b == 0.0:
+        return math.inf
+    if b == 1.0:
+        return bisect(lambda t: math.cos(t / 2) + (t / 2) * math.sin(t / 2), math.pi, 2 * math.pi)
+    if b > 1.0:
+        if b >= 3.0 / math.sqrt(5.0):
+            return 2.0 * math.pi / math.sqrt(b * b - 1.0)
+        return q0_phase_cut_time(-1.0, b / math.sqrt(b * b - 1.0))
+    w = math.sqrt(1.0 - b * b)
+
+    def q0(t):
+        return math.cos(b * t / 2) + (b / w) * math.tanh(w * t / 2) * math.sin(b * t / 2)
+
+    return bisect(q0, math.pi / b, 2.0 * math.pi / b)
+
+
+def sr_exp_mp(beta, phi0, t):
+    """exp(t (A_p + A_k)) exp(-t A_k) in 40-digit mpmath, as a 4-tuple of
+    mpf, with A_p = cos(phi0) e1 + sin(phi0) e2 and A_k = beta e3.  Each
+    factor is the closed form of exp((v1 i + v2 j + v3 k)/2): cos/cosh of
+    r = sqrt(|v1^2 + v2^2 - v3^2|)/2 plus sin/sinh(r)/(2r) times v."""
+    import mpmath
+
+    def algebra_exp(v1, v2, v3):
+        kappa = v1 * v1 + v2 * v2 - v3 * v3
+        if kappa == 0:
+            return (mpmath.mpf(1), v1 / 2, v2 / 2, v3 / 2)
+        r = mpmath.sqrt(abs(kappa)) / 2
+        if kappa > 0:
+            c, s = mpmath.cosh(r), mpmath.sinh(r) / (2 * r)
+        else:
+            c, s = mpmath.cos(r), mpmath.sin(r) / (2 * r)
+        return (c, s * v1, s * v2, s * v3)
+
+    with mpmath.workdps(40):
+        b, t, phi0 = mpmath.mpf(beta), mpmath.mpf(t), mpmath.mpf(phi0)
+        zero = mpmath.mpf(0)
+        first = algebra_exp(t * mpmath.cos(phi0), t * mpmath.sin(phi0), t * b)
+        return mul4(first, algebra_exp(zero, zero, -t * b))
+
+
 def rk4_reference(m, p, t, steps):
     """Fixed-step RK4 for the geodesic system, coded independently.
 

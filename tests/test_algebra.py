@@ -103,6 +103,19 @@ def test_exp_matches_series_randomly(seed):
     assert max(abs(x - y) for x, y in zip(got, want)) < 1e-12
 
 
+@pytest.mark.parametrize("v", [
+    # tiny and near-cone arguments used to take the affine form 1 + v/2,
+    # which drops |kappa|/8 from q0: 1.1e-10, 4.2e-10 and 1.25e-10 off
+    (0.0, 0.0, 3e-5),
+    (10.0, 0.0, 10.0000000001),
+    (3.0, 4.0, 5.0000000001),
+])
+def test_exp_matches_series_near_the_light_cone(v):
+    got = sq_exp(*v).components()
+    want = series_exp(*v)
+    assert max(abs(x - y) for x, y in zip(got, want)) < 1e-15
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_exp_lands_on_unit_pseudo_norm_surface(seed):
     rnd = random.Random(501 + seed)
@@ -147,6 +160,31 @@ def test_sl2_round_trip(seed):
     assert abs(q.pseudo_norm() - 1.0) < 1e-12
     back = to_sl2(q)
     assert max(abs(x - y) for x, y in zip(back, (a, b, c, d))) < 1e-12
+
+
+@pytest.mark.parametrize("q", [
+    (math.nan, 0.0, 0.0, 0.0),  # to_sl2 gave (nan, 0, 0, nan), sq_mul four NaNs
+    (1.0, math.nan, 0.0, 0.0),
+    (0.0, 0.0, math.inf, 1.0),
+    (1.0, 0.0, 0.0, -math.inf),
+])
+def test_product_and_matrix_reject_a_component_that_is_not_finite(q):
+    q = SplitQuaternion(*q)
+    one = SplitQuaternion(*ONE)
+    with pytest.raises(DomainError):
+        to_sl2(q)
+    with pytest.raises(DomainError):
+        sq_mul(q, one)
+    with pytest.raises(DomainError):
+        sq_mul(one, q)
+
+
+def test_product_and_matrix_reject_overflow():
+    big = SplitQuaternion(1e300, 1e300, 0.0, 0.0)
+    with pytest.raises(DomainError):
+        sq_mul(big, big)
+    with pytest.raises(DomainError):
+        to_sl2(SplitQuaternion(1e308, 1e308, 0.0, 0.0))
 
 
 def test_from_sl2_rejects_wrong_determinant():

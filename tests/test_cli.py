@@ -189,6 +189,15 @@ def test_domain_errors_exit_2(capfdbinary, argv):
     assert b"domain error" in err
 
 
+def test_geodesic_infinite_t_max_names_the_end_time(capfdbinary):
+    # used to say "geodesic time must be finite, got nan"
+    code, out, err = run_cli(capfdbinary, "geodesic", "--eta", "-1.25", "--pbar3", "1.5",
+                             "--type", "tl", "--t-max", "inf")
+    assert code == 2
+    assert out == b""
+    assert b"end time" in err and b"got inf" in err
+
+
 # ---- CSV format ------------------------------------------------------------
 
 def test_csv_bytes_are_crlf_with_single_header(capfdbinary):

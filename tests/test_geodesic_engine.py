@@ -187,6 +187,15 @@ def test_sample_geodesic_endpoints_and_count():
         assert gap(s.point, exp_map(M, p, s.t)) == 0.0
 
 
+def test_sample_geodesic_rejects_an_end_time_that_is_not_finite():
+    # inf used to reach exp_map as inf * 0 = nan, reported as "got nan"
+    p = covector_from_pbar3(M, 1.5, 0.2, CausalType.TIME_LIKE)
+    for t_end in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="t_end") as err:
+            sample_geodesic(M, p, t_end, 4)
+        assert repr(t_end) in str(err.value)
+
+
 # --- Jacobian ---------------------------------------------------------------
 
 

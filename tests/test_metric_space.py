@@ -57,9 +57,12 @@ def test_components_constructor_rejects_nan():
     m = make_metric(1.0, 4.0)
     with pytest.raises(NotOnC):
         covector_from_components(m, math.nan, 0.0, 0.0)
-    # used to return a NaN covector tagged space-like
-    with pytest.raises(NotOnC):
-        covector_from_pbar3(m, math.nan, 0.0, CausalType.TIME_LIKE)
+    # used to return a NaN covector tagged space-like, then to report NotOnC
+    # ("energy nan"); a time-like pbar3 of nan or +-inf is a DomainError
+    for pbar3 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="pbar3") as err:
+            covector_from_pbar3(m, pbar3, 0.0, CausalType.TIME_LIKE)
+        assert not isinstance(err.value, NotOnC)
     # an infinite phase used to leak a bare ValueError (math domain error)
     for phase in (math.inf, -math.inf, math.nan):
         with pytest.raises(DomainError):

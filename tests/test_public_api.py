@@ -3,7 +3,8 @@
 `hypgeo.__all__` is pinned here, so adding or removing a public name is a
 deliberate change that shows in this file's diff.  The package runs on
 the standard library alone: no module imports anything else, and
-pyproject.toml declares no runtime dependency.
+pyproject.toml declares no runtime dependency.  No module imports a
+sibling's underscore names.
 """
 
 import ast
@@ -59,6 +60,23 @@ def test_package_imports_only_the_standard_library():
                 if top != "hypgeo" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno} {name}")
     assert outside == []
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # a sibling's underscore names are its own; sharing one means it is
+    # part of an interface and should be public
+    private = []
+    for path in sorted((ROOT / "src" / "hypgeo").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").partition(".")[0] != "hypgeo":
+                continue
+            private += [
+                f"{path.name}:{node.lineno} {alias.name}"
+                for alias in node.names if alias.name.startswith("_")
+            ]
+    assert private == []
 
 
 def test_no_runtime_dependency_is_declared():

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from helpers import CUBE_ROOT_GAP_COEFF, bisect, gap, q0_phase_cut_time
+from helpers import (
+    CUBE_ROOT_GAP_COEFF, bisect, gap, q0_phase_cut_time, sr_cut_time_oracle, sr_exp_mp,
+)
 from hypgeo import (
     CausalType,
     DomainError,
@@ -209,3 +211,41 @@ def test_limit_comparison_validates_eta_list():
         limit_comparison(1.2, CausalType.TIME_LIKE, [-1.2, -1.2])
     with pytest.raises(DomainError):
         limit_comparison(1.2, CausalType.TIME_LIKE, [-0.9])
+
+
+def test_sr_exp_map_matches_a_40_digit_closed_form():
+    # the limit metric's Exp is exact to rounding: each component within
+    # 8 eps (1 + t |beta|) of the closed form, relative to max(1, |q|_inf);
+    # the product of two sq_exp was up to 1.2e-10 off at small t |beta|
+    rnd = random.Random(17_001)
+    eps = 2.0 ** -52
+    for i in range(300):
+        beta = 1.0 if i % 10 == 0 else 10.0 ** rnd.uniform(-4.0, 6.0)
+        beta = math.copysign(beta, rnd.uniform(-1.0, 1.0))
+        t = 10.0 ** rnd.uniform(-4.0, math.log10(12.0))
+        phi0 = rnd.uniform(0.0, 2.0 * math.pi)
+        got = sr_exp_map(SrMomentum(beta, phi0), t)
+        want = sr_exp_mp(beta, phi0, t)
+        err = max(abs(float(x - y)) for x, y in zip(got, want))
+        bound = 8.0 * eps * (1.0 + t * abs(beta)) * max(1.0, *map(abs, got))
+        assert err <= bound, (beta, phi0, t, err, bound)
+
+
+def test_sr_cut_time_matches_the_per_regime_oracles():
+    # a third of the draws fall in the root regime 1 < |beta| < 3/sqrt(5);
+    # closer than about 1e-7 below 3/sqrt(5) the root is a near-triple zero
+    # of the phase, and two solvers agree only to about 1e-11 there
+    split = 3.0 / math.sqrt(5.0)
+    rnd = random.Random(17_002)
+    betas = [1.0, -1.0, split, -split, 1.0 + 2.0 ** -40, 1.0 - 2.0 ** -40,
+             split * (1.0 - 1e-6), split * (1.0 + 1e-12)]
+    for i in range(600):
+        if i % 3 == 0:
+            b = 1.0 + (split * (1.0 - 1e-6) - 1.0) * rnd.random()
+        else:
+            b = 10.0 ** rnd.uniform(-4.0, 6.0)
+        betas.append(math.copysign(b, rnd.uniform(-1.0, 1.0)))
+    for beta in betas:
+        got, want = sr_cut_time(beta), sr_cut_time_oracle(beta)
+        assert abs(got - want) <= 1e-12 * want, (beta, got, want)
+
