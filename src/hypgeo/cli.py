@@ -19,7 +19,7 @@ import math
 import sys
 
 from .algebra import SplitQuaternion
-from .errors import HypgeoError, NoConvergence
+from .errors import DomainError, HypgeoError, NoConvergence
 from .geodesic_engine import sample_geodesic, vertical_flow
 from .metric_space import (
     ETA_INJ_SPLIT,
@@ -251,6 +251,8 @@ def _cmd_vertical_flow(cfg: argparse.Namespace) -> bytes:
     p = _build_covector(cfg, m)
     if cfg.samples < 2:
         raise UsageError("--samples must be >= 2")
+    if not math.isfinite(cfg.t_max):  # t_max * 0 would be NaN at the first sample
+        raise DomainError(f"flow end time t_max must be finite, got {cfg.t_max!r}")
     rows = []
     for i in range(cfg.samples):
         t = cfg.t_max * i / (cfg.samples - 1)
@@ -346,13 +348,7 @@ def _cmd_injrad(cfg: argparse.Namespace) -> bytes:
 
 def _cmd_log(cfg: argparse.Namespace) -> bytes:
     m = _build_metric(cfg)
-    q = SplitQuaternion(*cfg.target)
-    pn = q.pseudo_norm()  # DomainError unless finite; riemannian_log checks the rest
-    if abs(pn - 1.0) <= 1e-8:
-        # snap a near target onto the group; a far one need only be within
-        # 1e-8 |q|^2, and rescaling it would move it by (pn - 1)/2 relative
-        q = SplitQuaternion(*(c / math.sqrt(pn) for c in q))
-    p, t = riemannian_log(m, q)
+    p, t = riemannian_log(m, SplitQuaternion(*cfg.target))
     return _render_table(cfg, ("p1", "p2", "p3", "t"), [(p.p1, p.p2, p.p3, t)])
 
 

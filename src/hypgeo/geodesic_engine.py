@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .algebra import SplitQuaternion
 from .errors import DomainError, LightLikeInput, NegativeTime
-from .metric_space import CausalType, Covector, Metric, covector_from_components
+from .metric_space import CausalType, Covector, Metric
 
 
 class GeodesicSample(NamedTuple):
@@ -102,14 +102,14 @@ def vertical_flow(m: Metric, p: Covector, t: float) -> Covector:
     """Momentum at time t: precession of (p1, p2) by angle -t eta p3 / I1.
 
     Leaves p3, the causal character and the energy constraint invariant,
-    so the result is again a covector on C.  DomainError for a time that
+    so the result carries p's causal record.  DomainError for a time that
     is not finite.
     """
     if not math.isfinite(t):
         raise DomainError(f"flow time must be finite, got {t!r}")
     angle = -t * m.eta * p.p3 / m.i1
     x, y = _rotate(p.p1, p.p2, angle)
-    return covector_from_components(m, x, y, p.p3)
+    return Covector(x, y, *p[2:])
 
 
 def sample_geodesic(m: Metric, p: Covector, t_end: float, n: int) -> list[GeodesicSample]:
@@ -233,11 +233,13 @@ def apply_symmetry_preimage(
     s-image of the geodesic of p, at the same time.
 
     Vertical-flow-preserving elements act on p directly; reversing ones
-    must first push p through the vertical flow for time t.
+    must first push p through the vertical flow for time t.  Kil is
+    invariant, so the companion carries p's record, pbar3 negated by flip3.
     """
     base = vertical_flow(m, p, t) if s.reverses_vertical else p
     x, y, z = s.act_on_vector(base.p1, base.p2, base.p3)
-    return covector_from_components(m, x, y, z), t
+    pbar3 = -base.pbar3 if s.flip3 and base.pbar3 is not None else base.pbar3
+    return Covector(x, y, z, base.kil, base.ctype, base.norm, pbar3), t
 
 
 def apply_symmetry_image(s: SymmetryElement, q: SplitQuaternion) -> SplitQuaternion:

@@ -106,7 +106,9 @@ def metric_from_eta(eta: float, i1: float = 1.0) -> Metric:
 
 def covector_from_components(m: Metric, p1: float, p2: float, p3: float) -> Covector:
     """Covector from raw components, validated against the surface C (a NaN
-    component fails the check)."""
+    component fails the check).  The light-cone rule for a caller's
+    components: |Kil| < LIGHT_TOLERANCE * I1 is light-like, so a covector of
+    known type rebuilt from its components is light-like within that band."""
     energy = (p1 * p1 + p2 * p2) / m.i1 + p3 * p3 / m.i3
     if not abs(energy - 1.0) <= ON_C_TOLERANCE:
         raise NotOnC(f"energy {energy!r} differs from 1 beyond tolerance")
@@ -118,6 +120,23 @@ def covector_from_components(m: Metric, p1: float, p2: float, p3: float) -> Cove
     return Covector(p1, p2, p3, kil, ctype, norm, p3 / norm)
 
 
+def covector_of_type(
+    m: Metric, ctype: CausalType, pbar3: float, horizontal: float, phase: float
+) -> Covector:
+    """Exact record of the time-like or space-like covector with this pbar3
+    and horizontal part |p| horizontal at angle phase, where the caller's
+    horizontal is sqrt(pbar3^2 - type): |p| as in the module docstring and
+    Kil = -type |p|^2.  DomainError naming pbar3 if |p| is 0 or NaN (pbar3
+    not finite, or its square overflows)."""
+    sign = 1.0 if ctype is CausalType.TIME_LIKE else -1.0
+    norm = math.sqrt(m.i1 / -(sign * (1.0 + sign * m.eta * pbar3 * pbar3)))
+    if not norm > 0.0:
+        raise DomainError(f"pbar3 must be finite with a finite square, got {pbar3!r}")
+    radial = norm * horizontal
+    return Covector(radial * math.cos(phase), radial * math.sin(phase), pbar3 * norm,
+                    -sign * norm * norm, ctype, norm, pbar3)
+
+
 def covector_from_pbar3(
     m: Metric, pbar3: float, phase: float, ctype: CausalType
 ) -> Covector:
@@ -125,29 +144,23 @@ def covector_from_pbar3(
 
     The horizontal part has magnitude |p|*sqrt(pbar3^2 - type) at angle
     `phase`, which together with p3 = pbar3*|p| places the result on C
-    with the requested causal type.  Light-like covectors carry no pbar3;
-    use light_covector for those.
+    with the requested causal type and its exact record (covector_of_type:
+    pbar3 bit for bit, however near the light cone).  Light-like
+    covectors carry no pbar3; use light_covector for those.
     """
     if ctype is CausalType.LIGHT_LIKE:
         raise DomainError("light-like covectors have no pbar3; use light_covector")
-    if not (math.isfinite(phase) and math.isfinite(pbar3)):
-        raise DomainError(f"pbar3 and phase must be finite, got {pbar3!r}, {phase!r}")
+    if not math.isfinite(phase):
+        raise DomainError(f"phase must be finite, got {phase!r}")
     if ctype is CausalType.TIME_LIKE and abs(pbar3) < 1.0:
         raise DomainError(f"time-like needs |pbar3| >= 1, got {pbar3!r}")
     type_sign = 1.0 if ctype is CausalType.TIME_LIKE else -1.0
-    r = 1.0 + type_sign * m.eta * pbar3 * pbar3
-    norm = math.sqrt(m.i1 / (-type_sign * r))
-    radial = norm * math.sqrt(pbar3 * pbar3 - type_sign)
-    return covector_from_components(
-        m,
-        radial * math.cos(phase),
-        radial * math.sin(phase),
-        pbar3 * norm,
-    )
+    return covector_of_type(m, ctype, pbar3, math.sqrt(pbar3 * pbar3 - type_sign), phase)
 
 
 def light_covector(m: Metric, phase: float, p3_sign: int = 1) -> Covector:
-    """The light-cone covector on C with given horizontal phase.
+    """The light-cone covector on C with given horizontal phase, Kil = 0
+    exactly.
 
     The cone meets C where p1^2 + p2^2 = p3^2, i.e. p3 = +-sqrt(-I1/eta).
     """
@@ -157,9 +170,8 @@ def light_covector(m: Metric, phase: float, p3_sign: int = 1) -> Covector:
         raise DomainError(f"phase must be finite, got {phase!r}")
     p3 = p3_sign * m.light_cone_p3()
     radial = abs(p3)
-    return covector_from_components(
-        m, radial * math.cos(phase), radial * math.sin(phase), p3
-    )
+    return Covector(radial * math.cos(phase), radial * math.sin(phase), p3,
+                    0.0, CausalType.LIGHT_LIKE, 0.0, None)
 
 
 def tau_of_t(m: Metric, p: Covector, t: float) -> float:

@@ -218,13 +218,6 @@ def _chain_covector(m: Metric, x: float) -> Covector:
     return covector_from_components(m, p1, 0.0, x)
 
 
-def _rotated(m: Metric, p: Covector, delta: float) -> Covector:
-    c, s = math.cos(delta), math.sin(delta)
-    return covector_from_components(
-        m, p.p1 * c - p.p2 * s, p.p1 * s + p.p2 * c, p.p3
-    )
-
-
 def _phases(n: int) -> list[tuple[float, float, float]]:
     """(phi, cos phi, sin phi) of the column phases phi = 2 pi j/n, which
     every row of a grid shares."""
@@ -527,7 +520,8 @@ def riemannian_log(
         p0 = _chain_covector(m, x)
         e = exp_map(m, p0, t)
         delta = math.atan2(q.q2, q.q1) - math.atan2(e.q2, e.q1)
-        p = _rotated(m, p0, delta)
+        # turn the phase-0 covector by delta, carrying its causal record
+        p = Covector(p0.p1 * math.cos(delta), p0.p1 * math.sin(delta), *p0[2:])
         final = psl2_canonicalize(exp_map(m, p, t)).rep
         err = max(abs(a - b) for a, b in zip(final.components(), q.components()))
         if err > 1e-9 * scale:

@@ -27,7 +27,7 @@ from .errors import (
     NotTimeLike,
     UndefinedAtEquator,
 )
-from .metric_space import CausalType, Covector, Metric, light_covector
+from .metric_space import CausalType, Covector, Metric, covector_of_type, light_covector
 
 # below this vertical size a space-like covector is treated as equatorial
 EQUATOR_TOLERANCE = 1e-14
@@ -204,17 +204,6 @@ def _timelike_level_phase(rho: float, eta: float, lam: float) -> tuple[float, fl
     return phi, dphi_dtau * s - dphi_db * (b * b - 1.0) * c / b
 
 
-def _level_witness(
-    m: Metric, ctype: CausalType, b: float, radial: float, tau: float
-) -> tuple[Covector, float]:
-    """The phase-0 covector with pbar3 = b and p1 = |p| radial, its record
-    built from these exact values, and its time at rescaled time tau."""
-    sign = 1.0 if ctype is CausalType.TIME_LIKE else -1.0
-    norm = math.sqrt(m.i1 / -(sign * (1.0 + sign * m.eta * b * b)))
-    p = Covector(norm * radial, 0.0, b * norm, -sign * norm * norm, ctype, norm, b)
-    return p, 2.0 * m.i1 * tau / norm
-
-
 def radius_level_root(m: Metric, rho: float, target: float) -> tuple[Covector, float]:
     """The phase-0 covector, pbar3 >= 0, whose geodesic reaches horizontal
     radius rho > 0 exactly when its unwrapped q0 + i q3 phase equals
@@ -237,7 +226,8 @@ def radius_level_root(m: Metric, rho: float, target: float) -> tuple[Covector, f
         b_hi = k * math.hypot(1.0, rho) / (math.sqrt(gap) * math.sqrt(rho + k))
         b = _phase_root(partial(_spacelike_level_phase, rho, eta), target, 0.0, b_hi)
         h = math.hypot(1.0, b)
-        return _level_witness(m, CausalType.SPACE_LIKE, b, h, math.asinh(rho / h))
+        p = covector_of_type(m, CausalType.SPACE_LIKE, b, h, 0.0)
+        return p, 2.0 * m.i1 * math.asinh(rho / h) / p.norm
     r2 = rho * rho
     w = gap * (k + rho) / (r2 + 2.0 + math.sqrt((r2 + 2.0) ** 2 + r2 * gap * (k + rho)))
     far = (math.pi - target) / -eta / (0.5 * math.pi * rho)
@@ -245,10 +235,9 @@ def radius_level_root(m: Metric, rho: float, target: float) -> tuple[Covector, f
         partial(_timelike_level_phase, rho, eta), target, 0.5 * math.log(w),
         math.acosh(max(1.0, far)),
     )
-    radial = rho * math.cosh(lam)
-    return _level_witness(
-        m, CausalType.TIME_LIKE, math.hypot(1.0, radial), radial, _lambda_tau(lam)
-    )
+    radial = rho * math.cosh(lam)  # sqrt(b^2 - 1), exact where b = hypot(1, radial) is not
+    p = covector_of_type(m, CausalType.TIME_LIKE, math.hypot(1.0, radial), radial, 0.0)
+    return p, 2.0 * m.i1 * _lambda_tau(lam) / p.norm
 
 
 def maxwell_root_q0(m: Metric, p: Covector) -> float:

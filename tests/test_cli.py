@@ -198,6 +198,15 @@ def test_geodesic_infinite_t_max_names_the_end_time(capfdbinary):
     assert b"end time" in err and b"got inf" in err
 
 
+def test_vertical_flow_infinite_t_max_names_the_end_time(capfdbinary):
+    # used to say "flow time must be finite, got nan": inf * 0 at sample 0
+    code, out, err = run_cli(capfdbinary, "vertical-flow", "--eta", "-1.25", "--pbar3", "1.5",
+                             "--type", "tl", "--t-max", "inf")
+    assert code == 2
+    assert out == b""
+    assert b"t_max" in err and b"got inf" in err
+
+
 # ---- CSV format ------------------------------------------------------------
 
 def test_csv_bytes_are_crlf_with_single_header(capfdbinary):
@@ -412,15 +421,23 @@ def test_log_round_trip(capfdbinary):
 
 
 def test_log_inverts_far_exp_map_endpoint(capfdbinary):
-    # the target misses the unit pseudo norm by 8.2e-8, rounding of a
-    # component of size 9.3e3; it is passed on as given, not rescaled
-    m = metric_from_eta(-1.25, 1.0)
-    p = covector_from_pbar3(m, 0.05, 0.4, CausalType.SPACE_LIKE)
-    q = exp_map(m, p, 20.0)
-    target = ",".join(repr(c) for c in q.components())
+    # Exp(p, 20) for eta = -1.25 and the space-like pbar3 0.05 at phase
+    # 0.4, frozen: it misses the unit pseudo norm by 8.2e-8, rounding of a
+    # component of size 9.3e3, and is passed on as given
+    target = "9116.134930384735,5644.598382481931,9273.649504729208,-5895.604376745552"
     code, out, err = run_cli(capfdbinary, "log", "--eta", "-1.25", "--target", target)
     assert code == 0, err
     assert csv_rows(out)[1][3] == "20"
+
+
+def test_log_keeps_an_exact_far_endpoint_time(capfdbinary):
+    # Exp(p, 14) of the covector above; rescaling the target by
+    # 1/sqrt(pseudo norm) moved it by 1.2e-10 relative and printed
+    # t = 14.00000000013803
+    target = "502.91209477283036,363.7458816790705,403.2178276365491,-204.88071625613193"
+    code, out, err = run_cli(capfdbinary, "log", "--eta", "-1.25", "--target", target)
+    assert code == 0, err
+    assert abs(float(csv_rows(out)[1][3]) - 14.0) <= 1e-15 * 14.0
 
 
 def test_log_of_a_far_target_with_overflowing_trials_exits_0(capfdbinary):
@@ -528,18 +545,18 @@ _LOG_TARGET_SL = "1.0491986915981739,0.9316683452740343,-0.04220945391113104,-0.
 PINNED_OUTPUTS = [
     (("geodesic", "--eta", "-1.37", "--pbar3", "1.45", "--type", "tl", "--t-max", "5.5",
       "--samples", "48"),
-     "2d7e61c4785f01392bc7b9519b4ac6bef0ddc6538d9417b9276ff04b0c4acc88"),
+     "7bea5049d09ed1237f85dca9d1836753b70c90bcd94935660547adf3a9c3afee"),
     (("geodesic", "--eta", "-2.2", "--pbar3", "0.4", "--type", "sl", "--phase", "0.7",
       "--t-max", "3", "--samples", "16", "--format", "json"),
-     "48a241e26e2a8541ab096e1567aa21618864e57ca49c5eab66760d4919cdab3c"),
+     "37bace0332ae75738fa2dc064285b72b4ede6b7e064df5da1e73e23151dbe7b9"),
     (("geodesic", "--eta", "-1.25", "--type", "ll", "--t-max", "2", "--samples", "8"),
      "0589244a332c24f5ea53fa30d9e18477d1aec8ef1c78a5142f555a30ae026c45"),
     (("maxwell", "--eta", "-1.25", "--pbar3", "1.4", "--type", "tl"),
-     "f17117739c01996eb4c914ba008079bdc7d8e55faed29229a5e411d679f7647b"),
+     "bdd4a751dbbbc10386806ee6ed584863772ff7fb58087084ec8afef98c0be305"),
     (("maxwell", "--eta", "-1.3", "--pbar3", "1", "--type", "tl"),
      "19aa280f6e3b468e0b7ed130480e9fce148bf9fa257a95a081be212d42256f11"),
     (("maxwell", "--eta", "-2.75", "--pbar3", "300", "--type", "sl", "--format", "json"),
-     "ba2d7cecfe27a61effd2259fd449789c7d1d9f3daa3f1d1a3b699dd934d27244"),
+     "70770ba12596cb9a8820670b1ec18ab66854fc9c9bb1f863e13ddececdc466af"),
     (("maxwell", "--eta", "-1.6", "--type", "ll"),
      "f232ad20aa1fd20e7799ca8a419354649628b08659d4dc7b2217f2041083d6f6"),
     (("wavefront", "--eta", "-1.4", "--t", "3.3", "--grid", "16"),
@@ -554,18 +571,18 @@ PINNED_OUTPUTS = [
     (("injrad", "--I1", "2", "--I3", "0.5"),
      "d2b7651120c1a0d45cc94f983e9f6b8f4774f0acdcc44ff14618d769f5237f76"),
     (("log", "--eta", "-1.25", "--target", _LOG_TARGET_TL),
-     "a50c57584b31a3c4953c1e7479ba8dcf5a5d4690b9f7ded6154ff774db3ea42b"),
+     "c189575841d99f2c7ca4b32992209c373278d4d4ff1955c674fdca10e7ad1b95"),
     (("log", "--eta", "-2.4", "--target", _LOG_TARGET_SL, "--format", "json"),
      "429d0d3f6f9ef7112426bdb1ca4969a71cd9e00b9fafe3109b95bf456dc1b365"),
     (("cut-time", "--eta", "-1.25", "--pbar3", "1.15", "--type", "tl"),
-     "19e429bdc779515c1a64037875a6312ec3f8ba9950e559199eda70258c0829b8"),
+     "b1deca882c4ccca5133a45855a0bc1f64dd39c0b6891575aa5cd2c50e1eed29f"),
     (("cut-time", "--eta", "-2.75", "--pbar3", "300", "--type", "sl", "--group", "sl2",
       "--format", "json"),
-     "95429897a0970d1218bfae21b9d83f6bb548bcbcb20f4c89081b4167350636d6"),
+     "891c35035482b7376c8a560f272fedbec264d3edc22cd8383db3f2ec0fd84b82"),
     (("cut-time", "--eta", "-1.6", "--type", "ll", "--group", "sl2"),
      "b171712ee350303a8101db400972d75f46dd3bb73db1d20bb5a39f9cf720443f"),
     (("conjugate", "--eta", "-1.25", "--pbar3", "2", "--type", "tl", "--k-max", "6"),
-     "0458ae066190bbd4c20c3ab874af6496f515de0af79755b4e4ac19c7a66b718a"),
+     "d3a04b696b1b334c15bd795e8414583e195ef535d3c6701dc59b229be8be00e9"),
     (("conjugate", "--eta", "-3.1", "--pbar3", "1.05", "--type", "tl", "--k-max", "4",
       "--format", "json"),
      "8387e1f09c840baa903555a31b93fb0c32c985bd2baf48c48aca3968540867f9"),
@@ -581,10 +598,10 @@ PINNED_OUTPUTS = [
       "--format", "json"),
      "7a4332f459e54595fd5d8b02747701349c3a9791be564561c2aa5f435fc8fc9f"),
     (("cut-locus", "--eta", "-1.25", "--grid", "12"),
-     "94c025d1a5f8a793425b943c00ddc4c173fe5c7c1a562cc712fd3c66c39f0762"),
+     "5e536683c8e167f0b21587420f7ae6c5046bac9a91867f3b18a0dbf4d5a14c68"),
     (("cut-locus", "--eta", "-1.8", "--grid", "9", "--group", "sl2", "--rho-max", "5",
       "--format", "json"),
-     "2818f46224dc7218b8d1b8b2f86c1d8cabafa1d381579532856b8bcce6067aa4"),
+     "a2321815eea280c9c54c3722a35adc19fad9cfd9972bc69aa516eb2997344de5"),
 ]
 
 

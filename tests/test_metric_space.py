@@ -173,6 +173,58 @@ def test_pbar3_constructor_rejects_wrong_ranges():
             covector_from_pbar3(m, 2.0, phase, CausalType.TIME_LIKE)
 
 
+_EXACT_ETAS = (-1.001, -1.05, -1.25, -2.0, -2.75, -9.0, -30.0)
+_EXACT_PBAR3S = (
+    (CausalType.SPACE_LIKE, (0.0, 0.3, 300.0, 3000.0, 1e4)),
+    (CausalType.TIME_LIKE, (1.0, 1.0 + 1e-12, 1.5, 1e4)),
+)
+
+
+def test_pbar3_constructor_builds_the_exact_record():
+    # the type is known, so the record is not re-derived from rounded
+    # components: Kil = p1^2 + p2^2 - p3^2 of those cancels, and put 3000
+    # 1.2e-10 relative off, 1e4 1.2e-8 off
+    eps = 2.220446049250313e-16
+    for eta in _EXACT_ETAS:
+        for i1 in (1.0, 2.5):
+            m = metric_from_eta(eta, i1)
+            # eta = -I1/I3 - 1 rounds, and I1/I3 = -(1 + eta) only up to
+            # eps |eta/(1 + eta)|: the energy's own rounding
+            bound = 4.0 * eps * max(1.0, abs(eta / (1.0 + eta)))
+            for ctype, pbar3s in _EXACT_PBAR3S:
+                sign = 1.0 if ctype is CausalType.TIME_LIKE else -1.0
+                for pbar3 in pbar3s + tuple(-b for b in pbar3s):
+                    for phase in (0.0, 0.4, 2.0, -3.0):
+                        p = covector_from_pbar3(m, pbar3, phase, ctype)
+                        assert p.ctype is ctype
+                        assert p.pbar3 == pbar3, (eta, pbar3)
+                        assert p.kil == -sign * p.norm * p.norm
+                        assert p.p3 == pbar3 * p.norm
+                        energy = (p.p1 * p.p1 + p.p2 * p.p2) / m.i1 + p.p3 * p.p3 / m.i3
+                        assert abs(energy - 1.0) <= bound, (eta, i1, pbar3, phase)
+
+
+def test_light_covector_has_zero_kil():
+    for eta in _EXACT_ETAS:
+        m = metric_from_eta(eta, 1.7)
+        for phase in (0.0, 0.25, 1.9, -2.5):
+            for p3_sign in (1, -1):
+                p = light_covector(m, phase, p3_sign)
+                assert p.kil == 0.0
+                assert p.ctype is CausalType.LIGHT_LIKE and p.norm == 0.0 and p.pbar3 is None
+
+
+def test_pbar3_constructor_rejects_an_overflowing_square():
+    # r = 1 + type eta pbar3^2 overflows to -+inf, so |p| is 0; this used to
+    # report NotOnC ("energy nan")
+    m = metric_from_eta(-1.3)
+    for ctype in (CausalType.TIME_LIKE, CausalType.SPACE_LIKE):
+        for pbar3 in (1e200, -1e200, 1.3e154):
+            with pytest.raises(DomainError, match="pbar3") as err:
+                covector_from_pbar3(m, pbar3, 0.0, ctype)
+            assert not isinstance(err.value, NotOnC)
+
+
 def test_light_covector_components():
     m = make_metric(1.0, 4.0)
     p = light_covector(m, 0.25, -1)

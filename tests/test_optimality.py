@@ -16,6 +16,7 @@ from hypgeo import (
     SplitQuaternion,
     SymmetryElement,
     apply_symmetry_preimage,
+    covector_from_components,
     covector_from_pbar3,
     cut_locus_sample,
     cut_time,
@@ -30,9 +31,11 @@ from hypgeo import (
     metric_from_eta,
     psl2_canonicalize,
     riemannian_log,
+    vertical_flow,
     wavefront_row,
     wavefront_sample,
 )
+from hypgeo.metric_space import LIGHT_TOLERANCE
 from hypgeo.optimality import _minimizing
 from hypgeo.root_solver import radius_level_root
 
@@ -318,6 +321,60 @@ def test_plane_rows_next_to_the_light_cone_keep_their_radius(group):
                 assert abs(math.hypot(q.q1, q.q2) - rho) <= 1e-12 * rho, (eta, scale)
 
 
+def _seam_witnesses():
+    """The plane witnesses of the rows at seam x (1 -+ 1e-9): time-like
+    and space-like with |Kil| inside the LIGHT_TOLERANCE band."""
+    for group in GroupTag:
+        for eta in _SEAM_ETAS:
+            m = metric_from_eta(eta)
+            for scale in (1.0 - 1e-9, 1.0 + 1e-9):
+                plane = cut_locus_sample(m, group, 2, _seam(m, group) * scale)[0]
+                for p, t in plane.parameters[2:]:
+                    yield m, p, t
+
+
+_MOTIONS = (
+    SymmetryElement(),
+    SymmetryElement(angle=0.9),
+    SymmetryElement(mirror=True),
+    SymmetryElement(flip3=True),
+    SymmetryElement(angle=1.2, mirror=True),
+    SymmetryElement(angle=-0.4, flip3=True),
+    SymmetryElement(angle=2.2, mirror=True, flip3=True),
+)
+
+
+def test_motions_carry_a_near_seam_witness_record():
+    # the vertical flow and the symmetries keep Kil, so they carry the
+    # exact record; re-deriving it from the components would tag these
+    # witnesses light-like
+    count = 0
+    for m, p, t in _seam_witnesses():
+        assert p.ctype is not CausalType.LIGHT_LIKE
+        assert vertical_flow(m, p, 0.0) == p
+        flowed = vertical_flow(m, p, t)
+        assert (flowed.kil, flowed.ctype, flowed.norm, flowed.pbar3) == p[3:]
+        for s in _MOTIONS:
+            q, t_q = apply_symmetry_preimage(m, s, p, t)
+            assert t_q == t
+            assert (q.kil, q.ctype, q.norm) == (p.kil, p.ctype, p.norm)
+            assert q.pbar3 == (-p.pbar3 if s.flip3 else p.pbar3)
+            assert q.p3 == (-p.p3 if s.flip3 else p.p3)
+        count += 1
+    assert count == 2 * len(_SEAM_ETAS) * 2 * 2
+
+
+def test_rebuilding_a_near_seam_witness_from_components_is_light_like():
+    # the light-cone rule for caller-supplied components: they carry no
+    # type, and |Kil| below LIGHT_TOLERANCE * I1 is light-like; a witness
+    # keeps its exact record only as long as it is not rebuilt
+    for m, p, _ in _seam_witnesses():
+        assert abs(p.kil) < LIGHT_TOLERANCE * m.i1
+        rebuilt = covector_from_components(m, *p.components())
+        assert rebuilt.ctype is CausalType.LIGHT_LIKE
+        assert rebuilt.components() == p.components()
+
+
 _TINY_ETAS = (-1.001, -1.01, -1.25, -2.0, -30.0)
 _TINY_RHO_MAX = (1e-6, 1e-4)
 
@@ -597,12 +654,18 @@ def test_log_rejects_targets_off_the_group(components):
         riemannian_log(M, SplitQuaternion(*components))
 
 
+# Exp(p, 20) for eta = -1.25 and the space-like pbar3 0.05 at phase 0.4
+_FAR_EXP_TARGET = (9116.134930384735, 5644.598382481931, 9273.649504729208, -5895.604376745552)
+
+
 def test_log_accepts_far_targets_within_their_rounding():
     # |q|_inf = 9.3e3 misses the unit pseudo norm by 8.2e-8 in rounding:
-    # inside the relative band 1e-8 |q|^2, so the exact time comes back
+    # inside the relative band 1e-8 |q|^2, so the exact time comes back.
+    # q is frozen: Exp of p's exact record misses by only 2.98e-8, which
+    # would not test the band
     m = metric_from_eta(-1.25)
     p = covector_from_pbar3(m, 0.05, 0.4, CausalType.SPACE_LIKE)
-    q = exp_map(m, p, 20.0)
+    q = SplitQuaternion(*_FAR_EXP_TARGET)
     assert 5e-8 < q.pseudo_norm() - 1.0 < 1e-7
     got_p, got_t = riemannian_log(m, q)
     assert abs(got_t - 20.0) <= 1e-12
