@@ -14,7 +14,6 @@ The configuration is argparse's Namespace: argparse converts each flag
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -91,16 +90,22 @@ def _add_group_flag(sp: argparse.ArgumentParser) -> None:
                     metavar="{%s}" % ",".join(g.value for g in GroupTag))
 
 
-# flags whose comma-joined values may start with a minus sign, which
-# argparse would otherwise read as an unknown option
-_LIST_FLAGS = ("--p", "--target", "--eta-list")
+def _is_number(tok: str) -> bool:
+    try:
+        float(tok.split(",")[0])  # a comma list by its first field
+    except ValueError:
+        return False
+    return True
 
 
-def _merge_list_flags(argv: list[str]) -> list[str]:
+def _merge_flag_values(argv: list[str]) -> list[str]:
+    """Join each --flag to a following number as --flag=value: argparse
+    reads -1e6, -inf or -0.5,1,2 as an unknown option, not a value."""
     merged, i = [], 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _LIST_FLAGS and i + 1 < len(argv):
+        if (tok.startswith("--") and "=" not in tok and i + 1 < len(argv)
+                and _is_number(argv[i + 1])):
             merged.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -111,7 +116,7 @@ def _merge_list_flags(argv: list[str]) -> list[str]:
 
 def parse_args(argv=None) -> argparse.Namespace:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    argv = _merge_list_flags(argv)
+    argv = _merge_flag_values(argv)
     parser = _Parser(prog="hypgeo", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -218,6 +223,8 @@ def _render_csv(columns, rows) -> bytes:
 
 
 def _render_json(payload: dict) -> bytes:
+    import json  # here, so that a CSV run never loads it
+
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     return (text + "\n").encode("utf-8")
 

@@ -16,8 +16,10 @@ stratum.
 
 from __future__ import annotations
 
+import heapq
 import math
 from enum import Enum
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .algebra import Psl2Element, SplitQuaternion, psl2_canonicalize
@@ -426,7 +428,9 @@ def riemannian_log(
     own rounding, not to an absolute gap below its ulp.  Rotational
     symmetry reduces the search to the (q0, q3) slice: a seeded, damped
     two-dimensional Newton iteration over (vertical momentum, time),
-    with the horizontal phase restored exactly afterwards.  Axis targets
+    with the horizontal phase restored exactly afterwards.  Its seeds and
+    residuals read q0 and q3 from `orbit_factors`, the floats `exp_map`
+    would return; only the final check builds an endpoint.  Axis targets
     are inverted in closed form along the pole geodesics.
 
     Raises DomainError unless check_log_target passes, IdentityTarget at
@@ -447,13 +451,14 @@ def riemannian_log(
     x_max = math.sqrt(m.i3)
     x_cap = x_max * (1.0 - 1e-12)
     scale = max(1.0, *map(abs, q))
+    q0, q3 = q.q0, q.q3
 
     def resid(x: float, t: float) -> tuple[float, float]:
         try:
-            e = exp_map(m, _chain_covector(m, min(max(x, -x_cap), x_cap)), t)
-        except DomainError:  # cosh tau overflows: a failed trial, not a bad target
+            f = orbit_factors(m, _chain_covector(m, min(max(x, -x_cap), x_cap)), t)
+        except DomainError:  # cosh tau or the turn overflows: a failed trial, not a bad target
             return math.inf, math.inf
-        return e.q0 - q.q0, e.q3 - q.q3
+        return f[0] - q0, f[1] - q3
 
     # distance-scale cap so near-equatorial seeds don't sweep huge times
     psi = math.atan2(q.q3, q.q0)
@@ -470,11 +475,15 @@ def riemannian_log(
         p = _chain_covector(m, x)
         tc = cut_time(m, p)
         t_hi = t_cap_global if math.isinf(tc) else min(tc * (1.0 - 1e-9), t_cap_global)
-        for j in range(nt):
+        for j in range(nt):  # resid inlined on the column's one covector
             t = t_hi * (j + 0.5) / nt
-            r0, r3 = resid(x, t)
+            try:
+                f = orbit_factors(m, p, t)
+            except DomainError:
+                r0 = r3 = math.inf
+            else:
+                r0, r3 = f[0] - q0, f[1] - q3
             seeds.append((r0 * r0 + r3 * r3, x, t))
-    seeds.sort(key=lambda s: s[0])
 
     best_residual = math.inf
 
@@ -512,7 +521,7 @@ def riemannian_log(
                 return None
         return None
 
-    for _, x0, t0 in seeds[:8]:
+    for _, x0, t0 in heapq.nsmallest(8, seeds, key=itemgetter(0)):
         sol = newton(x0, t0)
         if sol is None:
             continue

@@ -212,6 +212,8 @@ def radius_level_root(m: Metric, rho: float, target: float) -> tuple[Covector, f
 
     Both come from the root's own parameter, so the covector's causal
     record is exact rather than re-derived from rounded components.
+    DomainError if the time-like lower bracket underflows to 0, which
+    takes an extreme eta (<= -1e200) and rho.
     """
     if not (0.0 < rho < math.inf and -math.inf < target < 0.0):
         raise DomainError(f"need finite rho > 0 and target < 0, got {rho!r}, {target!r}")
@@ -230,6 +232,8 @@ def radius_level_root(m: Metric, rho: float, target: float) -> tuple[Covector, f
         return p, 2.0 * m.i1 * math.asinh(rho / h) / p.norm
     r2 = rho * rho
     w = gap * (k + rho) / (r2 + 2.0 + math.sqrt((r2 + 2.0) ** 2 + r2 * gap * (k + rho)))
+    if not w > 0.0:
+        raise DomainError(f"time-like lower bracket underflows at rho {rho!r}, eta {eta!r}")
     far = (math.pi - target) / -eta / (0.5 * math.pi * rho)
     lam = _phase_root(
         partial(_timelike_level_phase, rho, eta), target, 0.5 * math.log(w),

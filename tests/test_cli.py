@@ -73,6 +73,26 @@ def test_parse_negative_list_values():
     assert cfg.target == (-1.5, 0.0, 0.0, -0.5)
 
 
+@pytest.mark.parametrize("spaced, joined", [
+    (("injrad", "--eta", "-1e6"), ("injrad", "--eta=-1e6")),
+    (("cut-time", "--eta", "-1.3", "--type", "sl", "--pbar3", "-2e-3"),
+     ("cut-time", "--eta=-1.3", "--type", "sl", "--pbar3=-2e-3")),
+])
+def test_negative_numbers_in_exponent_form_are_values(capfdbinary, spaced, joined):
+    # argparse takes only -1 and -1.5 shapes for numbers, so these used to
+    # exit 1 with "expected one argument"
+    code, out, err = run_cli(capfdbinary, *spaced)
+    assert code == 0, err
+    assert (code, out) == run_cli(capfdbinary, *joined)[:2]
+
+
+def test_negative_infinity_is_a_value(capfdbinary):
+    code, out, err = run_cli(capfdbinary, "geodesic", "--eta", "-1.25", "--type", "tl",
+                             "--pbar3", "1.5", "--t-max", "-inf")
+    assert code == 2 and out == b""
+    assert b"t_end must be finite" in err
+
+
 def help_text(capsys, *argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--help"])
@@ -187,6 +207,14 @@ def test_domain_errors_exit_2(capfdbinary, argv):
     assert code == 2
     assert out == b""
     assert b"domain error" in err
+
+
+def test_geodesic_names_a_time_whose_turn_overflows(capfdbinary):
+    # the time-like pole's turn theta is -inf: used to say "math domain error"
+    code, out, err = run_cli(capfdbinary, "geodesic", "--eta", "-1e6", "--pbar3", "1",
+                             "--type", "tl", "--t-max", "1e308", "--samples", "2")
+    assert code == 2 and out == b""
+    assert b"geodesic time 1e+308 overflows the turn" in err
 
 
 def test_geodesic_infinite_t_max_names_the_end_time(capfdbinary):
@@ -529,6 +557,14 @@ def test_cli_import_loads_no_dataclasses_inspect_or_numpy():
     # the configuration is argparse's namespace and a CSV table is one join,
     # so a hypgeo process skips them, and csv, as well
     assert _loaded_after_import("hypgeo.cli") == b"[]\n"
+
+
+def test_cli_import_does_not_load_json():
+    # argparse does not import json and a CSV run never needs it
+    code = "import sys, hypgeo.cli; print('json' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"False\n"
 
 
 # ---- pinned output bytes ---------------------------------------------------

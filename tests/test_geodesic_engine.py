@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -194,6 +195,43 @@ def test_sample_geodesic_rejects_an_end_time_that_is_not_finite():
         with pytest.raises(DomainError, match="t_end") as err:
             sample_geodesic(M, p, t_end, 4)
         assert repr(t_end) in str(err.value)
+
+
+_M6 = metric_from_eta(-1e6)
+
+# (metric, covector, t): finite times at which the turn overflows.  The
+# time-like pole (theta = -inf) and the light cone with a = +-inf used to
+# leak a bare ValueError (math domain error), the space-like equator
+# (tau = inf, theta = inf * 0 = nan) came back as a NaN point, and the light
+# cone of a small I1 (b = inf, a finite) as an infinite one
+_OVERFLOWING_TURNS = {
+    "time-like pole": (_M6, covector_from_pbar3(_M6, 1.0, 0.0, CausalType.TIME_LIKE), 1e308),
+    "light cone, a = +inf": (_M6, light_covector(_M6, 0.3, 1), 1e305),
+    "light cone, a = -inf": (_M6, light_covector(_M6, 0.3, -1), 1e305),
+    "space-like equator": (
+        make_metric(4.0, 10.0),
+        covector_from_pbar3(make_metric(4.0, 10.0), 0.0, 0.0, CausalType.SPACE_LIKE),
+        1e308,
+    ),
+    "light cone, b = inf": (
+        make_metric(0.1, 1.0), light_covector(make_metric(0.1, 1.0), 0.3), 1e308
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_OVERFLOWING_TURNS))
+def test_exp_map_names_a_time_whose_turn_overflows(case):
+    m, p, t = _OVERFLOWING_TURNS[case]
+    with pytest.raises(DomainError, match=re.escape(f"geodesic time {t!r} overflows the turn")):
+        exp_map(m, p, t)
+    with pytest.raises(DomainError, match="overflows the turn"):
+        sample_geodesic(m, p, t, 2)
+
+
+def test_wavefront_names_a_time_whose_turn_overflows():
+    # used to leak a bare ValueError from the time-like rows
+    with pytest.raises(DomainError, match="overflows the turn"):
+        wavefront_sample(_M6, 1e308, 8)
 
 
 # --- Jacobian ---------------------------------------------------------------

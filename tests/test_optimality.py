@@ -254,6 +254,15 @@ def test_radius_level_root_rejects_bad_input(rho, target):
         radius_level_root(M, rho, target)
 
 
+@pytest.mark.parametrize("group", list(GroupTag))
+@pytest.mark.parametrize("eta, rho_max", [(-1e200, 1e-200), (-1e300, 1e-300)])
+def test_locus_names_an_underflowing_time_like_bracket(group, eta, rho_max):
+    # the lower bracket w of the time-like level root underflows to 0 here,
+    # where 0.5 log(w) used to leak a bare ValueError
+    with pytest.raises(DomainError, match="lower bracket underflows"):
+        cut_locus_sample(metric_from_eta(eta), group, 2, rho_max)
+
+
 # the plane strata's extremes: eta from the sub-Riemannian end to deep in
 # the pole regime, radii from the conjugate end (tau -> pi) to far out
 _PLANE_ETAS = (-1.001, -1.05, -1.25, -1.45, -1.5, -1.6, -2.0, -2.5, -4.0, -8.0, -30.0)
@@ -829,3 +838,53 @@ def test_log_accepts_canonicalized_elements():
     for target in (q, -q, psl2_canonicalize(q)):
         got_p, got_t = riemannian_log(M, target)
         assert abs(got_t - 0.9) < 1e-9
+
+
+# (eta, target, float.hex of p1, p2, p3 and t) of riemannian_log, frozen:
+# the tolerance tests above pass for a search that drifts in the last bit,
+# these do not.  Time-, space- and light-like, near and far, the target
+# whose Newton trials overflow cosh tau, and one generated past its cut time
+_FROZEN_LOGS = [
+    # time-like near
+    (-1.25, (1.094254004377774, 0.07767235455438296, 0.537047401721832, -0.3115462730661355),
+     ('0x1.7fb74f2ad72d1p-1', '0x1.44771015fe1e2p-2', '0x1.29a28f58bbc48p+0', '0x1.69df5ddfe0387p+0')),
+    # time-like near its cut time
+    (-1.8, (0.1560326872350022, -0.29801409872520257, -1.152978749066011, -1.5471994698005305),
+     ('-0x1.30f99b213cacap-2', '0x1.4d30f87d5eba2p-1', '0x1.8fce095e0c825p-1', '0x1.bff2b42af075ep+1')),
+    # time-like near the pole
+    (-1.1, (0.9899485898957733, 0.1287643266916215, 0.14128655795236614, -0.23778968154599184),
+     ('0x1.333d8bacdc97dp-3', '-0x1.03a85f701955ep-1', '0x1.578807dfa0f59p+1', '0x1.6ec9aa0e1bf3cp+0')),
+    # time-like past its cut time
+    (-1.25, (-0.34472940389479967, -2.221038049525576, -0.32560342074414644, -2.433143901032366),
+     ('-0x1.920bd1dc03ee3p-1', '0x1.c98e77d5aeb87p-2', '-0x1.b6ec5435b5876p-1', '0x1.2813893810d1bp+2')),
+    # time-like, flat metric
+    (-3.5, (0.3542742552991486, -0.3654170756952035, 0.27157474813999355, 1.0400828020254775),
+     ('-0x1.011ca713d2b1cp-2', '-0x1.c916a00145ffdp-2', '-0x1.16203534757d4p-1', '0x1.c923f8f59ed12p+0')),
+    # space-like near
+    (-1.25, (1.0305338670741933, 0.09309299108054796, 0.23178657246106202, -0.019780520081104966),
+     ('0x1.cbc2ec9b6dfb2p-2', '0x1.c3a90c8d46cb7p-1', '0x1.2340e7826878ep-2', '0x1.0000000000007p-1')),
+    # space-like, negative pbar3
+    (-2.2, (0.8331890120127963, -0.2553105280970994, 0.6984849472185759, 0.9267474076086196),
+     ('-0x1.6f9d687f8dcfbp-1', '-0x1.d5cc9f480f91fp-4', '-0x1.40e096898055bp-1', '0x1.fffffffffffeep+0')),
+    # space-like far
+    (-1.25, (9116.134930384735, 5644.598382481931, 9273.649504729208, -5895.604376745552),
+     ('0x1.d76fb10dc2a88p-1', '0x1.8ea3e00d2c2fbp-2', '0x1.98f6249bd3a28p-5', '0x1.4000000000000p+4')),
+    # space-like far, overflowing trials
+    (-1.4347758888779447, (107203458684.24858, -152655396560.0727, 59555350881.29433, 123927109074.81767),
+     ('-0x1.bf174194e4ccbp-1', '-0x1.f2c4f8695302ap-2', '-0x1.7b2ce060e3e02p-6', '0x1.a867ded5ecf5ap+5')),
+    # space-like far, eta -2.78
+    (-2.7812390962451845, (6642195014.170808, 6649009508.166375, 10121235641.20765, -10125709048.667324),
+     ('0x1.ffd4ff7fdef1cp-1', '-0x1.02a3ae79cbf0ep-6', '0x1.ef3a7ed3f0d9cp-7', '0x1.7eafc9d03195dp+5')),
+    # light-like near
+    (-1.4, (1.034496970358002, 0.04615447254827644, 0.2921810477491488, -0.13159034280719484),
+     ('0x1.d3991ea1c3debp-2', '0x1.6c1ed6c9c6e71p-1', '0x1.b0b80ef8bb2cep-1', '0x1.66666666044b6p-1')),
+    # light-like far
+    (-1.6, (1.6499502555255416, 5.122380454699021, -6.021728861159181, -7.796003088396722),
+     ('-0x1.a7c8945660a0cp-1', '-0x1.f259e1774cdc3p-2', '0x1.7159fc118592bp-2', '0x1.82d6b767cbaa2p+2')),
+]
+
+
+@pytest.mark.parametrize("eta, target, expected", _FROZEN_LOGS)
+def test_log_results_are_frozen_bit_for_bit(eta, target, expected):
+    p, t = riemannian_log(metric_from_eta(eta), SplitQuaternion(*target))
+    assert tuple(x.hex() for x in (p.p1, p.p2, p.p3, t)) == expected
