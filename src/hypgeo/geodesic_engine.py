@@ -47,7 +47,7 @@ def orbit_factors(m: Metric, p: Covector, t: float) -> tuple:
     shared by p's rotation orbit.  radial is sin/sinh tau (t/(2 I1) and
     norm 0 on the light cone).  Raises NegativeTime for t < 0 and
     DomainError for a time that is not finite, or so long that the turn
-    (or, space-like, cosh tau) overflows."""
+    (or, space-like, cosh tau or a component of the point) overflows."""
     if t < 0.0:
         raise NegativeTime(f"geodesic time must be >= 0, got {t!r}")
     if not math.isfinite(t):
@@ -73,6 +73,9 @@ def orbit_factors(m: Metric, p: Covector, t: float) -> tuple:
             ct, st = math.cosh(tau), math.sinh(tau)
         except OverflowError:
             raise DomainError(f"geodesic time {t!r} overflows cosh tau") from None
+        # |(q1, q2)| = sinh tau hypot(1, pbar3) and |q0 + i q3| <= cosh tau hypot(1, pbar3)
+        if not ct * math.hypot(1.0, pbar3) < math.inf:
+            raise DomainError(f"geodesic time {t!r} overflows the endpoint")
     q0, q3 = ct * ce - pbar3 * st * se, ct * se + pbar3 * st * ce
     return (q0, q3, st, math.cos(-theta), math.sin(-theta), p.norm)
 

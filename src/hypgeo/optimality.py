@@ -35,12 +35,9 @@ from .metric_space import (
     covector_from_components,
     covector_from_pbar3,
 )
-from .root_solver import (
-    EQUATOR_TOLERANCE, maxwell_root_q0, maxwell_root_q3, phase_above, radius_level_root,
-)
+from .root_solver import EQUATOR_TOLERANCE, crossing_time, phase_above, radius_level_root
 
-# a target is declared to sit on the cut locus when its stratum equation
-# (q0 = 0 for PSL2, the rotation band for axis targets) holds this tightly
+# a target is declared to sit on the point-reflection plane when |q0| is below this
 ON_CUT_TOLERANCE = 1e-8
 
 
@@ -60,8 +57,7 @@ def _upper(q: SplitQuaternion) -> Psl2Element:
 class _Group(NamedTuple):
     """What PSL(2,R) and SL(2,R) differ in (see the module docstring)."""
 
-    maxwell_root: Callable  # (m, p) -> first zero of q0 or q3
-    target_phase: float     # of q0 + i q3 at the cut
+    target_phase: float     # of q0 + i q3 at the cut: -pi/2 (q0 = 0) or -pi (q3 = 0)
     pole_split: float       # -c: the pbar3 threshold is -c/eta; axis strata exist for eta > -c
     pole: float             # sign of the axis witnesses' pbar3
     ideal: tuple            # the plane's (q0, q3) per unit sheet height
@@ -73,18 +69,14 @@ class _Group(NamedTuple):
     axis: str
 
 
-# the lambdas look the module names up at call time, so a rebinding of
-# them (as the bench tracer does) reaches every call
 _GROUPS = {
     GroupTag.PSL2: _Group(
-        maxwell_root=lambda m, p: maxwell_root_q0(m, p), target_phase=-0.5 * math.pi,
-        pole_split=ETA_POLE_SPLIT_PSL2, pole=-1.0, ideal=(0.0, 1.0),
+        target_phase=-0.5 * math.pi, pole_split=ETA_POLE_SPLIT_PSL2, pole=-1.0, ideal=(0.0, 1.0),
         lift=_upper, box=Psl2Element, circle_lift=lambda q: psl2_canonicalize(q),
         maxwell_stratum="M0", plane="Z", axis="R_eta",
     ),
     GroupTag.SL2: _Group(
-        maxwell_root=lambda m, p: maxwell_root_q3(m, p), target_phase=-math.pi,
-        pole_split=ETA_POLE_SPLIT_SL2, pole=1.0, ideal=(-1.0, 0.0),
+        target_phase=-math.pi, pole_split=ETA_POLE_SPLIT_SL2, pole=1.0, ideal=(-1.0, 0.0),
         lift=lambda q: q, box=None, circle_lift=lambda q: q,
         maxwell_stratum="M3", plane="H", axis="T_eta",
     ),
@@ -140,11 +132,16 @@ def _cut_rule(m: Metric, p: Covector, g: _Group) -> tuple[float, bool]:
     return math.inf, p.ctype is CausalType.LIGHT_LIKE or abs(p.pbar3) >= EQUATOR_TOLERANCE
 
 
-def _maxwell_time(m: Metric, p: Covector, group: GroupTag = GroupTag.PSL2) -> float:
-    """The cap, or min(the group's q0 or q3 root, cap), as _cut_rule says."""
+def _cut(m: Metric, p: Covector, group: GroupTag) -> tuple[float, bool]:
+    """(p's cut time, whether the cap set it): the phase's first crossing of
+    the group's target if _cut_rule allows one and it comes first, else the cap."""
     g = _GROUPS[group]
     cap, crossing = _cut_rule(m, p, g)
-    return min(g.maxwell_root(m, p), cap) if crossing else cap
+    if crossing:
+        t = crossing_time(m, p, g.target_phase)
+        if t < cap:
+            return t, False
+    return cap, True
 
 
 def _minimizing(m: Metric, p: Covector, t: float, group: GroupTag) -> bool:
@@ -165,7 +162,7 @@ def maxwell_time(m: Metric, p: Covector) -> float:
     space-like equator.  SL(2,R) swaps in the q3-zero and the threshold
     -2/eta (see cut_time).
     """
-    return _maxwell_time(m, p)
+    return _cut(m, p, GroupTag.PSL2)[0]
 
 
 def cut_time(m: Metric, p: Covector, group: GroupTag = GroupTag.PSL2) -> float:
@@ -174,7 +171,7 @@ def cut_time(m: Metric, p: Covector, group: GroupTag = GroupTag.PSL2) -> float:
     Equals the first Maxwell time of the respective group on all of C; the
     SL(2,R) value is never smaller than the PSL(2,R) one.
     """
-    return _maxwell_time(m, p, group)
+    return _cut(m, p, group)[0]
 
 
 def describe_cut(m: Metric, p: Covector, group: GroupTag = GroupTag.PSL2) -> CutDescriptor:
@@ -184,16 +181,9 @@ def describe_cut(m: Metric, p: Covector, group: GroupTag = GroupTag.PSL2) -> Cut
     (q3-root, SL2); M12: the rotational collapse at tau = pi shared by
     both groups; None: the geodesic is minimizing forever.
     """
-    t_conj = first_conjugate_time(m, p)
-    t_max = _maxwell_time(m, p, group)
-    t_cut = t_max
-    if math.isinf(t_cut):
-        stratum = None
-    elif p.ctype is CausalType.TIME_LIKE and t_conj <= t_cut * (1.0 + 1e-12):
-        stratum = "M12"
-    else:
-        stratum = _GROUPS[group].maxwell_stratum
-    return CutDescriptor(group, t_max, t_conj, t_cut, stratum)
+    t_cut, capped = _cut(m, p, group)
+    stratum = None if math.isinf(t_cut) else "M12" if capped else _GROUPS[group].maxwell_stratum
+    return CutDescriptor(group, t_cut, first_conjugate_time(m, p), t_cut, stratum)
 
 
 def injectivity_radius(m: Metric) -> float:
@@ -391,19 +381,15 @@ def wavefront_sample(
 # ---- inverse of the exponential map -------------------------------------
 
 def _axis_log(m: Metric, q: SplitQuaternion) -> tuple[Covector, float]:
-    """Logarithm of an axis rotation (q1 = q2 = 0): the pole geodesics."""
-    eta = m.eta
+    """Logarithm of an axis rotation (q1 = q2 = 0): the pole geodesics,
+    cut by the same rule as every other preimage."""
     phi = 2.0 * math.atan2(q.q3, q.q0)
-    if eta > ETA_POLE_SPLIT_PSL2:
-        band = -2.0 * math.pi * (1.0 + eta)
-        if abs(phi) >= band * (1.0 - 1e-12):
-            raise OnCutLocus(
-                "axis rotation angle lies in the cut interval of the rotation stratum"
-            )
-    pbar3 = -1.0 if phi > 0.0 else 1.0
-    tau = abs(phi) / (-2.0 * (1.0 + eta))
-    p = covector_from_pbar3(m, pbar3, 0.0, CausalType.TIME_LIKE)
-    return p, 2.0 * m.i1 * tau / p.norm
+    tau = abs(phi) / (-2.0 * (1.0 + m.eta))
+    p = covector_from_pbar3(m, -1.0 if phi > 0.0 else 1.0, 0.0, CausalType.TIME_LIKE)
+    t = 2.0 * m.i1 * tau / p.norm
+    if t >= cut_time(m, p) * (1.0 - 1e-12):
+        raise OnCutLocus("axis rotation angle lies in the cut interval of the rotation stratum")
+    return p, t
 
 
 def check_log_target(q: SplitQuaternion) -> SplitQuaternion:

@@ -1,17 +1,17 @@
 """Root finding for the coordinate functions along geodesics.
 
-The first positive zeros of the q0 and q3 coordinates drive every
-optimality computation in the package.  Along each geodesic q0 + i q3
-is a positive amplitude times e^{i phi} with a closed-form phase phi
-that strictly decreases from 0, so both zeros are level crossings of one
-monotone function: phi = -pi/2 for q0 and phi = -pi for q3.  They are
-solved by a safeguarded Newton iteration on the phase inside analytic
-brackets, to a few ulps relative.  Followed along a curve of fixed
-horizontal radius instead of one geodesic, the same phase is monotone
-too, and its root is the witness of a cut-locus point (`radius_level_root`).
-The conjugate points' tangent equation tan tau = sigma tau is a level
-crossing of the falling phase atan(sigma tau) - tau on each analytic
-window (`conjugate_roots`), so one solver serves every root here.
+Along each geodesic q0 + i q3 is a positive amplitude times e^{i phi}
+with a closed-form phase phi that strictly decreases from 0, so the cut
+rule is a level crossing of one monotone function: `crossing_time` is
+the first time phi reaches a target (-pi/2 is the first zero of q0, -pi
+that of q3) and `phase_above` tells whether a time precedes it.  Roots
+are solved by a safeguarded Newton iteration on the phase inside
+analytic brackets, to a few ulps relative.  Along a curve of fixed
+horizontal radius the same phase is monotone too, and its root is the
+witness of a cut-locus point (`radius_level_root`).  The conjugate
+points' tan tau = sigma tau is a crossing of the falling phase
+atan(sigma tau) - tau on each window (`conjugate_roots`), so one solver
+serves every root here.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ EQUATOR_TOLERANCE = 1e-14
 # As phi falls for every tau, t precedes the root exactly when phi(tau(t))
 # is above target: `phase_above` answers that with one evaluation.
 
-_TARGET_PHASE = {"q0": -0.5 * math.pi, "q3": -math.pi}
 # a phase function returns (phi, dphi/dx); the solvers bind its leading
 # parameters with functools.partial, a C call that adds no Python frame
 _Phase = Callable[[float], tuple[float, float]]
@@ -133,18 +132,16 @@ def _geodesic_phase(m: Metric, p: Covector) -> tuple[_Phase, float, float]:
     return partial(_spacelike_phase, b, m.eta), b, p.norm
 
 
-def _root_time(m: Metric, p: Covector, which: str) -> float:
-    """First positive zero of q0 or q3."""
+def crossing_time(m: Metric, p: Covector, target: float) -> float:
+    """First time t > 0 at which the q0 + i q3 phase of p's geodesic
+    reaches target < 0: -pi/2 is the first zero of q0, -pi that of q3.
+    Raises UndefinedAtEquator for space-like covectors with pbar3 = 0,
+    whose phase stays 0."""
     eta = m.eta
-    target = _TARGET_PHASE[which]
     phase, b, speed = _geodesic_phase(m, p)
     if p.ctype is CausalType.SPACE_LIKE and b < EQUATOR_TOLERANCE:
-        if which == "q0":
-            raise UndefinedAtEquator(
-                "q0 = cosh(tau) never vanishes on equatorial space-like geodesics"
-            )
-        raise DegenerateIdenticallyZero(
-            "q3 vanishes identically on equatorial space-like geodesics"
+        raise UndefinedAtEquator(
+            "the q0 + i q3 phase stays 0 on equatorial space-like geodesics"
         )
     if p.ctype is CausalType.TIME_LIKE and b == 1.0:
         tau = target / (1.0 + eta)
@@ -250,7 +247,7 @@ def maxwell_root_q0(m: Metric, p: Covector) -> float:
     Raises UndefinedAtEquator for space-like covectors with pbar3 = 0,
     whose q0 coordinate stays >= 1 forever.
     """
-    return _root_time(m, p, "q0")
+    return crossing_time(m, p, -0.5 * math.pi)
 
 
 def maxwell_root_q3(m: Metric, p: Covector) -> float:
@@ -259,7 +256,12 @@ def maxwell_root_q3(m: Metric, p: Covector) -> float:
     The zero at t = 0 is ignored.  Raises DegenerateIdenticallyZero for
     space-like covectors with pbar3 = 0, where q3 vanishes identically.
     """
-    return _root_time(m, p, "q3")
+    try:
+        return crossing_time(m, p, -math.pi)
+    except UndefinedAtEquator:
+        raise DegenerateIdenticallyZero(
+            "q3 vanishes identically on equatorial space-like geodesics"
+        ) from None
 
 
 def _conjugate_phase(sigma: float, tau: float) -> tuple[float, float]:

@@ -234,6 +234,33 @@ def test_wavefront_names_a_time_whose_turn_overflows():
         wavefront_sample(_M6, 1e308, 8)
 
 
+def _finite_or_domain_error(call):
+    try:
+        points = call()
+    except DomainError:
+        return
+    for q in points:
+        assert all(math.isfinite(c) for c in q.components()), q
+
+
+@pytest.mark.parametrize("pbar3", [0.5, 1.8, 1e3])
+@pytest.mark.parametrize("tau", [709.0, 709.7, 710.4])
+def test_space_like_endpoint_near_cosh_overflow_is_finite_or_rejected(pbar3, tau):
+    # cosh tau is finite here, but pbar3 sinh tau (in q0, q3) or
+    # sinh tau hypot(1, pbar3) (the length of (q1, q2)) may not be: pbar3
+    # 1e3 at tau 709 came back all inf, and 0.5 at 710.4 with q1 = -inf
+    # but q0 and q3 finite
+    m = metric_from_eta(-1.3)
+    p = covector_from_pbar3(m, pbar3, 0.0, CausalType.SPACE_LIKE)
+    t = tau * 2.0 * m.i1 / p.norm
+    _finite_or_domain_error(lambda: [exp_map(m, p, t)])
+    _finite_or_domain_error(lambda: [s.point for s in sample_geodesic(m, p, t, 3)])
+    _finite_or_domain_error(lambda: [w.point for w in wavefront_sample(m, t, 8)])
+    if pbar3 == 1e3 or tau == 710.4:
+        with pytest.raises(DomainError, match=re.escape(f"geodesic time {t!r} overflows")):
+            exp_map(m, p, t)
+
+
 # --- Jacobian ---------------------------------------------------------------
 
 

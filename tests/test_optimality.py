@@ -98,6 +98,124 @@ def test_sl2_threshold_regime():
     assert describe_cut(M, q, GroupTag.SL2).active_stratum == "M3"
 
 
+_T, _S, _L = CausalType.TIME_LIKE, CausalType.SPACE_LIKE, CausalType.LIGHT_LIKE
+
+# (eta, causal type, pbar3 (the sign for light-like), (maxwell_time,
+# first_conjugate_time, PSL(2,R) cut time, stratum, SL(2,R) cut time,
+# stratum)), the times as float.hex, frozen from the code before the cut
+# rule moved into one function.  The poles, the equator, each group's
+# threshold -c/eta (time-like at -1.25 and -1.8, space-like below 1) and
+# all three causal types of both groups.
+CUT_FROZEN = [
+    (-1.25, _T, 1.0,
+     ("0x1.921fb54442d18p+1", "0x1.921fb54442d18p+1",
+      "0x1.921fb54442d18p+1", "M12", "0x1.921fb54442d18p+1", "M12")),
+    (-1.25, _T, -1.0,
+     ("0x1.921fb54442d18p+1", "0x1.921fb54442d18p+1",
+      "0x1.921fb54442d18p+1", "M12", "0x1.921fb54442d18p+1", "M12")),
+    (-1.25, _T, 1.2,
+     ("0x1.67aba6d20e485p+2", "0x1.67aba6d20e485p+2",
+      "0x1.67aba6d20e485p+2", "M12", "0x1.67aba6d20e485p+2", "M12")),
+    (-1.25, _T, 1.6,
+     ("0x1.2a3918e287b12p+2", "0x1.2a3918e287b12p+3",
+      "0x1.2a3918e287b12p+2", "M0", "0x1.2a3918e287b12p+3", "M12")),
+    (-1.25, _T, 1.4,
+     ("0x1.2d8f78e53cd86p+2", "0x1.e438a3c3b5eb1p+2",
+      "0x1.2d8f78e53cd86p+2", "M0", "0x1.e438a3c3b5eb1p+2", "M12")),
+    (-1.25, _T, -3.0,
+     ("0x1.316ff7d3f0480p+2", "0x1.41db2b45a6b94p+4",
+      "0x1.316ff7d3f0480p+2", "M0", "0x1.f5e5f64eb453dp+2", "M3")),
+    (-1.25, _S, 0.0,
+     ("inf", "inf",
+      "inf", None, "inf", None)),
+    (-1.25, _S, 0.5,
+     ("0x1.dd0e9ed5ac318p+2", "inf",
+      "0x1.dd0e9ed5ac318p+2", "M0", "0x1.a6f1aaff73b52p+3", "M3")),
+    (-1.25, _S, -0.001,
+     ("0x1.3a5c05afb488dp+11", "inf",
+      "0x1.3a5c05afb488dp+11", "M0", "0x1.3a426c159daa2p+12", "M3")),
+    (-1.25, _L, 1,
+     ("0x1.362e779dd164cp+2", "inf",
+      "0x1.362e779dd164cp+2", "M0", "0x1.fc12a335ab330p+2", "M3")),
+    (-1.25, _L, -1,
+     ("0x1.362e779dd164cp+2", "inf",
+      "0x1.362e779dd164cp+2", "M0", "0x1.fc12a335ab330p+2", "M3")),
+    (-1.8, _T, 1.0,
+     ("0x1.c196908691da6p+1", "0x1.67aba6d20e485p+2",
+      "0x1.c196908691da6p+1", "M0", "0x1.67aba6d20e485p+2", "M12")),
+    (-1.8, _T, 1.1111111111111112,
+     ("0x1.bc908d28ab6d7p+1", "0x1.bc908d28ab6d9p+2",
+      "0x1.bc908d28ab6d7p+1", "M0", "0x1.bc908d28ab6d9p+2", "M12")),
+    (-1.8, _T, -2.5,
+     ("0x1.d78636e9d4ae2p+1", "0x1.41db2b45a6b94p+4",
+      "0x1.d78636e9d4ae2p+1", "M0", "0x1.95c524e07977ep+2", "M3")),
+    (-1.8, _S, 0.8333333333333333,
+     ("0x1.1b7c343c277f5p+2", "inf",
+      "0x1.1b7c343c277f5p+2", "M0", "0x1.ea4a025f18974p+2", "M3")),
+    (-1.8, _S, 0.3,
+     ("0x1.dbb1c6f7f9696p+2", "inf",
+      "0x1.dbb1c6f7f9696p+2", "M0", "0x1.b699bab803a90p+3", "M3")),
+    (-1.8, _L, 1,
+     ("0x1.e128d7426419ap+1", "inf",
+      "0x1.e128d7426419ap+1", "M0", "0x1.9be6ffbbfcb01p+2", "M3")),
+    (-3.0, _T, -1.0,
+     ("0x1.1c5831add62e4p+1", "0x1.1c5831add62e4p+3",
+      "0x1.1c5831add62e4p+1", "M0", "0x1.1c5831add62e4p+2", "M3")),
+    (-3.0, _T, 1.5,
+     ("0x1.34463467daa68p+1", "0x1.e2212b8a13005p+3",
+      "0x1.34463467daa68p+1", "M0", "0x1.22f66626d5aabp+2", "M3")),
+    (-3.0, _S, 0.5,
+     ("0x1.bef7608f6c495p+1", "inf",
+      "0x1.bef7608f6c495p+1", "M0", "0x1.963cf4163f962p+2", "M3")),
+    (-3.0, _S, 0.6666666666666666,
+     ("0x1.8ff56db65c6d8p+1", "inf",
+      "0x1.8ff56db65c6d8p+1", "M0", "0x1.6a6aca9610a57p+2", "M3")),
+    (-3.0, _L, -1,
+     ("0x1.45d520d8e8c47p+1", "inf",
+      "0x1.45d520d8e8c47p+1", "M0", "0x1.2d60f08f755e7p+2", "M3")),
+    (-1.001, _T, 1.2,
+     ("0x1.0b2cc7642d5cbp+2", "0x1.0b2cc7642d5cbp+2",
+      "0x1.0b2cc7642d5cbp+2", "M12", "0x1.0b2cc7642d5cbp+2", "M12")),
+    (-1.001, _S, 0.5,
+     ("0x1.22d9b4b11d3a3p+3", "inf",
+      "0x1.22d9b4b11d3a3p+3", "M0", "0x1.01bceedb51a8ep+4", "M3")),
+    (-10.0, _T, 4.0,
+     ("0x1.19684e3ae49c3p+0", "0x1.3ce96c48a6bbdp+6",
+      "0x1.19684e3ae49c3p+0", "M0", "0x1.1898e02f960bep+1", "M3")),
+]
+
+
+@pytest.mark.parametrize("eta, ctype, b, want", CUT_FROZEN)
+def test_cut_times_are_frozen_to_the_bit(eta, ctype, b, want):
+    m = metric_from_eta(eta)
+    p = light_covector(m, 0.0, b) if ctype is _L else covector_from_pbar3(m, b, 0.0, ctype)
+    t_max, t_conj, *per_group = want
+    assert maxwell_time(m, p).hex() == t_max
+    for group, t_cut, stratum in zip(GroupTag, per_group[::2], per_group[1::2]):
+        assert cut_time(m, p, group).hex() == t_cut
+        d = describe_cut(m, p, group)
+        assert (d.t_max.hex(), d.t_conj.hex(), d.t_cut.hex()) == (t_cut, t_conj, t_cut)
+        assert d.active_stratum == stratum
+
+
+@pytest.mark.parametrize("eta", [-1.25, -1.8, -3.0])
+def test_rotational_stratum_is_named_exactly_when_the_cap_sets_the_cut(eta):
+    # at each threshold -c/eta and one ulp to either side; below 1 the
+    # threshold lies on the space-like side, which has no cap
+    m = metric_from_eta(eta)
+    for c in (1.5, 2.0):
+        top = -c / eta
+        for b in (math.nextafter(top, 0.0), top, math.nextafter(top, 2.0 * top)):
+            ctype = _T if b >= 1.0 else _S
+            for sign in (1.0, -1.0):
+                p = covector_from_pbar3(m, sign * b, 0.0, ctype)
+                for group in GroupTag:
+                    d = describe_cut(m, p, group)
+                    capped = d.t_cut == d.t_conj < math.inf
+                    assert (d.active_stratum == "M12") == capped, (c, b, group, d)
+                    assert d.active_stratum is not None
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_cut_time_laws(seed):
     rnd = random.Random(52_000 + seed)
@@ -421,13 +539,13 @@ def test_cut_locus_makes_no_maxwell_root_calls(monkeypatch):
     import hypgeo.optimality as optimality
 
     calls = []
-    for name in ("maxwell_root_q0", "maxwell_root_q3"):
-        real = getattr(optimality, name)
-        monkeypatch.setattr(
-            optimality, name, lambda m, p, real=real: calls.append(p) or real(m, p)
-        )
+    real = optimality.crossing_time
+    monkeypatch.setattr(
+        optimality, "crossing_time",
+        lambda m, p, target: calls.append(p) or real(m, p, target),
+    )
     assert cut_time(M, covector_from_pbar3(M, 2.0, 0.0, CausalType.TIME_LIKE), GroupTag.SL2)
-    assert len(calls) == 1  # the counters see the group records' calls
+    assert len(calls) == 1  # the counter sees the cut rule's crossing solves
     calls.clear()
     # eta -1.25: both groups have axis strata; -1.8: SL(2,R) only; -4: neither
     counts = {len(cut_locus_sample(metric_from_eta(eta), group, 6))
