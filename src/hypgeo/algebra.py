@@ -64,7 +64,10 @@ class Psl2Element(NamedTuple):
     """A point of PSL(2,R) stored through its canonical unit-quaternion lift.
 
     The representative of {q, -q} satisfies rep.q0 > 0, or rep.q0 == 0 and
-    rep.q3 > 0 (q0 and q3 cannot vanish together on the group).
+    rep.q3 > 0 (q0 and q3 cannot vanish together on the group).  One
+    exception: `cut_locus_sample` lifts the points of Z, and the R_eta
+    point on Z, with rep.q3 > 0, since their q0 is rounding noise of
+    either sign.
     """
 
     rep: SplitQuaternion

@@ -56,14 +56,6 @@ class Metric(NamedTuple):
     def eta(self) -> float:
         return -self.i1 / self.i3 - 1.0
 
-    def pbar3_threshold_psl2(self) -> float:
-        """-3/(2 eta); meaningful (>= 1) only when eta > -3/2."""
-        return -1.5 / self.eta
-
-    def pbar3_threshold_sl2(self) -> float:
-        """-2/eta; meaningful (>= 1) only when eta > -2."""
-        return -2.0 / self.eta
-
     def light_cone_p3(self) -> float:
         """Positive vertical momentum of the light cone on C."""
         return math.sqrt(-self.i1 / self.eta)

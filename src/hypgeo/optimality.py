@@ -296,8 +296,11 @@ def cut_locus_sample(
 
     The plane stratum (Z for PSL(2,R), H for SL(2,R)) always; when
     eta > -c, also the axis stratum (R_eta, T_eta: the witnesses
-    pole * (1 + (-c/eta - 1) k/n), k = 1..n; the mirror arc of the other
-    pole is not duplicated) and its conjugate endpoints (pbar3 = +-1).
+    pole * (1 + (-c/eta - 1) k/n), k = 1..n, clamped to -c/eta in size;
+    the mirror arc of the other pole is not duplicated) and its conjugate
+    endpoints (pbar3 = +-1).  PSL(2,R) lifts Z and R_eta with q3 > 0: on Z
+    and at R_eta's last point, where q0 is rounding noise, this replaces
+    Psl2Element's q0 > 0 rule.
     """
     if n < 2:
         raise DomainError("need n >= 2")
@@ -307,57 +310,11 @@ def cut_locus_sample(
     out = [_plane_stratum(m, group, n, rho_max)]
     if m.eta > g.pole_split:
         top = g.pole_split / m.eta
-        out.append(_axis_stratum(
-            m, g.axis, [g.pole * (1.0 + (top - 1.0) * k / n) for k in range(1, n + 1)], g.lift))
+        # clamped, since 1 + (top - 1) n/n can round past top
+        witnesses = [g.pole * min(1.0 + (top - 1.0) * k / n, top) for k in range(1, n + 1)]
+        out.append(_axis_stratum(m, g.axis, witnesses, g.lift))
         out.append(_axis_stratum(m, "ConjugateCircle", (g.pole, -g.pole), g.circle_lift))
     return out
-
-
-def _check_wavefront(t: float, n: int) -> None:
-    if not 0.0 < t < math.inf:  # NaN fails too
-        raise DomainError(f"wavefront time must be finite and positive, got {t!r}")
-    if n < 8:
-        raise DomainError("need n >= 8")
-
-
-def _wavefront_row(
-    m: Metric, t: float, n: int, i: int, group: GroupTag, table: list
-) -> list[WavefrontPoint]:
-    """wavefront_row on the column table _phases(n)."""
-    u = -1.0 + 2.0 * i / (n - 1)
-    horizontal = math.sqrt(max(m.i1 * (1.0 - u * u), 0.0))
-    p_row = covector_from_components(m, horizontal, 0.0, u * math.sqrt(m.i3))
-    _, _, p3, kil, ctype, norm, pbar3 = p_row
-    q0, q3, radial, c, s, _ = orbit_factors(m, p_row, t)
-    optimal = _minimizing(m, p_row, t, group)
-    d = norm if norm else 1.0
-    new = tuple.__new__
-    out = []
-    for _, cos_phi, sin_phi in table:
-        p1, p2 = horizontal * cos_phi, horizontal * sin_phi
-        x, y = p1 / d, p2 / d
-        out.append(new(WavefrontPoint, (
-            new(Covector, (p1, p2, p3, kil, ctype, norm, pbar3)),
-            new(SplitQuaternion, (q0, radial * (x * c - y * s), radial * (x * s + y * c), q3)),
-            optimal,
-        )))
-    return out
-
-
-def wavefront_row(
-    m: Metric, t: float, n: int, i: int, group: GroupTag = GroupTag.PSL2
-) -> list[WavefrontPoint]:
-    """Row i of the wavefront grid: fixed u = -1 + 2i/(n-1), all n phases.
-
-    A row is a rotation orbit, so its optimality flag (the conjugate cap
-    and one phase comparison, no root solve) and Exp factors are computed
-    once; each column turns the row covector, and `exp_map` of it gives
-    the column's point bit for bit.  Checks that t is finite and positive
-    and n >= 8, as wavefront_sample does, and 0 <= i < n."""
-    _check_wavefront(t, n)
-    if not 0 <= i < n:
-        raise DomainError(f"row index must be in [0, {n}), got {i!r}")
-    return _wavefront_row(m, t, n, i, group, _phases(n))
 
 
 def wavefront_sample(
@@ -365,16 +322,39 @@ def wavefront_sample(
 ) -> list[WavefrontPoint]:
     """The geodesic wavefront at time t on an n x n (vertical, phase) grid.
 
-    Rows sweep u = p3/sqrt(I3) over [-1, 1] (poles included), columns the
-    horizontal phase; each sample records whether its geodesic is still
-    minimizing at t (t < cut time, up to its root's rounding).  The column
-    phases are shared by all rows (`wavefront_row` gives row i alone).
+    Row-major: row i, u = p3/sqrt(I3) = -1 + 2i/(n-1) (poles included), is
+    the slice [i*n:(i+1)*n], and its column j has the horizontal phase
+    2 pi j/n.  Each sample records whether its geodesic is still minimizing
+    at t (t < cut time, up to its root's rounding).  A row is a rotation
+    orbit, so its optimality flag (the conjugate cap and one phase
+    comparison, no root solve) and Exp factors are computed once; each
+    column turns the row covector, and `exp_map` of it gives the column's
+    point bit for bit.  DomainError unless t is finite and positive and
+    n >= 8.
     """
-    _check_wavefront(t, n)
+    if not 0.0 < t < math.inf:  # NaN fails too
+        raise DomainError(f"wavefront time must be finite and positive, got {t!r}")
+    if n < 8:
+        raise DomainError("need n >= 8")
     table = _phases(n)
+    new = tuple.__new__
     out = []
     for i in range(n):
-        out.extend(_wavefront_row(m, t, n, i, group, table))
+        u = -1.0 + 2.0 * i / (n - 1)
+        horizontal = math.sqrt(max(m.i1 * (1.0 - u * u), 0.0))
+        p_row = covector_from_components(m, horizontal, 0.0, u * math.sqrt(m.i3))
+        _, _, p3, kil, ctype, norm, pbar3 = p_row
+        q0, q3, radial, c, s, _ = orbit_factors(m, p_row, t)
+        optimal = _minimizing(m, p_row, t, group)
+        d = norm if norm else 1.0
+        for _, cos_phi, sin_phi in table:
+            p1, p2 = horizontal * cos_phi, horizontal * sin_phi
+            x, y = p1 / d, p2 / d
+            out.append(new(WavefrontPoint, (
+                new(Covector, (p1, p2, p3, kil, ctype, norm, pbar3)),
+                new(SplitQuaternion, (q0, radial * (x * c - y * s), radial * (x * s + y * c), q3)),
+                optimal,
+            )))
     return out
 
 

@@ -192,7 +192,8 @@ MIN_ORACLE_STEPS = 100
 
 
 def _ode_rhs(q, p, i1, i3):
-    """rk4_reference's right-hand side on (n, 4) and (n, 3) numpy arrays."""
+    """rk4_reference's right-hand side on (n, 4) and (n, 3) numpy arrays,
+    with I1 and I3 scalars or (n,) arrays, one per trajectory."""
     import numpy as np
 
     w1 = p[:, 0] / (2.0 * i1)
@@ -218,9 +219,11 @@ def exp_map_ode_oracle_batch(m, covectors, times, steps=10_000):
 
     The system of rk4_reference, advanced for the whole batch together
     (each trajectory with its own step t/steps) in numpy, with a
-    pseudo-norm renormalization each step to hold it on the group.
-    Raises ValueError for fewer than MIN_ORACLE_STEPS steps, a negative
-    time or unequal lengths.
+    pseudo-norm renormalization each step to hold it on the group.  m is
+    one metric for all trajectories or a sequence of one per trajectory;
+    either way each endpoint is the float it would be in a batch of its
+    own.  Raises ValueError for fewer than MIN_ORACLE_STEPS steps, a
+    negative time or unequal lengths.
     """
     import numpy as np
 
@@ -229,22 +232,25 @@ def exp_map_ode_oracle_batch(m, covectors, times, steps=10_000):
     ts = np.asarray([float(t) for t in times], dtype=float)
     if np.any(ts < 0.0):
         raise ValueError("geodesic times must be >= 0")
-    if len(covectors) != ts.shape[0]:
-        raise ValueError("covectors and times must have equal length")
     n = ts.shape[0]
+    metrics = [m] * n if hasattr(m, "i1") else list(m)
+    if not len(covectors) == len(metrics) == n:
+        raise ValueError("metrics, covectors and times must have equal length")
     if n == 0:
         return []
 
     q = np.zeros((n, 4))
     q[:, 0] = 1.0
     p = np.asarray([c.components() for c in covectors], dtype=float)
+    i1 = np.asarray([x.i1 for x in metrics], dtype=float)
+    i3 = np.asarray([x.i3 for x in metrics], dtype=float)
     h = ts[:, None] / steps
 
     for _ in range(steps):
-        k1q, k1p = _ode_rhs(q, p, m.i1, m.i3)
-        k2q, k2p = _ode_rhs(q + 0.5 * h * k1q, p + 0.5 * h * k1p, m.i1, m.i3)
-        k3q, k3p = _ode_rhs(q + 0.5 * h * k2q, p + 0.5 * h * k2p, m.i1, m.i3)
-        k4q, k4p = _ode_rhs(q + h * k3q, p + h * k3p, m.i1, m.i3)
+        k1q, k1p = _ode_rhs(q, p, i1, i3)
+        k2q, k2p = _ode_rhs(q + 0.5 * h * k1q, p + 0.5 * h * k1p, i1, i3)
+        k3q, k3p = _ode_rhs(q + 0.5 * h * k2q, p + 0.5 * h * k2p, i1, i3)
+        k4q, k4p = _ode_rhs(q + h * k3q, p + h * k3p, i1, i3)
         q = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
         p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         pn = q[:, 0] ** 2 - q[:, 1] ** 2 - q[:, 2] ** 2 + q[:, 3] ** 2

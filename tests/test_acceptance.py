@@ -126,11 +126,10 @@ def _survey_samples():
 @criterion(1, "closed-form geodesics match the RK4 oracle (300 samples, 1e-8)")
 def test_exp_map_against_integrator():
     start = time.perf_counter()
-    worst = 0.0
-    for m, covs, times in _survey_samples():
-        oracle = exp_map_ode_oracle_batch(m, covs, times, steps=10_000)
-        for p, t, ref in zip(covs, times, oracle):
-            worst = max(worst, _comp_gap(exp_map(m, p, t), ref))
+    # both survey metrics in one batch, one metric per trajectory
+    cases = [(m, p, t) for m, covs, times in _survey_samples() for p, t in zip(covs, times)]
+    oracle = exp_map_ode_oracle_batch(*zip(*cases), steps=10_000)
+    worst = max(_comp_gap(exp_map(m, p, t), ref) for (m, p, t), ref in zip(cases, oracle))
     elapsed = time.perf_counter() - start
     assert worst < 1e-8, f"worst deviation {worst:.3e}"
     assert elapsed < 10.0, f"took {elapsed:.1f} s"

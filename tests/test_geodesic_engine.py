@@ -1,5 +1,6 @@
 """Closed-form geodesics against the integrator, symmetries, Jacobian."""
 
+import functools
 import math
 import random
 import re
@@ -71,13 +72,22 @@ def test_exp_map_matches_independent_rk4(seed):
     assert max(abs(a - b) for a, b in zip(closed, reference)) < 1e-8
 
 
+@functools.cache
+def _packaged_oracle_cases():
+    """(metric, covector, t, oracle endpoint) for seeds 0-7, integrated as one batch."""
+    cases = []
+    for seed in range(8):
+        rnd = random.Random(31_000 + seed)
+        m = metric_from_eta(rnd.uniform(-3.0, -1.05))
+        p = random_covector(rnd, m)
+        cases.append((m, p, rnd.uniform(0.1, 5.0)))
+    return [(*case, q) for case, q in zip(cases, exp_map_ode_oracle_batch(*zip(*cases), 2000))]
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_packaged_oracle_agrees_with_closed_form(seed):
-    rnd = random.Random(31_000 + seed)
-    m = metric_from_eta(rnd.uniform(-3.0, -1.05))
-    p = random_covector(rnd, m)
-    t = rnd.uniform(0.1, 5.0)
-    assert gap(exp_map(m, p, t), exp_map_ode_oracle(m, p, t, 2000)) < 1e-7
+    m, p, t, oracle = _packaged_oracle_cases()[seed]
+    assert gap(exp_map(m, p, t), oracle) < 1e-7
 
 
 def test_batch_oracle_equals_scalar_oracle():
@@ -89,6 +99,24 @@ def test_batch_oracle_equals_scalar_oracle():
     batch = exp_map_ode_oracle_batch(M, ps, ts, 800)
     for p, t, q in zip(ps, ts, batch):
         assert gap(q, exp_map_ode_oracle(M, p, t, 800)) < 1e-13
+
+
+def test_batch_oracle_takes_one_metric_per_trajectory():
+    # a mixed batch gives each endpoint bit for bit as its metric's own batch
+    rnd = random.Random(5151)
+    metrics = [metric_from_eta(-1.3), metric_from_eta(-2.4, 1.7), M]
+    cases = []
+    for m in metrics:
+        for _ in range(3):
+            cases.append((m, random_covector(rnd, m), rnd.uniform(0.2, 4.0)))
+    rnd.shuffle(cases)
+    mixed = exp_map_ode_oracle_batch(*zip(*cases), 100)
+    for m in metrics:
+        own = [(p, t) for mm, p, t in cases if mm is m]
+        alone = exp_map_ode_oracle_batch(m, *zip(*own), 100)
+        assert alone == [q for (mm, _, _), q in zip(cases, mixed) if mm is m]
+    with pytest.raises(ValueError):
+        exp_map_ode_oracle_batch(metrics[:2], [c[1] for c in cases[:3]], [1.0] * 3, 100)
 
 
 def test_batch_oracle_empty_input():

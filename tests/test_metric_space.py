@@ -75,15 +75,9 @@ def test_split_constants():
     assert abs(ETA_INJ_SPLIT - (-3.0 - math.sqrt(73.0)) / 8.0) == 0.0
     # ordering along the eta axis
     assert ETA_POLE_SPLIT_SL2 < ETA_POLE_SPLIT_PSL2 < ETA_INJ_SPLIT < -1.0
-
-
-def test_pbar3_thresholds():
-    m = make_metric(1.0, 4.0)  # eta = -1.25
-    assert abs(m.pbar3_threshold_psl2() - 1.2) < 1e-15
-    assert abs(m.pbar3_threshold_sl2() - 1.6) < 1e-15
-    # thresholds exist (are >= 1) exactly above the pole splits
-    assert metric_from_eta(-1.49).pbar3_threshold_psl2() > 1.0
-    assert metric_from_eta(-1.9).pbar3_threshold_sl2() > 1.0
+    # the pbar3 thresholds -c/eta = split/eta exist (are >= 1) exactly above the splits
+    assert ETA_POLE_SPLIT_PSL2 / metric_from_eta(-1.49).eta > 1.0
+    assert ETA_POLE_SPLIT_SL2 / metric_from_eta(-1.9).eta > 1.0
 
 
 def test_light_cone_p3():

@@ -7,6 +7,8 @@ import pytest
 
 from helpers import gap, projective_gap, random_covector
 from hypgeo import (
+    ETA_POLE_SPLIT_PSL2,
+    ETA_POLE_SPLIT_SL2,
     CausalType,
     DomainError,
     GroupTag,
@@ -32,7 +34,6 @@ from hypgeo import (
     psl2_canonicalize,
     riemannian_log,
     vertical_flow,
-    wavefront_row,
     wavefront_sample,
 )
 from hypgeo.metric_space import LIGHT_TOLERANCE
@@ -601,11 +602,32 @@ def test_rotation_stratum_endpoint_lies_on_the_upper_sheet():
             assert reta.validation_error < 1e-9, (m.eta, n, reta.validation_error)
 
 
+def _q0_rule(q):
+    """Psl2Element's representative: q0 > 0, or q0 == 0 and q3 > 0."""
+    return q.q0 > 0.0 or (q.q0 == 0.0 and q.q3 > 0.0)
+
+
+def test_psl2_strata_are_lifted_as_documented():
+    # Z, where q0 is rounding noise, takes the lift q3 > 0; so does R_eta,
+    # whose last point lies on Z; the rest of R_eta and the conjugate
+    # circle keep the record's q0 rule
+    z = cut_locus_sample(M, GroupTag.PSL2, 6)[0]
+    assert sum(q.rep.q0 < 0.0 for q in z.points) == 18
+    assert all(q.rep.q3 > 0.0 for q in z.points)
+    rnd = random.Random(2106)
+    for eta in [-1.25, -1.4706074418967543] + [rnd.uniform(-1.5, -1.0) for _ in range(100)]:
+        m = metric_from_eta(eta)
+        for n in (2, 3, 8, 12):
+            z, reta, circle = cut_locus_sample(m, GroupTag.PSL2, n, 0.5)
+            assert all(q.rep.q3 > 0.0 for q in z.points + reta.points), (eta, n)
+            assert all(_q0_rule(q.rep) for q in reta.points[:-1] + circle.points), (eta, n)
+
+
 # per group: axis stratum name, pole side of its witnesses, pbar3 threshold -c/eta;
 # test_axis_stratum_parameters runs the same checks on both groups
 AXIS_DATA = {
-    GroupTag.PSL2: ("R_eta", -1.0, M.pbar3_threshold_psl2()),
-    GroupTag.SL2: ("T_eta", 1.0, M.pbar3_threshold_sl2()),
+    GroupTag.PSL2: ("R_eta", -1.0, ETA_POLE_SPLIT_PSL2 / M.eta),
+    GroupTag.SL2: ("T_eta", 1.0, ETA_POLE_SPLIT_SL2 / M.eta),
 }
 
 
@@ -628,6 +650,33 @@ def test_axis_stratum_parameters():
                 ideal = SplitQuaternion(-math.cos(turn), 0.0, 0.0, -math.sin(turn))
                 assert close(q, ideal) < 1e-12, (group, sample.stratum, p.pbar3)
         assert [pole * p.pbar3 for p, _ in circle.parameters] == [1.0, -1.0]
+
+
+# (eta, group, n) of `locus` benchmark ops (seeds 1-3) whose last T_eta witness,
+# 1 + (-2/eta - 1) n/n, rounded one ulp past -2/eta
+ROUNDED_PAST_TOP = [
+    (-1.0551838136718699, GroupTag.SL2, 12), (-1.1249917749915324, GroupTag.SL2, 12),
+    (-1.1424323548418465, GroupTag.SL2, 12), (-1.0909986943214238, GroupTag.SL2, 12),
+]
+
+
+def test_axis_witnesses_are_cut_at_their_conjugate_time():
+    # no witness lies past the threshold -c/eta, so every axis witness is
+    # capped (M12) and its point is emitted at its own cut time; the sweep
+    # holds n = 3k, where the unclamped SL(2,R) witness rounds past -2/eta
+    rnd = random.Random(2105)
+    splits = {GroupTag.PSL2: ETA_POLE_SPLIT_PSL2, GroupTag.SL2: ETA_POLE_SPLIT_SL2}
+    cases = ROUNDED_PAST_TOP + [
+        (rnd.uniform(split, -1.0), group, rnd.choice((3, 6, 8, 12)))
+        for group, split in splits.items() for _ in range(150)
+    ]
+    for eta, group, n in cases:
+        m = metric_from_eta(eta)
+        axis = cut_locus_sample(m, group, n)[1]
+        assert abs(axis.parameters[-1][0].pbar3) <= splits[group] / eta
+        for p, t in axis.parameters:
+            d = describe_cut(m, p, group)
+            assert (d.active_stratum, d.t_cut) == ("M12", t), (eta, group, n, p.pbar3)
 
 
 def test_conjugate_circles_have_two_points():
@@ -654,18 +703,6 @@ def test_wavefront_grid_shape_and_flags():
     # both optimal and non-optimal points appear at this time
     flags = {w.optimal for w in front}
     assert flags == {True, False}
-
-
-def test_wavefront_rows_concatenate():
-    t, n = 1.5, 9
-    whole = wavefront_sample(M, t, n, GroupTag.SL2)
-    rows = [wavefront_row(M, t, n, i, GroupTag.SL2) for i in range(n)]
-    flat = [w for row in rows for w in row]
-    assert len(whole) == len(flat)
-    for a, b in zip(whole, flat):
-        assert a.covector.components() == b.covector.components()
-        assert a.point.components() == b.point.components()
-        assert a.optimal == b.optimal
 
 
 def flag_covectors(rnd, m):
@@ -708,14 +745,15 @@ def test_wavefront_flags_are_t_below_each_rows_cut_time(eta, n):
     # odd n, the equator; each row's flag just below and above its cut time
     m = metric_from_eta(eta)
     for group in GroupTag:
+        front = wavefront_sample(m, 1.0, n, group)
         for i in range(n):
-            row = wavefront_row(m, 1.0, n, i, group)
+            row = front[i * n:(i + 1) * n]
             tc = cut_time(m, row[0].covector, group)
             if math.isinf(tc):
                 assert all(w.optimal for w in row)
                 continue
             for t in (tc * (1.0 - 1e-12), tc * (1.0 + 1e-12)):
-                flags = {w.optimal for w in wavefront_row(m, t, n, i, group)}
+                flags = {w.optimal for w in wavefront_sample(m, t, n, group)[i * n:(i + 1) * n]}
                 assert flags == {t < tc}, (eta, group, i, t, tc)
 
 
@@ -728,15 +766,6 @@ def test_wavefront_validates_arguments():
     for t in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="wavefront time"):
             wavefront_sample(M, t, 8)
-        with pytest.raises(DomainError, match="wavefront time"):
-            wavefront_row(M, t, 8, 0)
-    # a single row takes the same checks, and its index must name a row
-    for t, n in ((0.0, 16), (1.0, 4), (1.0, 1)):
-        with pytest.raises(DomainError):
-            wavefront_row(M, t, n, 0)
-    for i in (-1, 16):
-        with pytest.raises(DomainError, match="row index"):
-            wavefront_row(M, 1.0, 16, i)
 
 
 # --- riemannian logarithm ----------------------------------------------------------

@@ -32,7 +32,7 @@ PUBLIC_NAMES = [
     "injectivity_radius", "jacobian", "light_covector", "limit_comparison", "make_metric",
     "maxwell_root_q0", "maxwell_root_q3", "maxwell_time", "metric_from_eta", "psl2_canonicalize",
     "riemannian_log", "sample_geodesic", "sq_exp", "sq_mul", "sr_cut_time", "sr_exp_map",
-    "tau_of_t", "to_mobius_apply", "to_sl2", "vertical_flow", "wavefront_row", "wavefront_sample",
+    "tau_of_t", "to_mobius_apply", "to_sl2", "vertical_flow", "wavefront_sample",
 ]
 
 

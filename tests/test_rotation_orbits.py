@@ -21,10 +21,10 @@ from hypgeo import (
     SplitQuaternion,
     covector_from_components,
     cut_locus_sample,
+    cut_time,
     exp_map,
     injectivity_radius,
     metric_from_eta,
-    wavefront_row,
     wavefront_sample,
 )
 
@@ -164,14 +164,24 @@ def test_grid_records_have_their_exact_types(group):
 
 @pytest.mark.parametrize("group", list(GroupTag))
 def test_wavefront_row_is_its_row_of_the_sample(group):
+    # the sample is row-major: the slice [i n, (i + 1) n) turns the row
+    # covector u = -1 + 2i/(n-1) through the phases 2 pi j/n, one flag a row;
     # eta = -4/3, n = 9: rows 2 and 6 are light-like, 0 and 8 the poles
     m = metric_from_eta(-4.0 / 3.0)
     n = 9
     for t in (0.5 * injectivity_radius(m), 2.0 * injectivity_radius(m)):
         front = wavefront_sample(m, t, n, group)
         for i in range(n):
+            u = -1.0 + 2.0 * i / (n - 1)
+            horizontal = math.sqrt(max(m.i1 * (1.0 - u * u), 0.0))
+            p_row = covector_from_components(m, horizontal, 0.0, u * math.sqrt(m.i3))
+            row = front[i * n:(i + 1) * n]
             # NamedTuple equality: every field, the causal record included
-            assert wavefront_row(m, t, n, i, group) == front[i * n:(i + 1) * n]
+            assert [w.covector for w in row] == [
+                p_row._replace(p1=horizontal * math.cos(phi), p2=horizontal * math.sin(phi))
+                for phi in (2.0 * math.pi * j / n for j in range(n))]
+            assert [w.point for w in row] == [exp_map(m, w.covector, t) for w in row]
+            assert {w.optimal for w in row} == {t < cut_time(m, p_row, group)}
 
 
 @pytest.mark.parametrize("group", list(GroupTag))
