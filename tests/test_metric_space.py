@@ -11,11 +11,13 @@ from hypgeo import (
     ETA_POLE_SPLIT_SL2,
     CausalType,
     DomainError,
+    GroupTag,
     LightLikeInput,
     NonPositiveEigenvalue,
     NotOnC,
     covector_from_components,
     covector_from_pbar3,
+    cut_locus_sample,
     light_covector,
     make_metric,
     metric_from_eta,
@@ -75,7 +77,17 @@ def test_split_constants():
     assert abs(ETA_INJ_SPLIT - (-3.0 - math.sqrt(73.0)) / 8.0) == 0.0
     # ordering along the eta axis
     assert ETA_POLE_SPLIT_SL2 < ETA_POLE_SPLIT_PSL2 < ETA_INJ_SPLIT < -1.0
-    # the pbar3 thresholds -c/eta = split/eta exist (are >= 1) exactly above the splits
+
+
+def test_pbar3_thresholds():
+    # the pbar3 thresholds -c/eta are the pole splits over eta
+    m = make_metric(1.0, 4.0)  # eta = -1.25
+    assert abs(ETA_POLE_SPLIT_PSL2 / m.eta - 1.2) < 1e-15
+    assert abs(ETA_POLE_SPLIT_SL2 / m.eta - 1.6) < 1e-15
+    # the axis strata's witnesses end at them
+    assert cut_locus_sample(m, GroupTag.PSL2, 6)[1].parameters[-1][0].pbar3 == -1.2
+    assert cut_locus_sample(m, GroupTag.SL2, 6)[1].parameters[-1][0].pbar3 == 1.6
+    # thresholds exist (are >= 1) exactly above the pole splits
     assert ETA_POLE_SPLIT_PSL2 / metric_from_eta(-1.49).eta > 1.0
     assert ETA_POLE_SPLIT_SL2 / metric_from_eta(-1.9).eta > 1.0
 
