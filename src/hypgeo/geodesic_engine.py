@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .algebra import SplitQuaternion
 from .errors import DomainError, LightLikeInput, NegativeTime
-from .metric_space import CausalType, Covector, Metric
+from .metric_space import CausalType, Covector, Metric, check_count
 
 
 class GeodesicSample(NamedTuple):
@@ -121,9 +121,8 @@ def vertical_flow(m: Metric, p: Covector, t: float) -> Covector:
 
 def sample_geodesic(m: Metric, p: Covector, t_end: float, n: int) -> list[GeodesicSample]:
     """n evenly spaced samples of the geodesic on [0, t_end]; DomainError
-    for a t_end that is not finite."""
-    if n < 2:
-        raise DomainError("need at least two samples")
+    unless n is an integer >= 2 and t_end is finite."""
+    n = check_count(n, 2)
     if not math.isfinite(t_end):
         raise DomainError(f"geodesic end time t_end must be finite, got {t_end!r}")
     out = []

@@ -26,6 +26,7 @@ light cone.
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from typing import NamedTuple
 
@@ -80,6 +81,18 @@ class Covector(NamedTuple):
         return (self.p1, self.p2, self.p3)
 
 
+def check_count(n, least: int, name: str = "n") -> int:
+    """n as an int (operator.index: int, bool or numpy integer) if it is at
+    least `least`; DomainError naming it otherwise, a float included."""
+    try:
+        k = operator.index(n)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {n!r}") from None
+    if k < least:
+        raise DomainError(f"need {name} >= {least}")
+    return k
+
+
 def make_metric(i1: float, i3: float) -> Metric:
     """Validated metric constructor; both eigenvalues must be positive and finite."""
     if not (i1 > 0.0) or not (i3 > 0.0):
@@ -118,12 +131,16 @@ def covector_of_type(
     """Exact record of the time-like or space-like covector with this pbar3
     and horizontal part |p| horizontal at angle phase, where the caller's
     horizontal is sqrt(pbar3^2 - type): |p| as in the module docstring and
-    Kil = -type |p|^2.  DomainError naming pbar3 if |p| is 0 or NaN (pbar3
-    not finite, or its square overflows)."""
+    Kil = -type |p|^2.  DomainError naming pbar3 unless |p| is finite and
+    positive: pbar3 not finite, its square overflowing, or 1 + type eta
+    pbar3^2 = 0 (pbar3 = +-1 on the limit metric eta = -1, the poles)."""
     sign = 1.0 if ctype is CausalType.TIME_LIKE else -1.0
-    norm = math.sqrt(m.i1 / -(sign * (1.0 + sign * m.eta * pbar3 * pbar3)))
-    if not norm > 0.0:
-        raise DomainError(f"pbar3 must be finite with a finite square, got {pbar3!r}")
+    r = -(sign * (1.0 + sign * m.eta * pbar3 * pbar3))
+    norm = math.sqrt(m.i1 / r) if r > 0.0 else 0.0
+    if not 0.0 < norm < math.inf:
+        raise DomainError(
+            f"pbar3 must be finite with a finite square, off the poles of eta = -1, got {pbar3!r}"
+        )
     radial = norm * horizontal
     return Covector(radial * math.cos(phase), radial * math.sin(phase), pbar3 * norm,
                     -sign * norm * norm, ctype, norm, pbar3)

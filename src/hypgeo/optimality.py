@@ -16,6 +16,7 @@ stratum.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 from enum import Enum
@@ -32,6 +33,7 @@ from .metric_space import (
     CausalType,
     Covector,
     Metric,
+    check_count,
     covector_from_components,
     covector_from_pbar3,
 )
@@ -204,6 +206,27 @@ def injectivity_radius(m: Metric) -> float:
 
 # ---- cut-locus sampling --------------------------------------------------
 
+class _GcPaused:
+    """Pauses CPython's cyclic collector while a grid's records are built,
+    and re-enables it on exit only if it was enabled on entry.  The records
+    stay tracked (each Covector holds a CausalType member), so unpaused the
+    collector walks the growing grid about ten times per build and frees
+    nothing.  __exit__ allocates nothing after re-enabling: the collection
+    the build has earned waits for the caller's next allocation, and never
+    runs if the caller first frees a grid as large (notes/decisions.md,
+    "Grids pause the cyclic collector")."""
+
+    __slots__ = ("enabled",)
+
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc) -> None:
+        if self.enabled:
+            gc.enable()
+
+
 def _chain_covector(m: Metric, x: float) -> Covector:
     """Phase-0 covector on C with vertical momentum x (the logarithm's search line)."""
     p1 = math.sqrt(max(m.i1 * (1.0 - x * x / m.i3), 0.0))
@@ -300,20 +323,23 @@ def cut_locus_sample(
     the mirror arc of the other pole is not duplicated) and its conjugate
     endpoints (pbar3 = +-1).  PSL(2,R) lifts Z and R_eta with q3 > 0: on Z
     and at R_eta's last point, where q0 is rounding noise, this replaces
-    Psl2Element's q0 > 0 rule.
+    Psl2Element's q0 > 0 rule.  DomainError unless n is an integer >= 2
+    and rho_max is finite and positive.  The sample is built with the
+    process-wide cyclic collector paused; the caller's state (enabled or
+    not) is restored on return and on error.
     """
-    if n < 2:
-        raise DomainError("need n >= 2")
+    n = check_count(n, 2)
     if not (0.0 < rho_max < math.inf):
         raise DomainError(f"rho_max must be finite and > 0, got {rho_max!r}")
     g = _GROUPS[group]
-    out = [_plane_stratum(m, group, n, rho_max)]
-    if m.eta > g.pole_split:
-        top = g.pole_split / m.eta
-        # clamped, since 1 + (top - 1) n/n can round past top
-        witnesses = [g.pole * min(1.0 + (top - 1.0) * k / n, top) for k in range(1, n + 1)]
-        out.append(_axis_stratum(m, g.axis, witnesses, g.lift))
-        out.append(_axis_stratum(m, "ConjugateCircle", (g.pole, -g.pole), g.circle_lift))
+    with _GcPaused():
+        out = [_plane_stratum(m, group, n, rho_max)]
+        if m.eta > g.pole_split:
+            top = g.pole_split / m.eta
+            # clamped, since 1 + (top - 1) n/n can round past top
+            witnesses = [g.pole * min(1.0 + (top - 1.0) * k / n, top) for k in range(1, n + 1)]
+            out.append(_axis_stratum(m, g.axis, witnesses, g.lift))
+            out.append(_axis_stratum(m, "ConjugateCircle", (g.pole, -g.pole), g.circle_lift))
     return out
 
 
@@ -330,31 +356,33 @@ def wavefront_sample(
     comparison, no root solve) and Exp factors are computed once; each
     column turns the row covector, and `exp_map` of it gives the column's
     point bit for bit.  DomainError unless t is finite and positive and
-    n >= 8.
+    n is an integer >= 8.  The grid is built with the process-wide cyclic
+    collector paused; the caller's state (enabled or not) is restored on
+    return and on error.
     """
     if not 0.0 < t < math.inf:  # NaN fails too
         raise DomainError(f"wavefront time must be finite and positive, got {t!r}")
-    if n < 8:
-        raise DomainError("need n >= 8")
-    table = _phases(n)
+    n = check_count(n, 8)
     new = tuple.__new__
-    out = []
-    for i in range(n):
-        u = -1.0 + 2.0 * i / (n - 1)
-        horizontal = math.sqrt(max(m.i1 * (1.0 - u * u), 0.0))
-        p_row = covector_from_components(m, horizontal, 0.0, u * math.sqrt(m.i3))
-        _, _, p3, kil, ctype, norm, pbar3 = p_row
-        q0, q3, radial, c, s, _ = orbit_factors(m, p_row, t)
-        optimal = _minimizing(m, p_row, t, group)
-        d = norm if norm else 1.0
-        for _, cos_phi, sin_phi in table:
-            p1, p2 = horizontal * cos_phi, horizontal * sin_phi
-            x, y = p1 / d, p2 / d
-            out.append(new(WavefrontPoint, (
-                new(Covector, (p1, p2, p3, kil, ctype, norm, pbar3)),
-                new(SplitQuaternion, (q0, radial * (x * c - y * s), radial * (x * s + y * c), q3)),
-                optimal,
-            )))
+    with _GcPaused():
+        table, out = _phases(n), []
+        for i in range(n):
+            u = -1.0 + 2.0 * i / (n - 1)
+            horizontal = math.sqrt(max(m.i1 * (1.0 - u * u), 0.0))
+            p_row = covector_from_components(m, horizontal, 0.0, u * math.sqrt(m.i3))
+            _, _, p3, kil, ctype, norm, pbar3 = p_row
+            q0, q3, radial, c, s, _ = orbit_factors(m, p_row, t)
+            optimal = _minimizing(m, p_row, t, group)
+            d = norm if norm else 1.0
+            for _, cos_phi, sin_phi in table:
+                p1, p2 = horizontal * cos_phi, horizontal * sin_phi
+                x, y = p1 / d, p2 / d
+                q1, q2 = radial * (x * c - y * s), radial * (x * s + y * c)
+                out.append(new(WavefrontPoint, (
+                    new(Covector, (p1, p2, p3, kil, ctype, norm, pbar3)),
+                    new(SplitQuaternion, (q0, q1, q2, q3)),
+                    optimal,
+                )))
     return out
 
 

@@ -27,7 +27,14 @@ from .errors import (
     NotTimeLike,
     UndefinedAtEquator,
 )
-from .metric_space import CausalType, Covector, Metric, covector_of_type, light_covector
+from .metric_space import (
+    CausalType,
+    Covector,
+    Metric,
+    check_count,
+    covector_of_type,
+    light_covector,
+)
 
 # below this vertical size a space-like covector is treated as equatorial
 EQUATOR_TOLERANCE = 1e-14
@@ -277,11 +284,11 @@ def conjugate_roots(m: Metric, pbar3: float, k_max: int) -> list[float]:
     atan(sigma tau) - tau = -pi k, whose left side strictly decreases, so
     each tau_k is one `_phase_root` solve.  Returns the first 2 k_max
     entries, ascending; at the pole |pbar3| = 1, sigma = 0 and tau_k = pi k
-    exactly.  Raises DomainError when sigma is not finite (pbar3 NaN,
-    infinite, or so large that pbar3^2 overflows).
+    exactly.  Raises DomainError unless k_max is an integer >= 1, and when
+    sigma is not finite (pbar3 NaN, infinite, or so large that pbar3^2
+    overflows).
     """
-    if k_max < 1:
-        raise DomainError("k_max must be >= 1")
+    k_max = check_count(k_max, 1, "k_max")
     b = abs(pbar3)
     if b < 1.0:
         raise NotTimeLike(f"conjugate roots need |pbar3| >= 1, got {pbar3!r}")

@@ -225,6 +225,16 @@ def test_sample_geodesic_rejects_an_end_time_that_is_not_finite():
         assert repr(t_end) in str(err.value)
 
 
+def test_sample_geodesic_rejects_a_count_that_is_not_an_integer():
+    # range() used to leak a bare TypeError for a float count
+    p = covector_from_pbar3(M, 1.5, 0.2, CausalType.TIME_LIKE)
+    for n in (2.5, 4.0, math.nan):
+        with pytest.raises(DomainError, match="integer"):
+            sample_geodesic(M, p, 1.0, n)
+    with pytest.raises(DomainError, match="n >= 2"):
+        sample_geodesic(M, p, 1.0, 1)
+
+
 _M6 = metric_from_eta(-1e6)
 
 # (metric, covector, t): finite times at which the turn overflows.  The

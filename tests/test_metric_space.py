@@ -13,6 +13,7 @@ from hypgeo import (
     DomainError,
     GroupTag,
     LightLikeInput,
+    Metric,
     NonPositiveEigenvalue,
     NotOnC,
     covector_from_components,
@@ -23,6 +24,7 @@ from hypgeo import (
     metric_from_eta,
     tau_of_t,
 )
+from hypgeo.metric_space import covector_of_type
 
 
 def test_eta_of_known_metric():
@@ -229,6 +231,25 @@ def test_pbar3_constructor_rejects_an_overflowing_square():
             with pytest.raises(DomainError, match="pbar3") as err:
                 covector_from_pbar3(m, pbar3, 0.0, ctype)
             assert not isinstance(err.value, NotOnC)
+
+
+def test_pbar3_constructor_rejects_the_poles_of_the_limit_metric():
+    # I3 = inf gives eta = -1, where 1 + eta pbar3^2 = 0 at pbar3 = +-1 and
+    # |p| would be infinite; this used to leak a bare ZeroDivisionError
+    m = Metric(1.0, math.inf)
+    assert m.eta == -1.0
+    for pbar3 in (1.0, -1.0):
+        with pytest.raises(DomainError, match="pbar3"):
+            covector_of_type(m, CausalType.TIME_LIKE, pbar3, 0.0, 0.0)
+        with pytest.raises(DomainError, match="pbar3"):
+            covector_from_pbar3(m, pbar3, 0.0, CausalType.TIME_LIKE)
+    # the axis strata's conjugate circle sits at the poles
+    for group in GroupTag:
+        with pytest.raises(DomainError, match="pbar3"):
+            cut_locus_sample(m, group, 8)
+    # off the poles the limit metric keeps its exact records
+    p = covector_from_pbar3(m, 2.0, 0.0, CausalType.TIME_LIKE)
+    assert p.pbar3 == 2.0 and p.norm == math.sqrt(1.0 / 3.0)
 
 
 def test_light_covector_components():

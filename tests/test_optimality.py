@@ -1,5 +1,6 @@
 """Maxwell/conjugate/cut times, strata, injectivity radius, logarithm."""
 
+import gc
 import math
 import random
 
@@ -13,6 +14,7 @@ from hypgeo import (
     DomainError,
     GroupTag,
     IdentityTarget,
+    Metric,
     NoConvergence,
     OnCutLocus,
     SplitQuaternion,
@@ -766,6 +768,70 @@ def test_wavefront_validates_arguments():
     for t in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="wavefront time"):
             wavefront_sample(M, t, 8)
+    # range() used to leak a bare TypeError for a count that is not an integer
+    for n in (8.5, 8.0, math.nan):
+        with pytest.raises(DomainError, match="integer"):
+            wavefront_sample(M, 3.3, n)
+        with pytest.raises(DomainError, match="integer"):
+            cut_locus_sample(M, GroupTag.PSL2, n)
+
+
+# --- the grids pause the cyclic collector ------------------------------------
+
+
+def _collections_during(call):
+    """(call(), the number of cyclic collections that start while it runs),
+    counted from an empty young generation, so the count repeats exactly."""
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        out = call()
+    finally:
+        gc.callbacks.remove(count)
+    return out, len(starts)
+
+
+def test_grids_run_no_collection():
+    # unpaused, the 4,096-point wavefront alone allocates about 12,000 tracked
+    # records, 17 times the young generation's threshold of 700
+    m = metric_from_eta(-1.4)
+    points, collections = _collections_during(lambda: wavefront_sample(m, 3.3, 64))
+    assert len(points) == 64 * 64 and collections == 0
+    strata, collections = _collections_during(lambda: cut_locus_sample(m, GroupTag.PSL2, 32))
+    assert [len(s.points) for s in strata] == [32 * 32, 32, 2] and collections == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_grids_restore_the_callers_collector_state(enabled):
+    m = metric_from_eta(-1.4)
+    calls = [
+        lambda: wavefront_sample(m, 3.3, 16),
+        lambda: cut_locus_sample(m, GroupTag.SL2, 8),
+    ]
+    # DomainErrors raised inside the paused build: cosh overflows on a
+    # space-like row, and the limit metric's conjugate circle sits at its poles
+    failing = [
+        lambda: wavefront_sample(m, 1e300, 8),
+        lambda: cut_locus_sample(Metric(1.0, math.inf), GroupTag.PSL2, 8),
+    ]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for call in calls:
+            call()
+            assert gc.isenabled() is enabled
+        for call in failing:
+            with pytest.raises(DomainError):
+                call()
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 # --- riemannian logarithm ----------------------------------------------------------

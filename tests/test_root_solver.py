@@ -152,6 +152,17 @@ def test_conjugate_roots_reject_non_time_like():
         conjugate_roots(M, 0.5, 2)
 
 
+def test_conjugate_roots_reject_a_count_that_is_not_an_integer():
+    # range() used to leak a bare TypeError for a float k_max
+    for k_max in (2.5, 2.0, math.nan):
+        with pytest.raises(DomainError, match="k_max must be an integer"):
+            conjugate_roots(M, 1.5, k_max)
+    with pytest.raises(DomainError, match="k_max >= 1"):
+        conjugate_roots(M, 1.5, 0)
+    # what operator.index takes is a count: bool is an int
+    assert conjugate_roots(M, 1.5, True) == conjugate_roots(M, 1.5, 1)
+
+
 def test_conjugate_roots_at_pole_collapse_to_pi_grid():
     # sigma = 0: the phase root's lower endpoint already meets the target
     for eta in (-1.0001, -1.25, -1.5, -2.0, -30.0):
