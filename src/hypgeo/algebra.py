@@ -202,7 +202,7 @@ def _mobius(q: SplitQuaternion, z: complex) -> complex:
         raise DomainError(f"automorphism of {q!r}: a component is not finite")
     alpha, beta = complex(q.q0, q.q3), complex(q.q1, q.q2)
     den = beta.conjugate() * z + alpha.conjugate()
-    if abs(den) < 1e-14 * (abs(alpha) + abs(beta)):
+    if abs(den) <= 1e-14 * (abs(alpha) + abs(beta)):  # also q = 0
         raise DegenerateDenominator("automorphism denominator vanished")
     return (alpha * z + beta) / den
 

@@ -21,7 +21,6 @@ from .algebra import SplitQuaternion
 from .errors import DomainError, HypgeoError, NoConvergence
 from .geodesic_engine import sample_geodesic, vertical_flow
 from .metric_space import (
-    ETA_INJ_SPLIT,
     CausalType,
     Covector,
     Metric,
@@ -35,6 +34,7 @@ from .optimality import (
     GroupTag,
     cut_locus_sample,
     describe_cut,
+    injectivity_case,
     injectivity_radius,
     maxwell_time,
     riemannian_log,
@@ -210,35 +210,27 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _json_cell(v):
-    if isinstance(v, float) and not math.isfinite(v):
-        return {"value": None, "finite": False}
-    return v
+def _json_rows(rows) -> list:
+    # JSON has no inf or nan: such a cell becomes an object
+    return [[{"value": None, "finite": False} if isinstance(v, float) and not math.isfinite(v)
+             else v for v in row] for row in rows]
 
 
-def _render_csv(columns, rows) -> bytes:
-    # no cell holds a comma, a quote or a line break, so none needs quoting
-    lines = [",".join(columns), *(",".join(map(_csv_cell, row)) for row in rows)]
-    return ("\r\n".join(lines) + "\r\n").encode("utf-8")
-
-
-def _render_json(payload: dict) -> bytes:
+def _render(cfg: argparse.Namespace, columns, rows, nest=None) -> bytes:
+    """The one writer of a table: CSV rows under one header, or a JSON
+    object with schema, command and the table.  `rows` may be lazy.
+    `nest()`, if given, returns the JSON fields that stand in for
+    `columns` and `rows`, so each format builds only what it writes."""
+    if cfg.format == "csv":
+        # no cell holds a comma, a quote or a line break, so none needs quoting
+        lines = [",".join(columns), *(",".join(map(_csv_cell, row)) for row in rows)]
+        return ("\r\n".join(lines) + "\r\n").encode("utf-8")
     import json  # here, so that a CSV run never loads it
 
+    table = nest() if nest else {"columns": list(columns), "rows": _json_rows(rows)}
+    payload = {"schema": 1, "command": cfg.command, **table}
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     return (text + "\n").encode("utf-8")
-
-
-def _render_table(cfg: argparse.Namespace, columns, rows) -> bytes:
-    if cfg.format == "csv":
-        return _render_csv(columns, rows)
-    payload = {
-        "schema": 1,
-        "command": cfg.command,
-        "columns": list(columns),
-        "rows": [[_json_cell(v) for v in row] for row in rows],
-    }
-    return _render_json(payload)
 
 
 # ---- command bodies -------------------------------------------------------
@@ -250,7 +242,7 @@ def _cmd_geodesic(cfg: argparse.Namespace) -> bytes:
         raise UsageError("--samples must be >= 2")
     samples = sample_geodesic(m, p, cfg.t_max, cfg.samples)
     rows = [(s.t, *s.point.components()) for s in samples]
-    return _render_table(cfg, ("t", "q0", "q1", "q2", "q3"), rows)
+    return _render(cfg, ("t", "q0", "q1", "q2", "q3"), rows)
 
 
 def _cmd_vertical_flow(cfg: argparse.Namespace) -> bytes:
@@ -263,15 +255,14 @@ def _cmd_vertical_flow(cfg: argparse.Namespace) -> bytes:
     rows = []
     for i in range(cfg.samples):
         t = cfg.t_max * i / (cfg.samples - 1)
-        f = vertical_flow(m, p, t)
-        rows.append((t, f.p1, f.p2, f.p3))
-    return _render_table(cfg, ("t", "p1", "p2", "p3"), rows)
+        rows.append((t, *vertical_flow(m, p, t)[:3]))
+    return _render(cfg, ("t", "p1", "p2", "p3"), rows)
 
 
 def _cmd_maxwell(cfg: argparse.Namespace) -> bytes:
     m = _build_metric(cfg)
     p = _build_covector(cfg, m)
-    return _render_table(cfg, ("t_maxwell",), [(maxwell_time(m, p),)])
+    return _render(cfg, ("t_maxwell",), [(maxwell_time(m, p),)])
 
 
 def _cmd_conjugate(cfg: argparse.Namespace) -> bytes:
@@ -286,7 +277,7 @@ def _cmd_conjugate(cfg: argparse.Namespace) -> bytes:
         rows = [(i + 1, tau, tau * scale) for i, tau in enumerate(taus)]
     else:
         rows = [(0, math.inf, math.inf)]
-    return _render_table(cfg, columns, rows)
+    return _render(cfg, columns, rows)
 
 
 def _cmd_cut_time(cfg: argparse.Namespace) -> bytes:
@@ -294,7 +285,7 @@ def _cmd_cut_time(cfg: argparse.Namespace) -> bytes:
     p = _build_covector(cfg, m)
     d = describe_cut(m, p, cfg.group)
     rows = [(d.group.value, d.t_cut, d.t_max, d.t_conj, d.active_stratum or "none")]
-    return _render_table(cfg, ("group", "t_cut", "t_max", "t_conj", "stratum"), rows)
+    return _render(cfg, ("group", "t_cut", "t_max", "t_conj", "stratum"), rows)
 
 
 def _cmd_cut_locus(cfg: argparse.Namespace) -> bytes:
@@ -305,28 +296,18 @@ def _cmd_cut_locus(cfg: argparse.Namespace) -> bytes:
     point_cols = ("q0", "q1", "q2", "q3", "p1", "p2", "p3", "t")
 
     def stratum_rows(s):
-        return [(idx, *pt.components(), pw.p1, pw.p2, pw.p3, tw)
-                for idx, (pt, (pw, tw)) in enumerate(zip(s.points, s.parameters))]
+        return ((idx, *pt.components(), *pw[:3], tw)
+                for idx, (pt, (pw, tw)) in enumerate(zip(s.points, s.parameters)))
 
-    if cfg.format == "csv":
-        columns = ("stratum", "index", *point_cols, "validation_error")
-        rows = [(s.stratum, *row, s.validation_error) for s in strata for row in stratum_rows(s)]
-        return _render_csv(columns, rows)
-    payload = {
-        "schema": 1,
-        "command": cfg.command,
-        "group": cfg.group.value,
-        "strata": [
-            {
-                "stratum": s.stratum,
-                "columns": ["index", *point_cols],
-                "rows": [[_json_cell(v) for v in row] for row in stratum_rows(s)],
-                "validation_error": s.validation_error,
-            }
-            for s in strata
-        ],
-    }
-    return _render_json(payload)
+    def by_stratum():  # JSON nests the points under their stratum
+        return {"group": cfg.group.value, "strata": [
+            {"stratum": s.stratum, "columns": ["index", *point_cols],
+             "rows": _json_rows(stratum_rows(s)), "validation_error": s.validation_error}
+            for s in strata]}
+
+    columns = ("stratum", "index", *point_cols, "validation_error")
+    rows = ((s.stratum, *row, s.validation_error) for s in strata for row in stratum_rows(s))
+    return _render(cfg, columns, rows, by_stratum)
 
 
 def _cmd_wavefront(cfg: argparse.Namespace) -> bytes:
@@ -336,33 +317,27 @@ def _cmd_wavefront(cfg: argparse.Namespace) -> bytes:
     if cfg.t <= 0.0:
         raise UsageError("--t must be positive")
     n = cfg.grid_n
-    rows = []
-    for k, w in enumerate(wavefront_sample(m, cfg.t, n, cfg.group)):
-        rows.append(
-            (*divmod(k, n), w.covector.p1, w.covector.p2, w.covector.p3,
-             *w.point.components(), w.optimal)
-        )
+    rows = ((*divmod(k, n), *w.covector[:3], *w.point.components(), w.optimal)
+            for k, w in enumerate(wavefront_sample(m, cfg.t, n, cfg.group)))
     columns = ("i", "j", "p1", "p2", "p3", "q0", "q1", "q2", "q3", "optimal")
-    return _render_table(cfg, columns, rows)
+    return _render(cfg, columns, rows)
 
 
 def _cmd_injrad(cfg: argparse.Namespace) -> bytes:
     m = _build_metric(cfg)
-    eta = m.eta
-    case = 1 if eta <= -2.0 else (2 if eta <= ETA_INJ_SPLIT else 3)
-    return _render_table(cfg, ("radius", "case"), [(injectivity_radius(m), case)])
+    return _render(cfg, ("radius", "case"), [(injectivity_radius(m), injectivity_case(m.eta))])
 
 
 def _cmd_log(cfg: argparse.Namespace) -> bytes:
     m = _build_metric(cfg)
     p, t = riemannian_log(m, SplitQuaternion(*cfg.target))
-    return _render_table(cfg, ("p1", "p2", "p3", "t"), [(p.p1, p.p2, p.p3, t)])
+    return _render(cfg, ("p1", "p2", "p3", "t"), [(p.p1, p.p2, p.p3, t)])
 
 
 def _cmd_sr_compare(cfg: argparse.Namespace) -> bytes:
     ct = CausalType.TIME_LIKE if cfg.ctype == "tl" else CausalType.SPACE_LIKE
     rows = limit_comparison(cfg.pbar3, ct, list(cfg.eta_list))
-    return _render_table(cfg, ("eta", "riemannian_cut", "sr_cut", "abs_diff"), rows)
+    return _render(cfg, ("eta", "riemannian_cut", "sr_cut", "abs_diff"), rows)
 
 
 _DISPATCH = {

@@ -110,11 +110,13 @@ def vertical_flow(m: Metric, p: Covector, t: float) -> Covector:
 
     Leaves p3, the causal character and the energy constraint invariant,
     so the result carries p's causal record.  DomainError for a time that
-    is not finite.
+    is not finite, or so long that the angle overflows.
     """
     if not math.isfinite(t):
         raise DomainError(f"flow time must be finite, got {t!r}")
     angle = -t * m.eta * p.p3 / m.i1
+    if not abs(angle) < math.inf:
+        raise DomainError(f"flow time {t!r} overflows the turn")
     x, y = _rotate(p.p1, p.p2, angle)
     return Covector(x, y, *p[2:])
 

@@ -188,6 +188,12 @@ def describe_cut(m: Metric, p: Covector, group: GroupTag = GroupTag.PSL2) -> Cut
     return CutDescriptor(group, t_cut, first_conjugate_time(m, p), t_cut, stratum)
 
 
+def injectivity_case(eta: float) -> int:
+    """Regime of the injectivity radius: 1 for eta <= -2, 2 up to
+    ETA_INJ_SPLIT, 3 above."""
+    return 1 if eta <= -2.0 else (2 if eta <= ETA_INJ_SPLIT else 3)
+
+
 def injectivity_radius(m: Metric) -> float:
     """Closed form of the injectivity radius (PSL(2,R)).
 
@@ -197,9 +203,10 @@ def injectivity_radius(m: Metric) -> float:
     """
     eta = m.eta
     root_i1 = math.sqrt(m.i1)
-    if eta <= -2.0:
+    case = injectivity_case(eta)
+    if case == 1:
         return math.pi * root_i1 * math.sqrt(-1.0 / (1.0 + eta))
-    if eta <= ETA_INJ_SPLIT:
+    if case == 2:
         return math.pi * root_i1 * math.sqrt(-(eta + 4.0) / eta)
     return 2.0 * math.pi * root_i1 * math.sqrt(-(1.0 + eta))
 

@@ -104,7 +104,8 @@ def limit_comparison(
     For each eta in eta_list (all < -1, strictly increasing) builds the
     I1 = 1 metric, takes the covector with the given pbar3 at phase 0, and
     tabulates (eta, riemannian cut, sub-Riemannian cut, absolute gap).
-    The gaps shrink to zero as eta approaches -1.
+    The gaps shrink to zero as eta approaches -1; equal times (both +inf
+    at the space-like equator) have gap 0.
     """
     if not eta_list:
         raise DomainError("eta_list must be non-empty")
@@ -118,5 +119,5 @@ def limit_comparison(
         m = metric_from_eta(eta, 1.0)
         p = covector_from_pbar3(m, pbar3, 0.0, ctype)
         riem = cut_time(m, p, GroupTag.PSL2)
-        rows.append((eta, riem, sr, abs(riem - sr)))
+        rows.append((eta, riem, sr, 0.0 if riem == sr else abs(riem - sr)))
     return rows

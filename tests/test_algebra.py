@@ -420,6 +420,16 @@ def test_fixed_point_residual_rejects_a_quaternion_that_is_not_finite(i):
         mobius_fixed_point_residual(SplitQuaternion(*q), 1.0 + 0.0j)
 
 
+def test_zero_quaternion_has_a_degenerate_denominator():
+    # den = 0 and the guard's scale is 0: a strict test read 0 < 0 and
+    # the division leaked a bare ZeroDivisionError
+    zero = SplitQuaternion(0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(DegenerateDenominator):
+        to_mobius_apply(zero, 0.3 + 0.1j)
+    with pytest.raises(DegenerateDenominator):
+        mobius_fixed_point_residual(zero, 1.0 + 0.0j)
+
+
 def test_degenerate_denominator_is_reported():
     # the pole of the map lies outside the closed disk for unit
     # quaternions, so force it with a degenerate one

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from hypgeo import (
+    ETA_INJ_SPLIT,
     CausalType,
     GroupTag,
     conjugate_roots,
@@ -168,6 +169,10 @@ USAGE_CASES = [
     ["cut-time", "--eta", "-1.25", "--pbar3", "2", "--type", "tl", "--group", "bad"],
     # the logarithm's tolerance scales with the target and is not a flag
     ["log", "--eta", "-1.25", "--target", "1,0,0,0", "--tol", "1e-10"],
+    # a covector command with neither --p nor --type
+    ["maxwell", "--eta", "-1.25", "--pbar3", "2"],
+    ["vertical-flow", "--eta", "-1.25", "--pbar3", "2", "--type", "tl",
+     "--t-max", "3", "--samples", "1"],
 ]
 
 
@@ -233,6 +238,14 @@ def test_vertical_flow_infinite_t_max_names_the_end_time(capfdbinary):
     assert code == 2
     assert out == b""
     assert b"t_max" in err and b"got inf" in err
+
+
+def test_vertical_flow_names_a_time_whose_turn_overflows(capfdbinary):
+    # the flow's turn is -inf at the last sample: used to say "math domain error"
+    code, out, err = run_cli(capfdbinary, "vertical-flow", "--eta", "-1.25", "--pbar3", "1",
+                             "--type", "tl", "--t-max", "1e308", "--samples", "2")
+    assert code == 2 and out == b""
+    assert b"flow time 1e+308 overflows the turn" in err
 
 
 # ---- CSV format ------------------------------------------------------------
@@ -433,6 +446,19 @@ def test_injrad_cases(capfdbinary):
         assert row[1] == case
 
 
+def test_injrad_case_beside_the_junctions(capfdbinary):
+    # the case column is the regime that injectivity_radius takes for the
+    # metric's own eta, on either side of eta = -2 and ETA_INJ_SPLIT
+    for junction in (-2.0, ETA_INJ_SPLIT):
+        for eta in (math.nextafter(junction, -math.inf), junction,
+                    math.nextafter(junction, 0.0)):
+            m_eta = metric_from_eta(eta, 1.0).eta
+            want = "1" if m_eta <= -2.0 else ("2" if m_eta <= ETA_INJ_SPLIT else "3")
+            code, out, _ = run_cli(capfdbinary, "injrad", "--eta", repr(eta))
+            assert code == 0
+            assert csv_rows(out)[1][1] == want, eta
+
+
 def test_log_round_trip(capfdbinary):
     m = metric_from_eta(-1.25, 1.0)
     p = covector_from_pbar3(m, 1.7, 0.9, CausalType.TIME_LIKE)
@@ -498,6 +524,15 @@ def test_sr_compare_diffs_decrease(capfdbinary):
     assert len(rows) == 4
     diffs = [float(r[3]) for r in rows]
     assert all(b < a for a, b in zip(diffs, diffs[1:]))
+
+
+def test_sr_compare_gap_is_0_where_both_cut_times_are_infinite(capfdbinary):
+    # the space-like equator: inf - inf used to print nan
+    code, out, _ = run_cli(capfdbinary, "sr-compare", "--pbar3", "0", "--type", "sl",
+                           "--eta-list", "-1.5,-1.1")
+    assert code == 0
+    assert out == (b"eta,riemannian_cut,sr_cut,abs_diff\r\n"
+                   b"-1.5,inf,inf,0\r\n-1.1000000000000001,inf,inf,0\r\n")
 
 
 def test_console_script_entry_point():
@@ -648,3 +683,43 @@ def test_output_bytes_are_pinned(capfdbinary, argv, digest):
     code, out, _ = run_cli(capfdbinary, *argv)
     assert code == 0
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+# ---- one table in both formats ----------------------------------------------
+
+def _json_table(payload):
+    """The JSON payload as the CSV table: cut-locus's strata unnested."""
+    if "strata" not in payload:
+        return payload["columns"], payload["rows"]
+    strata = payload["strata"]
+    columns = ["stratum", *strata[0]["columns"], "validation_error"]
+    rows = [[s["stratum"], *row, s["validation_error"]] for s in strata for row in s["rows"]]
+    return columns, rows
+
+
+def _same_cell(text, value):
+    if isinstance(value, dict):
+        return value == {"finite": False, "value": None} and text in ("inf", "-inf", "nan")
+    if isinstance(value, bool):
+        return text == ("true" if value else "false")
+    if isinstance(value, float):
+        return float(text) == value
+    return text == str(value)
+
+
+@pytest.mark.parametrize("argv", [a for a, _ in PINNED_OUTPUTS],
+                         ids=[f"{a[0]}-{i}" for i, (a, _) in enumerate(PINNED_OUTPUTS)])
+def test_csv_and_json_hold_the_same_cells(capfdbinary, argv):
+    i = argv.index("--format") if "--format" in argv else len(argv)
+    csv_argv = (*argv[:i], *argv[i + 2:])
+    code, csv_out, err = run_cli(capfdbinary, *csv_argv)
+    assert code == 0, err
+    code, json_out, err = run_cli(capfdbinary, *csv_argv, "--format", "json")
+    assert code == 0, err
+    header, *body = csv_rows(csv_out)
+    columns, rows = _json_table(json.loads(json_out))
+    assert header == columns
+    assert len(body) == len(rows) > 0
+    for text_row, row in zip(body, rows):
+        assert len(text_row) == len(row)
+        assert all(map(_same_cell, text_row, row)), (text_row, row)

@@ -266,6 +266,18 @@ def test_exp_map_names_a_time_whose_turn_overflows(case):
         sample_geodesic(m, p, t, 2)
 
 
+def test_vertical_flow_names_a_time_whose_turn_overflows():
+    # the turn -t eta p3 / I1 is -inf: math.cos used to leak a bare ValueError
+    m = metric_from_eta(-1.25)
+    p = covector_from_pbar3(m, 1.0, 0.0, CausalType.TIME_LIKE)
+    msg = re.escape("flow time 1e+308 overflows the turn")
+    with pytest.raises(DomainError, match=msg):
+        vertical_flow(m, p, 1e308)
+    # a reversing element pushes p through the flow first
+    with pytest.raises(DomainError, match=msg):
+        apply_symmetry_preimage(m, SymmetryElement.sigma1(), p, 1e308)
+
+
 def test_wavefront_names_a_time_whose_turn_overflows():
     # used to leak a bare ValueError from the time-like rows
     with pytest.raises(DomainError, match="overflows the turn"):
@@ -391,6 +403,7 @@ def test_symmetry_flags():
     assert SymmetryElement.sigma2().reverses_vertical is True
     both = SymmetryElement(mirror=True, flip3=True)
     assert both.reverses_vertical is False
+    assert both.kind == "composite"
     assert SymmetryElement.rotation(0.5).kind == "rotation"
     assert SymmetryElement.sigma1().kind == "reflection-sigma1"
     assert SymmetryElement.sigma2().kind == "reflection-sigma2"

@@ -252,6 +252,11 @@ def test_pbar3_constructor_rejects_the_poles_of_the_limit_metric():
     assert p.pbar3 == 2.0 and p.norm == math.sqrt(1.0 / 3.0)
 
 
+def test_light_covector_rejects_a_zero_sign():
+    with pytest.raises(DomainError, match="p3_sign"):
+        light_covector(make_metric(1.0, 4.0), 0.0, 0)
+
+
 def test_light_covector_components():
     m = make_metric(1.0, 4.0)
     p = light_covector(m, 0.25, -1)

@@ -13,6 +13,7 @@ from hypgeo import (
     DegenerateIdenticallyZero,
     DomainError,
     GroupTag,
+    NoRootFound,
     NotTimeLike,
     UndefinedAtEquator,
     conjugate_roots,
@@ -273,6 +274,14 @@ def test_phase_root_at_its_lower_end_returns_that_end_exactly():
     phase, xs = _recorded(lambda x: (-x + 1e-3, -1.0))
     assert root_solver._phase_root(phase, -2.0, 1.0, 2.0) == 2.0
     assert 1.0 not in xs
+
+
+def test_phase_root_rejects_a_nan_bracket():
+    phase, xs = _recorded(lambda x: (-x, -1.0))
+    for lo, hi in ((math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(NoRootFound, match="empty phase bracket"):
+            root_solver._phase_root(phase, -0.5, lo, hi)
+    assert xs == []
 
 
 def test_level_curve_rows_take_few_phase_evaluations(monkeypatch):

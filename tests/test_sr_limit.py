@@ -204,6 +204,15 @@ def test_limit_comparison_rate_is_cube_root_at_the_threshold():
         assert abs(b[3] / a[3] - third) < 0.08
 
 
+def test_limit_comparison_gap_is_zero_where_both_cut_times_are_infinite():
+    # at the space-like equator both cut times are +inf, and inf - inf
+    # used to put a NaN in the gap column
+    rows = limit_comparison(0.0, CausalType.SPACE_LIKE, [-1.5, -1.1])
+    for eta, riem, sr, diff in rows:
+        assert riem == sr == math.inf
+        assert diff == 0.0
+
+
 def test_limit_comparison_validates_eta_list():
     with pytest.raises(DomainError):
         limit_comparison(1.2, CausalType.TIME_LIKE, [])
