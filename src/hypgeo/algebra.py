@@ -200,7 +200,10 @@ def _mobius(q: SplitQuaternion, z: complex) -> complex:
     for a q that is not finite, DegenerateDenominator where it has a pole."""
     if not all(map(math.isfinite, q)):
         raise DomainError(f"automorphism of {q!r}: a component is not finite")
-    alpha, beta = complex(q.q0, q.q3), complex(q.q1, q.q2)
+    # degree 0 in q: an exact power-of-two scale to max |q_i| < 1 keeps its products finite
+    e = -math.frexp(max(map(abs, q)))[1]
+    q0, q1, q2, q3 = (math.ldexp(c, e) for c in q)
+    alpha, beta = complex(q0, q3), complex(q1, q2)
     den = beta.conjugate() * z + alpha.conjugate()
     if abs(den) <= 1e-14 * (abs(alpha) + abs(beta)):  # also q = 0
         raise DegenerateDenominator("automorphism denominator vanished")

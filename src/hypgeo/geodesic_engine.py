@@ -45,28 +45,30 @@ def _rotate(x: float, y: float, angle: float) -> tuple[float, float]:
 def orbit_factors(m: Metric, p: Covector, t: float) -> tuple:
     """(q0, q3, radial, cos, sin of the turn, norm) of Exp(p, t): the part
     shared by p's rotation orbit.  radial is sin/sinh tau (t/(2 I1) and
-    norm 0 on the light cone).  Raises NegativeTime for t < 0 and
-    DomainError for a time that is not finite, or so long that the turn
-    (or, space-like, cosh tau or a component of the point) overflows."""
+    norm 0 on the light cone).  The turn is -theta, returned as (cos theta,
+    -sin theta): libm's cos is even and its sin odd bit for bit.  Raises
+    NegativeTime for t < 0 and DomainError for a time that is not finite,
+    or so long that the turn (or, space-like, cosh tau or a component of
+    the point) overflows."""
     if t < 0.0:
         raise NegativeTime(f"geodesic time must be >= 0, got {t!r}")
     if not math.isfinite(t):
         raise DomainError(f"geodesic time must be finite, got {t!r}")
+    _, _, p3, _, ctype, norm, pbar3 = p
     eta = m.eta
-    if p.ctype is CausalType.LIGHT_LIKE:
-        a = t * eta * p.p3 / (2.0 * m.i1)
+    if ctype is CausalType.LIGHT_LIKE:
+        a = t * eta * p3 / (2.0 * m.i1)
         b = t / (2.0 * m.i1)
         if not (abs(a) < math.inf and b < math.inf):
             raise DomainError(f"geodesic time {t!r} overflows the turn")
         ca, sa = math.cos(a), math.sin(a)
-        return (ca - b * p.p3 * sa, sa + b * p.p3 * ca, b, math.cos(-a), math.sin(-a), 0.0)
-    tau = t * p.norm / (2.0 * m.i1)  # tau_of_t, inlined on this hot path
-    pbar3 = p.pbar3
+        return (ca - b * p3 * sa, sa + b * p3 * ca, b, ca, -sa, 0.0)
+    tau = t * norm / (2.0 * m.i1)  # tau_of_t, inlined on this hot path
     theta = tau * eta * pbar3
     if not abs(theta) < math.inf:  # also an overflowing tau: inf, or NaN at the equator
         raise DomainError(f"geodesic time {t!r} overflows the turn")
     ce, se = math.cos(theta), math.sin(theta)
-    if p.ctype is CausalType.TIME_LIKE:
+    if ctype is CausalType.TIME_LIKE:
         ct, st = math.cos(tau), math.sin(tau)
     else:
         try:
@@ -77,7 +79,7 @@ def orbit_factors(m: Metric, p: Covector, t: float) -> tuple:
         if not ct * math.hypot(1.0, pbar3) < math.inf:
             raise DomainError(f"geodesic time {t!r} overflows the endpoint")
     q0, q3 = ct * ce - pbar3 * st * se, ct * se + pbar3 * st * ce
-    return (q0, q3, st, math.cos(-theta), math.sin(-theta), p.norm)
+    return (q0, q3, st, ce, -se, norm)
 
 
 def orbit_point(factors: tuple, p1: float, p2: float) -> SplitQuaternion:

@@ -6,9 +6,15 @@ separate code paths.
 """
 
 import math
+import os
 import random
+from pathlib import Path
 
 from hypgeo import CausalType, SplitQuaternion, covector_from_pbar3, light_covector
+
+# environment for a child Python that imports hypgeo from this checkout,
+# installed or not
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
 
 
 def mul4(a, b):

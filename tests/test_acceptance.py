@@ -21,7 +21,7 @@ import time
 import pytest
 
 from conftest import record
-from helpers import CUBE_ROOT_GAP_COEFF, exp_map_ode_oracle_batch, q0_phase_cut_time
+from helpers import CUBE_ROOT_GAP_COEFF, SRC_ENV, exp_map_ode_oracle_batch, q0_phase_cut_time
 from hypgeo import (
     ETA_INJ_SPLIT,
     CausalType,
@@ -465,6 +465,7 @@ def test_cli_determinism():
             [sys.executable, "-m", "hypgeo.cli", *args],
             capture_output=True,
             check=True,
+            env=SRC_ENV,
         )
         assert done.stdout
         return done.stdout

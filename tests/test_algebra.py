@@ -430,6 +430,30 @@ def test_zero_quaternion_has_a_degenerate_denominator():
         mobius_fixed_point_residual(zero, 1.0 + 0.0j)
 
 
+@pytest.mark.parametrize("q", [(1.0, 0.0, 0.0, 1.0), (1.0, 1.0, 1.0, 1.0)])
+def test_mobius_of_a_large_finite_quaternion_is_that_of_its_direction(q):
+    # the map is homogeneous of degree 0 in q; at 1e308 the unscaled
+    # products overflowed: (1, 0, 0, 1) came back as -0 + 0j instead of
+    # i z, and (1, 1, 1, 1) leaked a bare OverflowError
+    z = 0.3 + 0.1j
+    want = to_mobius_apply(SplitQuaternion(*q), z)
+    big = SplitQuaternion(*(1e308 * c for c in q))
+    assert abs(to_mobius_apply(big, z) - want) < 1e-15
+    assert abs(mobius_fixed_point_residual(big, z) - abs(want - z)) < 1e-15
+
+
+def test_mobius_ignores_a_power_of_two_scale_of_q_to_the_bit():
+    rnd = random.Random(1921)
+    for _ in range(50):
+        q = sq_exp(*(rnd.uniform(-1.5, 1.5) for _ in range(3)))
+        z = complex(rnd.uniform(-0.6, 0.6), rnd.uniform(-0.6, 0.6))
+        want = to_mobius_apply(q, z)
+        top = 1024 - math.frexp(max(map(abs, q)))[1]  # max |q_i| in the top binade
+        for k in (-900, -1, 1, 900, top):
+            scaled = SplitQuaternion(*(math.ldexp(c, k) for c in q))
+            assert to_mobius_apply(scaled, z) == want
+
+
 def test_degenerate_denominator_is_reported():
     # the pole of the map lies outside the closed disk for unit
     # quaternions, so force it with a degenerate one

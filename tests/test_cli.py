@@ -5,7 +5,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import re
 import shutil
 import subprocess
@@ -14,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import SRC_ENV
 from hypgeo import (
     ETA_INJ_SPLIT,
     CausalType,
@@ -548,7 +548,7 @@ def test_console_script_entry_point():
         module, func = target.split(":")
         cmd = [sys.executable, "-c",
                f"import sys; from {module} import {func}; sys.exit({func}())"]
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        env = SRC_ENV
     proc = subprocess.run([*cmd, "injrad", "--eta", "-1.25"],
                           capture_output=True, env=env)
     assert proc.returncode == 0
@@ -561,7 +561,7 @@ def test_module_invocation_matches_inprocess(capfdbinary):
     code, out, _ = run_cli(capfdbinary, *args)
     assert code == 0
     proc = subprocess.run([sys.executable, "-m", "hypgeo.cli", *args],
-                          capture_output=True)
+                          capture_output=True, env=SRC_ENV)
     assert proc.returncode == 0
     assert proc.stdout == out
 
@@ -569,7 +569,7 @@ def test_module_invocation_matches_inprocess(capfdbinary):
 def test_cli_import_does_not_load_numpy():
     # numpy is a test extra: only the RK4 oracle in tests/helpers.py uses it
     code = "import sys, hypgeo.cli; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=SRC_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == b"False\n"
 
@@ -577,7 +577,7 @@ def test_cli_import_does_not_load_numpy():
 def _loaded_after_import(module):
     code = (f"import sys, {module}; "
             "print([m for m in ('csv', 'dataclasses', 'inspect', 'numpy') if m in sys.modules])")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=SRC_ENV)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -597,7 +597,7 @@ def test_cli_import_loads_no_dataclasses_inspect_or_numpy():
 def test_cli_import_does_not_load_json():
     # argparse does not import json and a CSV run never needs it
     code = "import sys, hypgeo.cli; print('json' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=SRC_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == b"False\n"
 

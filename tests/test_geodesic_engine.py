@@ -37,6 +37,7 @@ from hypgeo import (
     vertical_flow,
     wavefront_sample,
 )
+from hypgeo.geodesic_engine import orbit_factors
 
 M = make_metric(1.0, 4.0)
 
@@ -309,6 +310,119 @@ def test_space_like_endpoint_near_cosh_overflow_is_finite_or_rejected(pbar3, tau
     if pbar3 == 1e3 or tau == 710.4:
         with pytest.raises(DomainError, match=re.escape(f"geodesic time {t!r} overflows")):
             exp_map(m, p, t)
+
+
+# --- the orbit factors, to the bit ----------------------------------------
+
+_T, _S, _L = CausalType.TIME_LIKE, CausalType.SPACE_LIKE, CausalType.LIGHT_LIKE
+
+# (eta, causal type, pbar3 or the light cone's p3 sign, t): orbit_factors
+# as float.hex (q0, q3, radial, cos and sin of the turn, norm), frozen.
+# Poles, the equator, t = 0 (turns of either zero) and turns up to about
+# 1e6 in size, both signs.
+ORBIT_FROZEN = [
+    (-1.25, _T, 1.0, 0.7,
+     ("0x1.f82e13b0332e2p-1", "-0x1.6492cea774a94p-3", "0x1.49d6e694619b8p-1",
+      "0x1.4830bd7d4ceb3p-1", "0x1.88fb7640b8da2p-1", "0x1.0000000000000p+1")),
+    (-1.25, _T, -1.0, 0.7,
+     ("0x1.f82e13b0332e2p-1", "0x1.6492cea774a94p-3", "0x1.49d6e694619b8p-1",
+      "0x1.4830bd7d4ceb3p-1", "-0x1.88fb7640b8da2p-1", "0x1.0000000000000p+1")),
+    (-1.25, _T, 1.5, 0.0,
+     ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+      "0x1.0000000000000p+0", "0x0.0p+0", "0x1.7c4dd663ebb88p-1")),
+    (-1.25, _T, 1.5, 2.3,
+     ("0x1.1c3bb055d8c39p+0", "-0x1.61fb792e24d9ep-1", "0x1.821227546117cp-1",
+      "-0x1.f8f8fe1880f99p-6", "0x1.ffc1bae0f1b66p-1", "0x1.7c4dd663ebb88p-1")),
+    (-1.25, _T, -1.5, 2.3,
+     ("0x1.1c3bb055d8c39p+0", "0x1.61fb792e24d9ep-1", "0x1.821227546117cp-1",
+      "-0x1.f8f8fe1880f99p-6", "-0x1.ffc1bae0f1b66p-1", "0x1.7c4dd663ebb88p-1")),
+    (-3.0, _T, 4.0, 11.0,
+     ("-0x1.423c9a13d85fap+0", "-0x1.56b4bec5fe847p+1", "0x1.701734a0e21fep-1",
+      "-0x1.f58ec0a49a734p-1", "-0x1.9b8363dd158b2p-3", "0x1.2abb43c0eb0f4p-3")),
+    (-3.0, _T, -40.0, 0.05,
+     ("0x1.ffd7043b9b749p-1", "0x1.d903ba3d00d17p-6", "0x1.7a696421be67ap-12",
+      "0x1.ff851d14fc5b0p-1", "-0x1.62a66c0a89e47p-5", "0x1.d903bdd66f59bp-7")),
+    (-1.001, _T, 1.000000001, 3.0,
+     ("0x1.ff6c92584e328p-1", "-0x1.846f5a887f1a8p-5", "-0x1.389a1d082a23ep-2",
+      "-0x1.df997f0a639c8p-1", "-0x1.667caababa0b3p-2", "0x1.f9f6c367e862cp+4")),
+    (-30.0, _T, 2.0, 10000.0,
+     ("0x1.23ec04d70f989p+0", "-0x1.938c93ed9a848p-5", "-0x1.454d342b13340p-2",
+      "0x1.b53eefdb23447p-1", "-0x1.0a6220bc7e2e4p-1", "0x1.777acde80baeap-4")),
+    (-1.25, _T, -7.0, 1800000.0,
+     ("-0x1.368338b8ee34dp+2", "0x1.3d1c79a20d89ep+2", "-0x1.fb1fec7e2a537p-1",
+      "0x1.74dd38a707cc9p-1", "-0x1.5ee11e12395bfp-1", "0x1.07d8b7c63aadcp-3")),
+    (-1.25, _S, 0.0, 1.0,
+     ("0x1.20ac1862ae8d0p+0", "0x0.0p+0", "0x1.0acd00fe63b97p-1",
+      "0x1.0000000000000p+0", "0x0.0p+0", "0x1.0000000000000p+0")),
+    (-1.25, _S, 0.0, 0.0,
+     ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+      "0x1.0000000000000p+0", "0x0.0p+0", "0x1.0000000000000p+0")),
+    (-1.25, _S, 0.5, 2.0,
+     ("0x1.7542257696230p+0", "-0x1.3a7ffd39ad3d2p-2", "0x1.f9dcc01b25597p-1",
+      "0x1.b5ae36a639c29p-1", "0x1.09ab23f6de581p-1", "0x1.bee9056fb9c38p-1")),
+    (-1.25, _S, -0.5, 2.0,
+     ("0x1.7542257696230p+0", "0x1.3a7ffd39ad3d2p-2", "0x1.f9dcc01b25597p-1",
+      "0x1.b5ae36a639c29p-1", "-0x1.09ab23f6de581p-1", "0x1.bee9056fb9c38p-1")),
+    (-3.0, _S, 1.0, 1.7,
+     ("0x1.79679bec7344dp-1", "-0x1.d54ed8f942e9cp-1", "0x1.c06b8fecf78b7p-2",
+      "0x1.2a7f6aeff0628p-2", "0x1.e9c39596d9d4cp-1", "0x1.0000000000000p-1")),
+    (-3.0, _S, -1.0, 1.7,
+     ("0x1.79679bec7344dp-1", "0x1.d54ed8f942e9cp-1", "0x1.c06b8fecf78b7p-2",
+      "0x1.2a7f6aeff0628p-2", "-0x1.e9c39596d9d4cp-1", "0x1.0000000000000p-1")),
+    (-1.8, _S, 3e-13, 40.0,
+     ("0x1.ceb088b68e804p+27", "-0x1.4ddb12cc534fcp-9", "0x1.ceb088b68e804p+27",
+      "0x1.0000000000000p+0", "0x1.7bfdc07fdfbfdp-37", "0x1.0000000000000p+0")),
+    (-30.0, _S, -50.0, 300000.0,
+     ("0x1.c7e44b9a7c9b8p+794", "0x1.d2adcabe62f05p+790", "0x1.244f0f183d72ep+789",
+      "-0x1.6777bc5116a88p-5", "-0x1.ff81c02cbc050p-1", "0x1.de9aa52f8359fp-9")),
+    (-1.1, _S, -12.0, 0.0,
+     ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+      "0x1.0000000000000p+0", "-0x0.0p+0", "0x1.446d1510f762cp-4")),
+    (-1.25, _L, 1, 0.0,
+     ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+      "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0")),
+    (-1.25, _L, 1, 1.3,
+     ("0x1.22360da7d3cd6p+0", "-0x1.d6e40cc320eeep-3", "0x1.4cccccccccccdp-1",
+      "0x1.7ea57d387000fp-1", "0x1.542f4f464a4eap-1", "0x0.0p+0")),
+    (-1.25, _L, -1, 1.3,
+     ("0x1.22360da7d3cd6p+0", "0x1.d6e40cc320eeep-3", "0x1.4cccccccccccdp-1",
+      "0x1.7ea57d387000fp-1", "-0x1.542f4f464a4eap-1", "0x0.0p+0")),
+    (-3.0, _L, -1, 1000000.0,
+     ("0x1.161d468b21367p+18", "-0x1.70cdfe88aae64p+15", "0x1.e848000000000p+18",
+      "0x1.4eea859a24493p-3", "-0x1.f91b7c4845240p-1", "0x0.0p+0")),
+    (-30.0, _L, 1, 400000.0,
+     ("-0x1.1b8949c39459ep+10", "-0x1.1d227082812c0p+15", "0x1.86a0000000000p+17",
+      "-0x1.ffc0df691ee63p-1", "-0x1.fc6f9d868ca65p-6", "0x0.0p+0")),
+]
+
+
+@pytest.mark.parametrize("eta, ctype, b, t, want", ORBIT_FROZEN)
+def test_orbit_factors_are_frozen_to_the_bit(eta, ctype, b, t, want):
+    m = metric_from_eta(eta)
+    p = light_covector(m, 0.3, b) if ctype is _L else covector_from_pbar3(m, b, 0.3, ctype)
+    assert tuple(x.hex() for x in orbit_factors(m, p, t)) == want
+
+
+def test_orbit_turn_is_cos_and_sin_of_minus_theta_to_the_bit():
+    # the kernel returns (cos theta, -sin theta) for the turn -theta: this
+    # holds on a libm whose cos is even and whose sin is odd bit for bit
+    rnd = random.Random(2417)
+    checked = 0
+    for _ in range(3000):
+        m = metric_from_eta(-1.0 - 10.0 ** rnd.uniform(-3.0, 1.5))
+        p = random_covector(rnd, m)
+        t = 10.0 ** rnd.uniform(-3.0, 6.0)
+        try:
+            f = orbit_factors(m, p, t)
+        except DomainError:  # a space-like cosh tau past overflow
+            continue
+        if p.ctype is _L:
+            theta = t * m.eta * p.p3 / (2.0 * m.i1)
+        else:
+            theta = t * p.norm / (2.0 * m.i1) * m.eta * p.pbar3
+        assert (f[3].hex(), f[4].hex()) == (math.cos(-theta).hex(), math.sin(-theta).hex())
+        checked += 1
+    assert checked > 2000
 
 
 # --- Jacobian ---------------------------------------------------------------
