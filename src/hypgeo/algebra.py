@@ -302,6 +302,9 @@ def mobius_fixed_point_residual(q: SplitQuaternion, z: complex) -> float:
 
     Diagnostic used to check classify_isometry output; boundary fixed
     points of parabolic and hyperbolic maps are outside the domain of
-    to_mobius_apply, so the guard is skipped here.
+    to_mobius_apply, so its disk guard is skipped here.  DomainError for
+    a z that is not finite.
     """
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError(f"fixed-point residual needs a finite z, got {z!r}")
     return abs(_mobius(q, z) - z)

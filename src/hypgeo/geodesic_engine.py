@@ -14,7 +14,9 @@ rate -eta p3 / I1 while p3 and the horizontal radius stay fixed.
 Rotations R about e3 fix the identity and, as I1 = I2, are isometries:
 Exp(R p, t) = R Exp(p, t).  So `exp_map` is `orbit_factors` (all that
 depends only on t, p3, norm, pbar3 and the causal type, once per orbit)
-plus `orbit_point` (q1, q2 from one covector's p1, p2).  The grids in
+plus `orbit_point` (q1, q2 from one covector's p1, p2).  `orbit_pass`
+runs the factors along one geodesic's times with the per-orbit work done
+once, and `orbit_factors` is its one-time case.  The grids in
 `optimality` build each row from one set of factors, run exactly these
 floats per point and give every column covector the row's causal record,
 so their points equal `exp_map` of their covectors bit for bit.
@@ -42,6 +44,59 @@ def _rotate(x: float, y: float, angle: float) -> tuple[float, float]:
     return (x * c - y * s, x * s + y * c)
 
 
+def _reject_time(t: float) -> None:
+    """Raise the error of a time that is negative, NaN or infinite."""
+    if t < 0.0:
+        raise NegativeTime(f"geodesic time must be >= 0, got {t!r}")
+    raise DomainError(f"geodesic time must be finite, got {t!r}")
+
+
+def orbit_pass(m: Metric, p: Covector, times, out: list) -> list:
+    """Append orbit_factors(m, p, t) to out for each t of times, in order,
+    and return out.  The orbit's own work (p's record, eta, 2 I1, the
+    causal-type branch and, space-like, hypot(1, pbar3)) is done once; each
+    time runs one orbit_factors call's floats and guards in its order.  The
+    first rejected time raises that call's error, and out keeps the factors
+    of the times before it."""
+    _, _, p3, _, ctype, norm, pbar3 = p
+    eta, i2 = m.eta, 2.0 * m.i1
+    cos, sin, inf = math.cos, math.sin, math.inf
+    append = out.append
+    if ctype is CausalType.LIGHT_LIKE:
+        for t in times:
+            if not 0.0 <= t < inf:  # NaN fails too
+                _reject_time(t)
+            a = t * eta * p3 / i2
+            b = t / i2
+            if not (abs(a) < inf and b < inf):
+                raise DomainError(f"geodesic time {t!r} overflows the turn")
+            ca, sa = cos(a), sin(a)
+            append((ca - b * p3 * sa, sa + b * p3 * ca, b, ca, -sa, 0.0))
+        return out
+    space = ctype is CausalType.SPACE_LIKE
+    # |(q1, q2)| = sinh tau hypot(1, pbar3) and |q0 + i q3| <= cosh tau hypot(1, pbar3)
+    size = math.hypot(1.0, pbar3) if space else 0.0
+    for t in times:
+        if not 0.0 <= t < inf:
+            _reject_time(t)
+        tau = t * norm / i2  # tau_of_t, inlined on this hot path
+        theta = tau * eta * pbar3
+        if not abs(theta) < inf:  # also an overflowing tau: inf, or NaN at the equator
+            raise DomainError(f"geodesic time {t!r} overflows the turn")
+        ce, se = cos(theta), sin(theta)
+        if space:
+            try:
+                ct, st = math.cosh(tau), math.sinh(tau)
+            except OverflowError:
+                raise DomainError(f"geodesic time {t!r} overflows cosh tau") from None
+            if not ct * size < inf:
+                raise DomainError(f"geodesic time {t!r} overflows the endpoint")
+        else:
+            ct, st = cos(tau), sin(tau)
+        append((ct * ce - pbar3 * st * se, ct * se + pbar3 * st * ce, st, ce, -se, norm))
+    return out
+
+
 def orbit_factors(m: Metric, p: Covector, t: float) -> tuple:
     """(q0, q3, radial, cos, sin of the turn, norm) of Exp(p, t): the part
     shared by p's rotation orbit.  radial is sin/sinh tau (t/(2 I1) and
@@ -49,37 +104,8 @@ def orbit_factors(m: Metric, p: Covector, t: float) -> tuple:
     -sin theta): libm's cos is even and its sin odd bit for bit.  Raises
     NegativeTime for t < 0 and DomainError for a time that is not finite,
     or so long that the turn (or, space-like, cosh tau or a component of
-    the point) overflows."""
-    if t < 0.0:
-        raise NegativeTime(f"geodesic time must be >= 0, got {t!r}")
-    if not math.isfinite(t):
-        raise DomainError(f"geodesic time must be finite, got {t!r}")
-    _, _, p3, _, ctype, norm, pbar3 = p
-    eta = m.eta
-    if ctype is CausalType.LIGHT_LIKE:
-        a = t * eta * p3 / (2.0 * m.i1)
-        b = t / (2.0 * m.i1)
-        if not (abs(a) < math.inf and b < math.inf):
-            raise DomainError(f"geodesic time {t!r} overflows the turn")
-        ca, sa = math.cos(a), math.sin(a)
-        return (ca - b * p3 * sa, sa + b * p3 * ca, b, ca, -sa, 0.0)
-    tau = t * norm / (2.0 * m.i1)  # tau_of_t, inlined on this hot path
-    theta = tau * eta * pbar3
-    if not abs(theta) < math.inf:  # also an overflowing tau: inf, or NaN at the equator
-        raise DomainError(f"geodesic time {t!r} overflows the turn")
-    ce, se = math.cos(theta), math.sin(theta)
-    if ctype is CausalType.TIME_LIKE:
-        ct, st = math.cos(tau), math.sin(tau)
-    else:
-        try:
-            ct, st = math.cosh(tau), math.sinh(tau)
-        except OverflowError:
-            raise DomainError(f"geodesic time {t!r} overflows cosh tau") from None
-        # |(q1, q2)| = sinh tau hypot(1, pbar3) and |q0 + i q3| <= cosh tau hypot(1, pbar3)
-        if not ct * math.hypot(1.0, pbar3) < math.inf:
-            raise DomainError(f"geodesic time {t!r} overflows the endpoint")
-    q0, q3 = ct * ce - pbar3 * st * se, ct * se + pbar3 * st * ce
-    return (q0, q3, st, ce, -se, norm)
+    the point) overflows.  The one-time case of `orbit_pass`."""
+    return orbit_pass(m, p, (t,), [])[0]
 
 
 def orbit_point(factors: tuple, p1: float, p2: float) -> SplitQuaternion:
@@ -129,11 +155,9 @@ def sample_geodesic(m: Metric, p: Covector, t_end: float, n: int) -> list[Geodes
     n = check_count(n, 2)
     if not math.isfinite(t_end):
         raise DomainError(f"geodesic end time t_end must be finite, got {t_end!r}")
-    out = []
-    for i in range(n):
-        t = t_end * i / (n - 1)
-        out.append(GeodesicSample(t, exp_map(m, p, t)))
-    return out
+    times = [t_end * i / (n - 1) for i in range(n)]
+    factors = orbit_pass(m, p, times, [])
+    return [GeodesicSample(t, orbit_point(f, p.p1, p.p2)) for t, f in zip(times, factors)]
 
 
 # ---- Jacobian of the exponential map -----------------------------------

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 from .algebra import Psl2Element, SplitQuaternion, psl2_canonicalize
 from .errors import DomainError, IdentityTarget, NoConvergence, OnCutLocus
-from .geodesic_engine import exp_map, orbit_factors, orbit_point
+from .geodesic_engine import exp_map, orbit_factors, orbit_pass, orbit_point
 from .metric_space import (
     ETA_INJ_SPLIT,
     ETA_POLE_SPLIT_PSL2,
@@ -200,7 +200,11 @@ def injectivity_radius(m: Metric) -> float:
     Three regimes in eta, continuous at both junctions: the pole cut time
     for eta <= -2, an interior minimum of the cut time for
     -2 < eta <= (-3-sqrt(73))/8, and the conjugate-capped pole time above.
+    DomainError unless I1 is finite and > 0 and I3 > 0; I3 = +inf, the
+    sub-Riemannian limit metric, has eta = -1.
     """
+    if not (0.0 < m.i1 < math.inf and 0.0 < m.i3):  # NaN fails too
+        raise DomainError(f"need finite I1 > 0 and I3 > 0, got {m.i1!r}, {m.i3!r}")
     eta = m.eta
     root_i1 = math.sqrt(m.i1)
     case = injectivity_case(eta)
@@ -429,10 +433,14 @@ def riemannian_log(
     own rounding, not to an absolute gap below its ulp.  Rotational
     symmetry reduces the search to the (q0, q3) slice: a seeded, damped
     two-dimensional Newton iteration over (vertical momentum, time),
-    with the horizontal phase restored exactly afterwards.  Its seeds and
-    residuals read q0 and q3 from `orbit_factors`, the floats `exp_map`
-    would return; only the final check builds an endpoint.  Axis targets
-    are inverted in closed form along the pole geodesics.
+    with the horizontal phase restored exactly afterwards.  The seeds are
+    a scan of 48 vertical momenta by 24 increasing trial times below each
+    one's cut time: one `orbit_pass` per momentum, where a rejected time
+    (an overflow) and every later one get an infinite residual.  The seeds
+    and the Newton residuals read q0 and q3 from the orbit factors, the
+    floats `exp_map` would return; only the final check builds an
+    endpoint.  Axis targets are inverted in closed form along the pole
+    geodesics.
 
     Raises DomainError unless check_log_target passes, IdentityTarget at
     the identity, OnCutLocus when the target sits on a cut stratum (|q0|
@@ -476,15 +484,16 @@ def riemannian_log(
         p = _chain_covector(m, x)
         tc = cut_time(m, p)
         t_hi = t_cap_global if math.isinf(tc) else min(tc * (1.0 - 1e-9), t_cap_global)
-        for j in range(nt):  # resid inlined on the column's one covector
-            t = t_hi * (j + 0.5) / nt
-            try:
-                f = orbit_factors(m, p, t)
-            except DomainError:
-                r0 = r3 = math.inf
-            else:
-                r0, r3 = f[0] - q0, f[1] - q3
+        times = [t_hi * (j + 0.5) / nt for j in range(nt)]
+        column = []
+        try:
+            orbit_pass(m, p, times, column)
+        except DomainError:
+            pass  # the times grow, and so do the overflow guards: every later time fails too
+        for t, f in zip(times, column):
+            r0, r3 = f[0] - q0, f[1] - q3
             seeds.append((r0 * r0 + r3 * r3, x, t))
+        seeds += [(math.inf, x, t) for t in times[len(column):]]
 
     best_residual = math.inf
 

@@ -75,11 +75,12 @@ def _phase_root(phase: _Phase, target: float, lo: float, hi: float) -> float:
     bracket, and a step of a few ulps ends the search.  The iterates never
     read the bracket ends' phases, so an end is evaluated only when the
     search never left it: an end already past the target (rounding at a
-    bracket that is sharp in exact arithmetic) is the root.
+    bracket that is sharp in exact arithmetic) is the root.  It is tested
+    the first time a Newton step points past it, else after the search.
     """
     if not lo < hi:  # NaN input
         raise NoRootFound(f"empty phase bracket [{lo!r}, {hi!r}]")
-    lo0, hi0 = lo, hi
+    lo0, hi0 = lo, hi  # an end not yet evaluated; NaN once it is
     x = 0.5 * (lo + hi)
     step = step_old = hi - lo
     for _ in range(200):
@@ -94,6 +95,14 @@ def _phase_root(phase: _Phase, target: float, lo: float, hi: float) -> float:
         # a slope rounded to 0 (flat phase) falls back to bisection
         newton = x - f / slope if slope < 0.0 else hi
         if not (lo <= newton <= hi and 2.0 * abs(x - newton) <= abs(step_old)):
+            if newton < lo == lo0:
+                if phase(lo0)[0] <= target:
+                    return lo0
+                lo0 = math.nan
+            elif newton > hi == hi0:
+                if phase(hi0)[0] >= target:
+                    return hi0
+                hi0 = math.nan
             newton = 0.5 * (lo + hi)
         step_old, step = step, x - newton
         x = newton

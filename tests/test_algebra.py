@@ -420,6 +420,24 @@ def test_fixed_point_residual_rejects_a_quaternion_that_is_not_finite(i):
         mobius_fixed_point_residual(SplitQuaternion(*q), 1.0 + 0.0j)
 
 
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                               complex(math.inf, 0.0), complex(-math.inf, 0.0),
+                               complex(0.0, math.inf), complex(0.0, -math.inf)])
+def test_fixed_point_residual_rejects_a_z_that_is_not_finite(z):
+    # every one of these used to come back as nan
+    with pytest.raises(DomainError, match="finite z"):
+        mobius_fixed_point_residual(sq_exp(0.3, 0.2, 0.1), z)
+
+
+def test_fixed_point_residual_of_a_finite_point():
+    # the residual is |f(z) - z| at any finite z, off the disk too
+    q = sq_exp(0.3, 0.2, 0.1)
+    alpha, beta = complex(q.q0, q.q3), complex(q.q1, q.q2)
+    for z in (0.3 + 0.1j, 1.0 + 0.0j, 2.0 - 1.5j):
+        f = (alpha * z + beta) / (beta.conjugate() * z + alpha.conjugate())
+        assert abs(mobius_fixed_point_residual(q, z) - abs(f - z)) < 1e-15
+
 def test_zero_quaternion_has_a_degenerate_denominator():
     # den = 0 and the guard's scale is 0: a strict test read 0 < 0 and
     # the division leaked a bare ZeroDivisionError

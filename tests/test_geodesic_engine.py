@@ -37,7 +37,7 @@ from hypgeo import (
     vertical_flow,
     wavefront_sample,
 )
-from hypgeo.geodesic_engine import orbit_factors
+from hypgeo.geodesic_engine import orbit_factors, orbit_pass
 
 M = make_metric(1.0, 4.0)
 
@@ -423,6 +423,111 @@ def test_orbit_turn_is_cos_and_sin_of_minus_theta_to_the_bit():
         assert (f[3].hex(), f[4].hex()) == (math.cos(-theta).hex(), math.sin(-theta).hex())
         checked += 1
     assert checked > 2000
+
+
+def _hexes(factors):
+    return [tuple(x.hex() for x in f) for f in factors]
+
+
+def _one_at_a_time(m, p, times):
+    """orbit_factors per time up to the first error: (factors, the error)."""
+    out = []
+    for t in times:
+        try:
+            out.append(orbit_factors(m, p, t))
+        except DomainError as exc:
+            return out, exc
+    return out, None
+
+
+def _assert_pass_matches_one_at_a_time(m, p, times):
+    want, error = _one_at_a_time(m, p, times)
+    got = []
+    if error is None:
+        assert orbit_pass(m, p, times, got) is got
+    else:
+        with pytest.raises(type(error)) as exc:
+            orbit_pass(m, p, times, got)
+        assert type(exc.value) is type(error) and str(exc.value) == str(error)
+    assert _hexes(got) == _hexes(want)
+    return len(got)
+
+
+@pytest.mark.parametrize("ctype", [_T, _S, _L])
+def test_orbit_pass_is_orbit_factors_per_time_to_the_bit(ctype):
+    rnd = random.Random(4093)
+    for _ in range(60):
+        m = metric_from_eta(-1.0 - 10.0 ** rnd.uniform(-3.0, 1.5))
+        if ctype is _L:
+            p = light_covector(m, rnd.uniform(0.0, 6.3), rnd.choice((1, -1)))
+        else:
+            b = rnd.uniform(1.0, 6.0) if ctype is _T else rnd.uniform(-3.0, 3.0)
+            p = covector_from_pbar3(m, rnd.choice((1.0, -1.0)) * b, rnd.uniform(0.0, 6.3), ctype)
+        times = sorted([0.0] + [10.0 ** rnd.uniform(-3.0, 2.5) for _ in range(23)])
+        assert _assert_pass_matches_one_at_a_time(m, p, times) == 24
+
+
+def test_orbit_pass_stops_where_cosh_tau_overflows_with_the_same_error():
+    # tau runs from 100 to 1000 in steps of 100: cosh overflows past 710.5,
+    # so the column keeps 7 factors and raises orbit_factors' own error
+    m = metric_from_eta(-1.3)
+    p = covector_from_pbar3(m, 0.5, 0.4, _S)
+    times = [100.0 * k * 2.0 * m.i1 / p.norm for k in range(1, 11)]
+    assert _assert_pass_matches_one_at_a_time(m, p, times) == 7
+    with pytest.raises(DomainError, match="overflows cosh tau"):
+        orbit_pass(m, p, times, [])
+    # every later time fails too: the scan of riemannian_log relies on it
+    for t in times[7:]:
+        with pytest.raises(DomainError):
+            orbit_factors(m, p, t)
+    # past the endpoint bound but not past cosh: pbar3 sinh tau overflows
+    p = covector_from_pbar3(m, 1e3, 0.0, _S)
+    times = [700.0 * 2.0 * m.i1 / p.norm, 709.0 * 2.0 * m.i1 / p.norm]
+    assert _assert_pass_matches_one_at_a_time(m, p, times) == 1
+    with pytest.raises(DomainError, match="overflows the endpoint"):
+        orbit_pass(m, p, times, [])
+
+
+@pytest.mark.parametrize("ctype", [_T, _S, _L])
+@pytest.mark.parametrize("bad, error", [(math.nan, DomainError), (-1.0, NegativeTime),
+                                        (-math.inf, NegativeTime), (math.inf, DomainError)])
+def test_orbit_pass_raises_at_a_rejected_time_with_the_prefix_kept(ctype, bad, error):
+    m = metric_from_eta(-1.25)
+    p = light_covector(m, 0.3, 1) if ctype is _L else covector_from_pbar3(
+        m, 1.5 if ctype is _T else 0.5, 0.3, ctype)
+    times = [0.0, 0.5, 1.0, bad, 2.0]
+    assert _assert_pass_matches_one_at_a_time(m, p, times) == 3
+    out = []
+    with pytest.raises(error, match=re.escape(repr(bad))):
+        orbit_pass(m, p, times, out)
+    assert len(out) == 3
+
+
+@pytest.mark.parametrize("ctype", [_T, _S, _L])
+def test_sample_geodesic_is_exp_map_per_sample_to_the_bit(ctype):
+    m = metric_from_eta(-1.3)
+    p = light_covector(m, 0.3, -1) if ctype is _L else covector_from_pbar3(
+        m, -2.5 if ctype is _T else 0.7, 0.3, ctype)
+    samples = sample_geodesic(m, p, 7.5, 16)
+    assert [s.t for s in samples] == [7.5 * i / 15 for i in range(16)]
+    for s in samples:
+        assert [x.hex() for x in s.point] == [x.hex() for x in exp_map(m, p, s.t)]
+
+
+def test_sample_geodesic_raises_exp_maps_error_at_its_first_failing_sample():
+    m = metric_from_eta(-1.3)
+    p = covector_from_pbar3(m, 0.5, 0.4, _S)
+    t_end = 1000.0 * 2.0 * m.i1 / p.norm  # tau 0..1000: cosh overflows from tau 800 on
+    times = [t_end * i / 5 for i in range(6)]
+    with pytest.raises(DomainError) as want:
+        exp_map(m, p, times[4])
+    exp_map(m, p, times[3])
+    with pytest.raises(DomainError) as got:
+        sample_geodesic(m, p, t_end, 6)
+    assert str(got.value) == str(want.value)
+    # a negative end time fails at the first sample past t = 0
+    with pytest.raises(NegativeTime, match=re.escape(repr(-2.0 / 3))):
+        sample_geodesic(m, p, -2.0, 4)
 
 
 # --- Jacobian ---------------------------------------------------------------

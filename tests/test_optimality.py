@@ -39,6 +39,7 @@ from hypgeo import (
     wavefront_sample,
 )
 from hypgeo.metric_space import LIGHT_TOLERANCE
+from hypgeo import optimality
 from hypgeo.optimality import _minimizing
 from hypgeo.root_solver import radius_level_root
 
@@ -330,6 +331,22 @@ def test_injectivity_radius_is_a_lower_bound_for_cut_times():
             p = random_covector(rnd, m)
             assert cut_time(m, p, GroupTag.PSL2) >= radius * (1.0 - 1e-9)
 
+
+
+@pytest.mark.parametrize("i1, i3", [(1.0, math.nan), (1.0, 0.0), (1.0, -2.0), (math.nan, 1.0),
+                                    (0.0, 1.0), (-1.0, 2.0), (math.inf, 1.0)])
+def test_injectivity_radius_rejects_a_raw_metric_off_the_family(i1, i3):
+    # (1, nan) came back NaN, (1, 0) leaked a bare ZeroDivisionError from
+    # eta and (1, -2) a bare ValueError from sqrt
+    with pytest.raises(DomainError, match="I1 > 0 and I3 > 0"):
+        injectivity_radius(Metric(i1, i3))
+
+
+def test_injectivity_radius_of_the_limit_metric_keeps_its_value():
+    # I3 = inf (the sub-Riemannian limit, eta = -1): the case-3 closed form
+    # at 1 + eta = 0 gives 2 pi sqrt(I1) sqrt(-0.0) = -0.0
+    r = injectivity_radius(Metric(1.0, math.inf))
+    assert r == 0.0 and math.copysign(1.0, r) == -1.0
 
 # --- cut locus sampling ---------------------------------------------------------
 
@@ -913,6 +930,27 @@ def test_log_counts_an_overflowing_trial_as_a_failed_step():
     size = max(map(abs, _FAR_LOG_TARGET))
     assert gap(psl2_canonicalize(exp_map(m, p, t)).rep, psl2_canonicalize(q).rep) <= 1e-9 * size
 
+
+
+def test_log_seed_scan_runs_one_orbit_pass_per_momentum(monkeypatch):
+    # the 48 x 24 scan is 48 column passes of 24 times each; orbit_factors
+    # runs only in the Newton iteration after the scan
+    events = []
+
+    def counted_pass(m, p, times, out, run=optimality.orbit_pass):
+        events.append(("pass", len(times)))
+        return run(m, p, times, out)
+
+    def counted_factors(m, p, t, run=optimality.orbit_factors):
+        events.append(("factors", 1))
+        return run(m, p, t)
+
+    monkeypatch.setattr(optimality, "orbit_pass", counted_pass)
+    monkeypatch.setattr(optimality, "orbit_factors", counted_factors)
+    riemannian_log(metric_from_eta(_FAR_LOG_ETA), SplitQuaternion(*_FAR_LOG_TARGET))
+    assert events[:48] == [("pass", 24)] * 48
+    assert ("pass", 24) not in events[48:]
+    assert 0 < len(events) - 48 < 1152
 
 # (seed, op, eta, t, target) of the far space-like `log` workload ops of
 # seeds 1-3 (|q|_inf from 1.5e3 to 2.6e11) that an absolute 1e-12 Newton

@@ -267,13 +267,17 @@ def test_phase_root_at_its_lower_end_returns_that_end_exactly():
         assert root_solver._phase_root(phase, -lo, lo, lo + 0.5 * math.pi) == lo
         assert len(xs) <= 3
     # an end already past the target (a bracket sharp in exact arithmetic,
-    # lost to rounding) is the root, and the other end is never evaluated
+    # lost to rounding) is the root, and the other end is never evaluated;
+    # it is tested once the first Newton step points past it (it took 50
+    # and 51 evaluations when the search bisected towards it instead)
     phase, xs = _recorded(lambda x: (-x - 1e-3, -1.0))
     assert root_solver._phase_root(phase, -1.0, 1.0, 2.0) == 1.0
     assert 2.0 not in xs
+    assert len(xs) <= 4
     phase, xs = _recorded(lambda x: (-x + 1e-3, -1.0))
     assert root_solver._phase_root(phase, -2.0, 1.0, 2.0) == 2.0
     assert 1.0 not in xs
+    assert len(xs) <= 4
 
 
 def test_phase_root_rejects_a_nan_bracket():
