@@ -14,24 +14,6 @@ class DomainError(HypgeoError):
     """An argument lies outside the mathematical domain of the operation."""
 
 
-# ---- algebra ----------------------------------------------------------
-
-class DeterminantError(DomainError):
-    """Matrix entries do not satisfy a*d - b*c = 1 within tolerance."""
-
-
-class DegenerateDenominator(DomainError):
-    """The disk automorphism denominator vanishes at the requested point."""
-
-
-class IdentityInput(DomainError):
-    """The identity element has no isometry classification."""
-
-
-class OutsideDisk(DomainError):
-    """A point expected inside the open unit disk has |z| >= 1."""
-
-
 # ---- metric_space -----------------------------------------------------
 
 class NonPositiveEigenvalue(DomainError):

@@ -94,12 +94,16 @@ def check_count(n, least: int, name: str = "n") -> int:
 
 
 def make_metric(i1: float, i3: float) -> Metric:
-    """Validated metric constructor; both eigenvalues must be positive and finite."""
+    """Validated metric constructor; both eigenvalues must be positive and
+    finite, with a ratio I1/I3 that eta represents: -inf < eta < -1."""
     if not (i1 > 0.0) or not (i3 > 0.0):
         raise NonPositiveEigenvalue(f"inertia values must be > 0, got {i1!r}, {i3!r}")
     if not (math.isfinite(i1) and math.isfinite(i3)):
         raise DomainError(f"inertia values must be finite, got {i1!r}, {i3!r}")
-    return Metric(float(i1), float(i3))
+    m = Metric(float(i1), float(i3))
+    if not -math.inf < m.eta < -1.0:
+        raise DomainError(f"ratio I1/I3 = {i1!r}/{i3!r} gives eta = {m.eta!r}, not in (-inf, -1)")
+    return m
 
 
 def metric_from_eta(eta: float, i1: float = 1.0) -> Metric:

@@ -286,7 +286,8 @@ def _plane_stratum(m: Metric, group: GroupTag, n: int, rho_max: float) -> LocusS
             q0, q3, radial = -q0, -q3, -radial
             first = -first
         gamma0 = math.atan2(first.q2, first.q1)
-        sheet = math.sqrt(1.0 + rho * rho)
+        # from 1e16 on 1 + rho^2 rounds to rho^2, whose root is rho: the same bits, no overflow
+        sheet = math.sqrt(1.0 + rho * rho) if rho < 1e16 else rho
         worst = max(worst, abs(q0 - g.ideal[0] * sheet), abs(q3 - g.ideal[1] * sheet))
         d = norm if norm else 1.0
         for phi, cos_phi, sin_phi in table:

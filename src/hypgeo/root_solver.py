@@ -77,8 +77,9 @@ def _phase_root(phase: _Phase, target: float, lo: float, hi: float) -> float:
     search never left it: an end already past the target (rounding at a
     bracket that is sharp in exact arithmetic) is the root.  It is tested
     the first time a Newton step points past it, else after the search.
+    A one-point bracket, where rounding merged sharp ends, is its root.
     """
-    if not lo < hi:  # NaN input
+    if not lo <= hi:  # NaN input
         raise NoRootFound(f"empty phase bracket [{lo!r}, {hi!r}]")
     lo0, hi0 = lo, hi  # an end not yet evaluated; NaN once it is
     x = 0.5 * (lo + hi)
@@ -225,8 +226,9 @@ def radius_level_root(m: Metric, rho: float, target: float) -> tuple[Covector, f
 
     Both come from the root's own parameter, so the covector's causal
     record is exact rather than re-derived from rounded components.
-    DomainError if the time-like lower bracket underflows to 0, which
-    takes an extreme eta (<= -1e200) and rho.
+    DomainError where a bracket underflows to 0, which takes an extreme
+    eta and rho: the space-like upper one where eta rho overflows, the
+    time-like lower one at eta <= -1e200.
     """
     if not (0.0 < rho < math.inf and -math.inf < target < 0.0):
         raise DomainError(f"need finite rho > 0 and target < 0, got {rho!r}, {target!r}")
@@ -239,6 +241,8 @@ def radius_level_root(m: Metric, rho: float, target: float) -> tuple[Covector, f
     gap = abs(phi_light - target) / -eta  # |k - rho|, free of cancellation
     if target > phi_light:
         b_hi = k * math.hypot(1.0, rho) / (math.sqrt(gap) * math.sqrt(rho + k))
+        if not b_hi > 0.0:
+            raise DomainError(f"space-like upper bracket underflows at rho {rho!r}, eta {eta!r}")
         b = _phase_root(partial(_spacelike_level_phase, rho, eta), target, 0.0, b_hi)
         h = math.hypot(1.0, b)
         p = covector_of_type(m, CausalType.SPACE_LIKE, b, h, 0.0)

@@ -203,6 +203,8 @@ DOMAIN_CASES = [
     ["wavefront", "--eta", "-1.25", "--t", "inf", "--grid", "8"],
     ["geodesic", "--eta", "-1.25", "--pbar3", "1.5", "--type", "tl", "--t-max", "nan"],
     ["geodesic", "--I3", "inf", "--type", "ll", "--t-max", "1"],
+    # I1/I3 overflows, so eta is -inf: injrad printed a radius of 0
+    ["injrad", "--I1", "1e300", "--I3", "1e-300"],
 ]
 
 
@@ -212,6 +214,17 @@ def test_domain_errors_exit_2(capfdbinary, argv):
     assert code == 2
     assert out == b""
     assert b"domain error" in err
+
+
+def test_cut_time_where_one_plus_eta_rounds_to_eta_exits_0(capfdbinary):
+    # the crossing bracket is one float here: used to exit 2 with
+    # "empty phase bracket"
+    code, out, err = run_cli(capfdbinary, "cut-time", "--eta", "-1e300", "--type", "tl",
+                             "--pbar3", "1.5")
+    assert code == 0 and err == b""
+    header, row = csv_rows(out)
+    assert header[:2] == ["group", "t_cut"]
+    assert abs(float(row[1]) * 1e150 - math.pi) <= 1e-12 * math.pi
 
 
 def test_geodesic_names_a_time_whose_turn_overflows(capfdbinary):

@@ -19,6 +19,7 @@ from hypgeo import (
     covector_from_components,
     covector_from_pbar3,
     cut_locus_sample,
+    injectivity_radius,
     light_covector,
     make_metric,
     metric_from_eta,
@@ -55,6 +56,19 @@ def test_metric_rejects_eigenvalues_that_are_not_finite():
     for i1, i3 in ((math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf)):
         with pytest.raises(DomainError):
             make_metric(i1, i3)
+
+
+@pytest.mark.parametrize("i1, i3", [(1e300, 1e-300), (1e-300, 1e300), (1.0, 1e17)])
+def test_metric_rejects_a_ratio_that_eta_cannot_represent(i1, i3):
+    # eta was -inf, -1.0 and -1.0, and the injectivity radius 0.0, -0.0 and -0.0
+    with pytest.raises(DomainError, match="I1/I3"):
+        make_metric(i1, i3)
+
+
+def test_metric_keeps_a_ratio_near_the_limit_that_eta_represents():
+    m = make_metric(1.0, 1e15)
+    assert -1.0 - 2e-15 < m.eta < -1.0
+    assert 0.0 < injectivity_radius(m) < 3e-7
 
 
 def test_components_constructor_rejects_nan():

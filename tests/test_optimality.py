@@ -401,6 +401,37 @@ def test_locus_names_an_underflowing_time_like_bracket(group, eta, rho_max):
         cut_locus_sample(metric_from_eta(eta), group, 2, rho_max)
 
 
+@pytest.mark.parametrize("group", list(GroupTag))
+@pytest.mark.parametrize("rho_max", [1e160, 1e300])
+def test_locus_validation_error_stays_finite_at_a_huge_radius(group, rho_max):
+    # the sheet height sqrt(1 + rho^2) overflowed past rho = 1.34e154, and
+    # the plane's validation_error read inf while its points stayed finite
+    for eta in (-1.3, -3.0):
+        for stratum in cut_locus_sample(metric_from_eta(eta), group, 4, rho_max):
+            assert stratum.validation_error <= 1e-12 * rho_max
+
+
+@pytest.mark.parametrize("group, limit", [(GroupTag.PSL2, math.pi), (GroupTag.SL2, 2.0 * math.pi)])
+@pytest.mark.parametrize("ctype", list(CausalType))
+def test_cut_time_where_one_plus_eta_rounds_to_eta(group, limit, ctype):
+    # from eta = -1e16 on, 1 + eta rounds to eta, the crossing bracket
+    # [|target|/a, |target|/slow] is one float, and NoRootFound was raised;
+    # at I1 = 1, cut_time sqrt(-eta) tends to pi (PSL2) and 2 pi (SL2)
+    def scaled(eta):
+        m = metric_from_eta(eta)
+        if ctype is CausalType.LIGHT_LIKE:
+            p = light_covector(m, 0.0)
+        else:
+            p = covector_from_pbar3(m, 1.5 if ctype is CausalType.TIME_LIKE else 0.5, 0.0, ctype)
+        assert describe_cut(m, p, group).t_cut == cut_time(m, p, group)
+        return cut_time(m, p, group) * math.sqrt(-eta)
+
+    ref = scaled(-1e15)
+    assert abs(ref - limit) <= 1e-12 * limit
+    for eta in (-1e16, -1e17, -1e18, -1e300):
+        assert abs(scaled(eta) - ref) <= 1e-12 * ref
+
+
 # the plane strata's extremes: eta from the sub-Riemannian end to deep in
 # the pole regime, radii from the conjugate end (tau -> pi) to far out
 _PLANE_ETAS = (-1.001, -1.05, -1.25, -1.45, -1.5, -1.6, -2.0, -2.5, -4.0, -8.0, -30.0)

@@ -18,21 +18,20 @@ import hypgeo
 ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC_NAMES = [
-    "CausalType", "Covector", "CutDescriptor", "DegenerateDenominator",
-    "DegenerateIdenticallyZero", "DeterminantError", "DomainError", "ETA_INJ_SPLIT",
+    "CausalType", "Covector", "CutDescriptor",
+    "DegenerateIdenticallyZero", "DomainError", "ETA_INJ_SPLIT",
     "ETA_POLE_SPLIT_PSL2", "ETA_POLE_SPLIT_SL2", "GeodesicSample", "GroupTag", "HypgeoError",
-    "IdentityInput", "IdentityTarget", "IsometryClass", "IsometryKind", "LightLikeInput",
+    "IdentityTarget", "LightLikeInput",
     "LocusSample", "Metric", "NegativeTime", "NoConvergence", "NoRootFound",
-    "NonPositiveEigenvalue", "NotOnC", "NotTimeLike", "OnCutLocus", "OutsideDisk", "Psl2Element",
+    "NonPositiveEigenvalue", "NotOnC", "NotTimeLike", "OnCutLocus", "Psl2Element",
     "SplitQuaternion", "SrMomentum", "SymmetryElement", "UndefinedAtEquator",
     "WavefrontPoint", "apply_symmetry_image", "apply_symmetry_preimage", "beta_from_pbar3",
-    "classify_isometry", "conjugate_roots", "covector_from_components", "covector_from_pbar3",
+    "conjugate_roots", "covector_from_components", "covector_from_pbar3",
     "cut_locus_sample", "cut_time", "describe_cut", "exp_map", "first_conjugate_time",
-    "from_sl2", "hyperbolic_distance",
     "injectivity_radius", "jacobian", "light_covector", "limit_comparison", "make_metric",
     "maxwell_root_q0", "maxwell_root_q3", "maxwell_time", "metric_from_eta", "psl2_canonicalize",
     "riemannian_log", "sample_geodesic", "sq_exp", "sq_mul", "sr_cut_time", "sr_exp_map",
-    "tau_of_t", "to_mobius_apply", "to_sl2", "vertical_flow", "wavefront_sample",
+    "tau_of_t", "vertical_flow", "wavefront_sample",
 ]
 
 

@@ -288,6 +288,24 @@ def test_phase_root_rejects_a_nan_bracket():
     assert xs == []
 
 
+def test_phase_root_of_a_one_point_bracket_is_its_point():
+    # rounding merges a bracket's sharp ends: for eta <= -1e16, 1 + eta
+    # rounds to eta and the crossing bracket is one float
+    def phase(x):
+        return -x, -1.0
+
+    assert root_solver._phase_root(phase, -0.5, 0.75, 0.75) == 0.75
+    with pytest.raises(NoRootFound, match="empty phase bracket"):
+        root_solver._phase_root(phase, -0.5, 0.75, 0.5)
+
+
+def test_level_root_names_a_space_like_bracket_that_underflows():
+    # eta rho overflows, so the upper bracket is 0; its one point is the
+    # equator, no witness, and must not come back as one
+    with pytest.raises(DomainError, match="upper bracket underflows"):
+        root_solver.radius_level_root(metric_from_eta(-1e10), 1e300, -0.5 * math.pi)
+
+
 def test_level_curve_rows_take_few_phase_evaluations(monkeypatch):
     # a fixed sweep of cut-locus planes: 9 etas in [-30, -1.001], both
     # groups, n in {8, 12, 16}; 7.97 evaluations per row when both bracket
