@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 from .algebra import Psl2Element, SplitQuaternion, psl2_canonicalize
 from .errors import DomainError, IdentityTarget, NoConvergence, OnCutLocus
-from .geodesic_engine import exp_map, orbit_factors, orbit_pass, orbit_point
+from .geodesic_engine import exp_map, orbit_factors, orbit_pass
 from .metric_space import (
     ETA_INJ_SPLIT,
     ETA_POLE_SPLIT_PSL2,
@@ -36,6 +36,7 @@ from .metric_space import (
     check_count,
     covector_from_components,
     covector_from_pbar3,
+    covector_of_type,
 )
 from .root_solver import EQUATOR_TOLERANCE, crossing_time, phase_above, radius_level_root
 
@@ -276,20 +277,25 @@ def _plane_stratum(m: Metric, group: GroupTag, n: int, rho_max: float) -> LocusS
     points, params = [], []
     worst = 0.0
     for i in range(1, n + 1):
-        rho = rho_max * i / n
-        p0, t = radius_level_root(m, rho, g.target_phase)
+        # rho_max * i overflows only for rho_max near the float maximum
+        rho = rho_max * i / n if rho_max * i < math.inf else rho_max * (i / n)
+        try:
+            p0, t = radius_level_root(m, rho, g.target_phase)
+        except DomainError as e:
+            msg = f"rho_max {rho_max!r}: no representable witness at row radius {rho!r} ({e})"
+            raise DomainError(msg) from None
         a1, _, p3, kil, ctype, norm, pbar3 = p0
-        orbit = q0, q3, radial, c, s, _ = orbit_factors(m, p0, t)
-        first = orbit_point(orbit, a1, 0.0)
-        if g.lift(first).components() != first:
-            # the row shares q0 and q3: negate every point via its factors
+        q0, q3, radial, c, s, _ = orbit_factors(m, p0, t)
+        if box and q3 < 0.0:
+            # _upper's rule; the row shares q0 and q3: negate every point via its factors
             q0, q3, radial = -q0, -q3, -radial
-            first = -first
-        gamma0 = math.atan2(first.q2, first.q1)
+        d = norm if norm else 1.0
+        # the base angle of the lifted orbit_point(factors, a1, 0.0), in its floats
+        x, y = a1 / d, 0.0 / d
+        gamma0 = math.atan2(radial * (x * s + y * c), radial * (x * c - y * s))
         # from 1e16 on 1 + rho^2 rounds to rho^2, whose root is rho: the same bits, no overflow
         sheet = math.sqrt(1.0 + rho * rho) if rho < 1e16 else rho
         worst = max(worst, abs(q0 - g.ideal[0] * sheet), abs(q3 - g.ideal[1] * sheet))
-        d = norm if norm else 1.0
         for phi, cos_phi, sin_phi in table:
             p1, p2 = a1 * cos(phi - gamma0), a1 * sin(phi - gamma0)
             x, y = p1 / d, p2 / d
@@ -313,12 +319,13 @@ def _axis_stratum(m: Metric, name: str, pbar3s, lift) -> LocusSample:
     points, params = [], []
     worst = 0.0
     for pbar3 in pbar3s:
-        p = covector_from_pbar3(m, pbar3, 0.0, CausalType.TIME_LIKE)
+        # pbar3 is in [1, -c/eta] in size by construction: the record needs no checks
+        p = covector_of_type(m, CausalType.TIME_LIKE, pbar3, math.sqrt(pbar3 * pbar3 - 1.0), 0.0)
         t = first_conjugate_time(m, p)
         e = lift(exp_map(m, p, t))
+        q0, q1, q2, q3 = e.components()
         turn = math.pi * m.eta * pbar3
-        ideal = (-math.cos(turn), 0.0, 0.0, -math.sin(turn))
-        worst = max(worst, max(abs(a - b) for a, b in zip(e.components(), ideal)))
+        worst = max(worst, abs(q0 + math.cos(turn)), abs(q1), abs(q2), abs(q3 + math.sin(turn)))
         points.append(e)
         params.append((p, t))
     return LocusSample(name, tuple(points), tuple(params), worst)
@@ -336,9 +343,14 @@ def cut_locus_sample(
     endpoints (pbar3 = +-1).  PSL(2,R) lifts Z and R_eta with q3 > 0: on Z
     and at R_eta's last point, where q0 is rounding noise, this replaces
     Psl2Element's q0 > 0 rule.  DomainError unless n is an integer >= 2
-    and rho_max is finite and positive.  The sample is built with the
-    process-wide cyclic collector paused; the caller's state (enabled or
-    not) is restored on return and on error.
+    and rho_max is finite and positive.  A row radius rho_max i/n is
+    formed without overflow up to the float maximum; DomainError names
+    rho_max where a row's witness cannot be represented in floats: a
+    radius that rounds to 0, one so small (subnormal, as for rho_max
+    1e-308 with n = 4) that cosh of the time-like level parameter
+    overflows, or an eta so extreme that a bracket underflows.  The
+    sample is built with the process-wide cyclic collector paused; the
+    caller's state (enabled or not) is restored on return and on error.
     """
     n = check_count(n, 2)
     if not (0.0 < rho_max < math.inf):

@@ -210,8 +210,9 @@ def _lambda_tau(lam: float) -> float:
 
 
 def _timelike_level_phase(rho: float, eta: float, lam: float) -> tuple[float, float]:
-    s, c = 1.0 / math.cosh(lam), -math.tanh(lam)
-    b = math.hypot(1.0, rho * math.cosh(lam))
+    ch = math.cosh(lam)
+    s, c = 1.0 / ch, -math.tanh(lam)
+    b = math.hypot(1.0, rho * ch)
     tau = _lambda_tau(lam)
     phi, dphi_dtau = _timelike_phase(b, eta, tau)
     dphi_db = eta * tau + s * c / (c * c + b * b * s * s)
@@ -227,8 +228,8 @@ def radius_level_root(m: Metric, rho: float, target: float) -> tuple[Covector, f
     Both come from the root's own parameter, so the covector's causal
     record is exact rather than re-derived from rounded components.
     DomainError where a bracket underflows to 0, which takes an extreme
-    eta and rho: the space-like upper one where eta rho overflows, the
-    time-like lower one at eta <= -1e200.
+    eta and rho: the time-like lower one at eta <= -1e200.  Where eta rho
+    overflows, the light-cone phase is -inf and the gap is rho - k.
     """
     if not (0.0 < rho < math.inf and -math.inf < target < 0.0):
         raise DomainError(f"need finite rho > 0 and target < 0, got {rho!r}, {target!r}")
@@ -238,9 +239,13 @@ def radius_level_root(m: Metric, rho: float, target: float) -> tuple[Covector, f
         p = light_covector(m, 0.0, 1)
         return p, 2.0 * m.i1 * rho / p.p3
     k = (math.atan(rho) - target) / -eta
-    gap = abs(phi_light - target) / -eta  # |k - rho|, free of cancellation
+    # |k - rho|, free of cancellation; where eta rho overflows, phi_light is -inf and k < rho
+    gap = abs(phi_light - target) / -eta if phi_light > -math.inf else rho - k
     if target > phi_light:
-        b_hi = k * math.hypot(1.0, rho) / (math.sqrt(gap) * math.sqrt(rho + k))
+        root = math.sqrt(gap) * math.sqrt(rho + k)
+        b_hi = k * math.hypot(1.0, rho) / root
+        if b_hi == math.inf:  # k hypot(1, rho) overflows near the float maximum; b_hi does not
+            b_hi = k * (math.hypot(1.0, rho) / root)
         if not b_hi > 0.0:
             raise DomainError(f"space-like upper bracket underflows at rho {rho!r}, eta {eta!r}")
         b = _phase_root(partial(_spacelike_level_phase, rho, eta), target, 0.0, b_hi)

@@ -1,6 +1,7 @@
 """Maxwell/conjugate/cut times, strata, injectivity radius, logarithm."""
 
 import gc
+import hashlib
 import math
 import random
 
@@ -409,6 +410,49 @@ def test_locus_validation_error_stays_finite_at_a_huge_radius(group, rho_max):
     for eta in (-1.3, -3.0):
         for stratum in cut_locus_sample(metric_from_eta(eta), group, 4, rho_max):
             assert stratum.validation_error <= 1e-12 * rho_max
+
+
+@pytest.mark.parametrize("eta, group", [(-1.3, GroupTag.PSL2), (-3.0, GroupTag.SL2)])
+def test_locus_answers_at_the_float_maximum(eta, group):
+    # rho_max * i overflowed to inf before the division by n, and so did
+    # eta rho and k hypot(1, rho) in the space-like level root's bracket
+    rho_max = 1.7e308
+    for stratum in cut_locus_sample(metric_from_eta(eta), group, 4, rho_max):
+        assert stratum.validation_error <= 1e-12 * rho_max
+        for point in stratum.points:
+            assert all(math.isfinite(x) for x in point.components())
+
+
+@pytest.mark.parametrize("group", list(GroupTag))
+@pytest.mark.parametrize("eta, rho_max", [(-1.3, 1e-308), (-3.0, 1e-308), (-1.3, 2.2e-308)])
+def test_locus_names_rho_max_where_a_subnormal_row_has_no_witness(group, eta, rho_max):
+    # the first row radius rho_max/4 is subnormal: cosh of its time-like
+    # witness's level parameter overflows, and the message named an
+    # infinite pbar3 instead of the input
+    with pytest.raises(DomainError, match=f"rho_max {rho_max!r}"):
+        cut_locus_sample(metric_from_eta(eta), group, 4, rho_max)
+
+
+def test_locus_names_rho_max_where_a_row_radius_rounds_to_zero():
+    with pytest.raises(DomainError, match="rho_max 5e-324: no representable witness at row radius 0.0"):
+        cut_locus_sample(M, GroupTag.PSL2, 4, 5e-324)
+
+
+def test_locus_sweep_is_pinned_bit_for_bit():
+    # one SHA-256 over float.hex of every point component, witness
+    # component, t and validation_error, both groups, etas on both sides
+    # of both pole splits; frozen before the plane rows read their lift
+    # and base angle from the row factors
+    digest = hashlib.sha256()
+    for group in GroupTag:
+        for eta in (-1.05, -1.3, -1.6, -1.9, -2.5, -4.0):
+            for stratum in cut_locus_sample(metric_from_eta(eta), group, 8, 3.0):
+                digest.update(stratum.stratum.encode())
+                for point, (p, t) in zip(stratum.points, stratum.parameters):
+                    for x in (*point.components(), *p.components(), p.kil, p.norm, t):
+                        digest.update(x.hex().encode())
+                digest.update(stratum.validation_error.hex().encode())
+    assert digest.hexdigest() == "8d2c15e493528ca3a307e39809bb5140b7ac3970632d569958dfd15a961bac5c"
 
 
 @pytest.mark.parametrize("group, limit", [(GroupTag.PSL2, math.pi), (GroupTag.SL2, 2.0 * math.pi)])

@@ -19,6 +19,7 @@ from hypgeo import (
     conjugate_roots,
     covector_from_pbar3,
     cut_locus_sample,
+    cut_time,
     exp_map,
     light_covector,
     make_metric,
@@ -299,11 +300,17 @@ def test_phase_root_of_a_one_point_bracket_is_its_point():
         root_solver._phase_root(phase, -0.5, 0.75, 0.5)
 
 
-def test_level_root_names_a_space_like_bracket_that_underflows():
-    # eta rho overflows, so the upper bracket is 0; its one point is the
-    # equator, no witness, and must not come back as one
-    with pytest.raises(DomainError, match="upper bracket underflows"):
-        root_solver.radius_level_root(metric_from_eta(-1e10), 1e300, -0.5 * math.pi)
+def test_level_root_keeps_the_space_like_bracket_where_eta_rho_overflows():
+    # eta rho overflows, so the light-cone phase is -inf; the gap |k - rho|
+    # read inf and the upper bracket 0, and DomainError was raised although
+    # the witness, pbar3 about 2.3e-13, exists
+    m = metric_from_eta(-1e10)
+    p, t = root_solver.radius_level_root(m, 1e300, -0.5 * math.pi)
+    assert p.ctype is CausalType.SPACE_LIKE and 0.0 < p.pbar3 < 1e-12
+    q = exp_map(m, p, t)
+    assert abs(math.hypot(q.q1, q.q2) - 1e300) <= 1e-13 * 1e300
+    assert abs(q.q0) <= 1e-13 * 1e300
+    assert t == cut_time(m, p)
 
 
 def test_level_curve_rows_take_few_phase_evaluations(monkeypatch):
