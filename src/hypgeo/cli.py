@@ -7,8 +7,9 @@ JSON with a schema field and sorted keys, and no timestamps.  Identical
 invocations produce byte-identical files.  Exit codes: 0 success,
 1 usage error, 2 domain error, 3 convergence failure.
 
-The configuration is argparse's Namespace: argparse converts each flag
-(comma lists to float tuples, --group to a GroupTag) for the library.
+One table, _COMMANDS, declares each subcommand's handler and flags.  The
+configuration is argparse's Namespace: argparse converts each flag (comma
+lists to float tuples, --group to a GroupTag) for the library.
 """
 
 from __future__ import annotations
@@ -66,30 +67,6 @@ def _floats(count: int | None = None):
     return floats
 
 
-def _add_metric_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--I1", dest="i1", type=float, default=1.0)
-    sp.add_argument("--I3", dest="i3", type=float, default=None)
-    sp.add_argument("--eta", dest="eta", type=float, default=None)
-
-
-def _add_covector_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--p", dest="p", type=_floats(3), default=None,
-                    help="covector components p1,p2,p3 (validated on C)")
-    sp.add_argument("--pbar3", dest="pbar3", type=float, default=None)
-    sp.add_argument("--phase", dest="phase", type=float, default=0.0)
-    sp.add_argument("--type", dest="ctype", choices=("tl", "ll", "sl"), default=None)
-
-
-def _add_output_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--out", dest="out", type=str, default=None)
-    sp.add_argument("--format", dest="format", choices=("csv", "json"), default=None)
-
-
-def _add_group_flag(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--group", dest="group", type=GroupTag, default=GroupTag.PSL2,
-                    metavar="{%s}" % ",".join(g.value for g in GroupTag))
-
-
 def _is_number(tok: str) -> bool:
     try:
         float(tok.split(",")[0])  # a comma list by its first field
@@ -119,54 +96,10 @@ def parse_args(argv=None) -> argparse.Namespace:
     argv = _merge_flag_values(argv)
     parser = _Parser(prog="hypgeo", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("geodesic", "vertical-flow"):
+    for name, (_, flags) in _COMMANDS.items():
         sp = subs.add_parser(name)
-        _add_metric_flags(sp)
-        _add_covector_flags(sp)
-        _add_output_flags(sp)
-        sp.add_argument("--t-max", dest="t_max", type=float, required=True)
-        sp.add_argument("--samples", dest="samples", type=int, default=200)
-
-    for name in ("maxwell", "conjugate", "cut-time"):
-        sp = subs.add_parser(name)
-        _add_metric_flags(sp)
-        _add_covector_flags(sp)
-        _add_output_flags(sp)
-        if name == "conjugate":
-            sp.add_argument("--k-max", dest="k_max", type=int, default=6)
-        if name == "cut-time":
-            _add_group_flag(sp)
-
-    sp = subs.add_parser("cut-locus")
-    _add_metric_flags(sp)
-    _add_output_flags(sp)
-    _add_group_flag(sp)
-    sp.add_argument("--grid", dest="grid_n", type=int, default=64)
-    sp.add_argument("--rho-max", dest="rho_max", type=float, default=3.0)
-
-    sp = subs.add_parser("wavefront")
-    _add_metric_flags(sp)
-    _add_output_flags(sp)
-    _add_group_flag(sp)
-    sp.add_argument("--t", dest="t", type=float, required=True)
-    sp.add_argument("--grid", dest="grid_n", type=int, default=64)
-
-    sp = subs.add_parser("injrad")
-    _add_metric_flags(sp)
-    _add_output_flags(sp)
-
-    sp = subs.add_parser("log")
-    _add_metric_flags(sp)
-    _add_output_flags(sp)
-    sp.add_argument("--target", dest="target", type=_floats(4), required=True,
-                    help="target element q0,q1,q2,q3 (unit pseudo-norm)")
-
-    sp = subs.add_parser("sr-compare")
-    _add_output_flags(sp)
-    sp.add_argument("--pbar3", dest="pbar3", type=float, required=True)
-    sp.add_argument("--type", dest="ctype", choices=("tl", "sl"), required=True)
-    sp.add_argument("--eta-list", dest="eta_list", type=_floats(), required=True)
+        for flag, options in flags:
+            sp.add_argument(flag, **options)
 
     args = parser.parse_args(argv)
     if args.format is None:
@@ -340,25 +273,55 @@ def _cmd_sr_compare(cfg: argparse.Namespace) -> bytes:
     return _render(cfg, ("eta", "riemannian_cut", "sr_cut", "abs_diff"), rows)
 
 
-_DISPATCH = {
-    "geodesic": _cmd_geodesic,
-    "vertical-flow": _cmd_vertical_flow,
-    "maxwell": _cmd_maxwell,
-    "conjugate": _cmd_conjugate,
-    "cut-time": _cmd_cut_time,
-    "cut-locus": _cmd_cut_locus,
-    "wavefront": _cmd_wavefront,
-    "injrad": _cmd_injrad,
-    "log": _cmd_log,
-    "sr-compare": _cmd_sr_compare,
+# ---- the command table ----------------------------------------------------
+#
+# Each subcommand, in `hypgeo --help` order, with its handler and its flags:
+# (name, add_argument's keyword arguments), added in the order listed.
+
+_METRIC = (("--I1", dict(dest="i1", type=float, default=1.0)),
+           ("--I3", dict(dest="i3", type=float, default=None)),
+           ("--eta", dict(dest="eta", type=float, default=None)))
+_COVECTOR = (("--p", dict(dest="p", type=_floats(3), default=None,
+                          help="covector components p1,p2,p3 (validated on C)")),
+             ("--pbar3", dict(dest="pbar3", type=float, default=None)),
+             ("--phase", dict(dest="phase", type=float, default=0.0)),
+             ("--type", dict(dest="ctype", choices=("tl", "ll", "sl"), default=None)))
+_OUTPUT = (("--out", dict(dest="out", type=str, default=None)),
+           ("--format", dict(dest="format", choices=("csv", "json"), default=None)))
+_GROUP = (("--group", dict(dest="group", type=GroupTag, default=GroupTag.PSL2,
+                           metavar="{%s}" % ",".join(g.value for g in GroupTag))),)
+_SAMPLES = (("--t-max", dict(dest="t_max", type=float, required=True)),
+            ("--samples", dict(dest="samples", type=int, default=200)))
+_GRID = ("--grid", dict(dest="grid_n", type=int, default=64))
+
+_COMMANDS = {
+    "geodesic": (_cmd_geodesic, _METRIC + _COVECTOR + _OUTPUT + _SAMPLES),
+    "vertical-flow": (_cmd_vertical_flow, _METRIC + _COVECTOR + _OUTPUT + _SAMPLES),
+    "maxwell": (_cmd_maxwell, _METRIC + _COVECTOR + _OUTPUT),
+    "conjugate": (_cmd_conjugate, _METRIC + _COVECTOR + _OUTPUT + (
+        ("--k-max", dict(dest="k_max", type=int, default=6)),)),
+    "cut-time": (_cmd_cut_time, _METRIC + _COVECTOR + _OUTPUT + _GROUP),
+    "cut-locus": (_cmd_cut_locus, _METRIC + _OUTPUT + _GROUP + (
+        _GRID, ("--rho-max", dict(dest="rho_max", type=float, default=3.0)))),
+    "wavefront": (_cmd_wavefront, _METRIC + _OUTPUT + _GROUP + (
+        ("--t", dict(dest="t", type=float, required=True)), _GRID)),
+    "injrad": (_cmd_injrad, _METRIC + _OUTPUT),
+    "log": (_cmd_log, _METRIC + _OUTPUT + (
+        ("--target", dict(dest="target", type=_floats(4), required=True,
+                          help="target element q0,q1,q2,q3 (unit pseudo-norm)")),)),
+    "sr-compare": (_cmd_sr_compare, _OUTPUT + (
+        ("--pbar3", dict(dest="pbar3", type=float, required=True)),
+        ("--type", dict(dest="ctype", choices=("tl", "sl"), required=True)),
+        ("--eta-list", dict(dest="eta_list", type=_floats(), required=True)))),
 }
-COMMANDS = tuple(_DISPATCH)
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(cfg: argparse.Namespace) -> int:
     """Execute one validated configuration; returns the exit status."""
     try:
-        data = _DISPATCH[cfg.command](cfg)
+        handler, _ = _COMMANDS[cfg.command]
+        data = handler(cfg)
     except UsageError as exc:
         print(f"hypgeo: usage error: {exc}", file=sys.stderr)
         return 1

@@ -277,6 +277,9 @@ def apply_symmetry_preimage(
 
 
 def apply_symmetry_image(s: SymmetryElement, q: SplitQuaternion) -> SplitQuaternion:
-    """Action of s on the group: O(2) on (q1, q2), Z2 on q3, q0 fixed."""
+    """Action of s on the group: O(2) on (q1, q2), Z2 on q3, q0 fixed.
+    DomainError for a component that is not finite."""
+    if not all(map(math.isfinite, q)):
+        raise DomainError(f"cannot act on {q!r}: a component is not finite")
     x, y, q3 = s.act_on_vector(q.q1, q.q2, q.q3)
     return SplitQuaternion(q.q0, x, y, q3)

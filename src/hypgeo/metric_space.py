@@ -175,14 +175,17 @@ def light_covector(m: Metric, phase: float, p3_sign: int = 1) -> Covector:
     """The light-cone covector on C with given horizontal phase, Kil = 0
     exactly.
 
-    The cone meets C where p1^2 + p2^2 = p3^2, i.e. p3 = +-sqrt(-I1/eta).
+    The cone meets C where p1^2 + p2^2 = p3^2, i.e. p3 = +-sqrt(-I1/eta);
+    DomainError where that underflows to 0, which is not on C.
     """
     if p3_sign not in (1, -1):
         raise DomainError("p3_sign must be +1 or -1")
     if not math.isfinite(phase):
         raise DomainError(f"phase must be finite, got {phase!r}")
-    p3 = p3_sign * m.light_cone_p3()
-    radial = abs(p3)
+    radial = m.light_cone_p3()
+    if radial == 0.0:
+        raise DomainError(f"the light cone's p3 underflows to 0 at I1 = {m.i1!r}")
+    p3 = p3_sign * radial
     return Covector(radial * math.cos(phase), radial * math.sin(phase), p3,
                     0.0, CausalType.LIGHT_LIKE, 0.0, None)
 

@@ -143,6 +143,18 @@ def test_group_help_lists_both_groups(capsys, command):
     assert "--group {psl2,sl2}" in help_text(capsys, command)
 
 
+# SHA-256 of `hypgeo --help` followed by `hypgeo <command> --help` for each
+# command in COMMANDS order: usage lines, flag order, defaults and help
+# strings are pinned, at a fixed width so that argparse wraps alike everywhere
+HELP_DIGEST = "56fe38269c09eace693ec239dee13f52baab30a098132f21626d808029aa76f2"
+
+
+def test_help_text_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = [help_text(capsys), *(help_text(capsys, c) for c in COMMANDS)]
+    assert hashlib.sha256("".join(texts).encode("utf-8")).hexdigest() == HELP_DIGEST
+
+
 # ---- exit codes ------------------------------------------------------------
 
 USAGE_CASES = [

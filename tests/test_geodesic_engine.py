@@ -649,6 +649,13 @@ def test_symmetry_image_rejects_an_angle_that_is_not_finite(angle):
             apply_symmetry_image(s, q)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_symmetry_image_rejects_a_component_that_is_not_finite(bad):
+    # inf rotated by angle 0 meets sin 0, and inf * 0 is NaN
+    with pytest.raises(DomainError, match="not finite"):
+        apply_symmetry_image(SymmetryElement(), SplitQuaternion(1.0, bad, 0.0, 0.0))
+
+
 @pytest.mark.parametrize("angle", [math.nan, math.inf])
 def test_symmetry_preimage_rejects_an_angle_that_is_not_finite(angle):
     # the angle is the bad input, not the covector: not NotOnC

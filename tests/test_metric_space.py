@@ -271,6 +271,13 @@ def test_light_covector_rejects_a_zero_sign():
         light_covector(make_metric(1.0, 4.0), 0.0, 0)
 
 
+def test_light_covector_rejects_a_cone_that_underflows():
+    # I1 = 5e-324: p3 = sqrt(-I1/eta) rounds to 0, a covector off C whose
+    # cut time would divide by a zero speed
+    with pytest.raises(DomainError, match="underflows"):
+        light_covector(metric_from_eta(-2.0, 5e-324), 0.0)
+
+
 def test_light_covector_components():
     m = make_metric(1.0, 4.0)
     p = light_covector(m, 0.25, -1)
