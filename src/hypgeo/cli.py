@@ -96,10 +96,14 @@ def parse_args(argv=None) -> argparse.Namespace:
     argv = _merge_flag_values(argv)
     parser = _Parser(prog="hypgeo", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
+    # flags only for the command named by the first token that is not an
+    # option; if it names none, every subparser gets its flags, as before
+    command = next((tok for tok in argv if not tok.startswith("-")), None)
     for name, (_, flags) in _COMMANDS.items():
         sp = subs.add_parser(name)
-        for flag, options in flags:
-            sp.add_argument(flag, **options)
+        if name == command or command not in _COMMANDS:
+            for flag, options in flags:
+                sp.add_argument(flag, **options)
 
     args = parser.parse_args(argv)
     if args.format is None:

@@ -412,6 +412,14 @@ def wavefront_sample(
 
 # ---- inverse of the exponential map -------------------------------------
 
+# the logarithm's seed grid, 48 momenta x_cap f by 24 times t_hi h / 24: the
+# f are symmetric about 0, and 12 of their 24 pairs are exact negations in
+# floats too (notes/decisions.md, "Mirrored momenta share a column")
+_SCAN_X = tuple(-1.0 + 2.0 * (i + 0.5) / 48 for i in range(48))
+_SCAN_MIRRORED = frozenset(f for f in _SCAN_X if f < 0.0 and -f in _SCAN_X)
+_SCAN_H = tuple(j + 0.5 for j in range(24))
+
+
 def _axis_log(m: Metric, q: SplitQuaternion) -> tuple[Covector, float]:
     """Logarithm of an axis rotation (q1 = q2 = 0): the pole geodesics,
     cut by the same rule as every other preimage."""
@@ -449,11 +457,14 @@ def riemannian_log(
     with the horizontal phase restored exactly afterwards.  The seeds are
     a scan of 48 vertical momenta by 24 increasing trial times below each
     one's cut time: one `orbit_pass` per momentum, where a rejected time
-    (an overflow) and every later one get an infinite residual.  The seeds
-    and the Newton residuals read q0 and q3 from the orbit factors, the
-    floats `exp_map` would return; only the final check builds an
-    endpoint.  Axis targets are inverted in closed form along the pole
-    geodesics.
+    (an overflow) and every later one get an infinite residual.  Where the
+    grid's floats are exact negations (12 of its 24 pairs +-x), the scan
+    runs one cut time and one pass per mirrored pair: sigma2, p3 -> -p3,
+    keeps the cut time and maps (q0, q3) to (q0, -q3) bit for bit, so -x
+    reads x's column against (q0, -q3).  The seeds and the Newton
+    residuals read q0 and q3 from the orbit factors, the floats `exp_map`
+    would return; only the final check builds an endpoint.  Axis targets
+    are inverted in closed form along the pole geodesics.
 
     Raises DomainError unless check_log_target passes, IdentityTarget at
     the identity, OnCutLocus when the target sits on a cut stratum (|q0|
@@ -491,20 +502,29 @@ def riemannian_log(
     t_cap_global = 3.0 * t_scale + 2.0 * math.sqrt(m.i1 + m.i3)
 
     seeds = []
-    nx, nt = 48, 24
-    for i in range(nx):
-        x = x_cap * (-1.0 + 2.0 * (i + 0.5) / nx)
-        p = _chain_covector(m, x)
-        tc = cut_time(m, p)
-        t_hi = t_cap_global if math.isinf(tc) else min(tc * (1.0 - 1e-9), t_cap_global)
-        times = [t_hi * (j + 0.5) / nt for j in range(nt)]
-        column = []
-        try:
-            orbit_pass(m, p, times, column)
-        except DomainError:
-            pass  # the times grow, and so do the overflow guards: every later time fails too
-        for t, f in zip(times, column):
-            r0, r3 = f[0] - q0, f[1] - q3
+    mirrors = {}  # -x: the times and factors of a scanned x whose negation comes later
+    for f in _SCAN_X:
+        x = x_cap * f
+        if x in mirrors:
+            # sigma2 twin: the same cut time and times, factors (q0, -q3): its
+            # squared residuals are the column's against (q0, -q3), bit for bit
+            times, column = mirrors.pop(x)
+            z = -q3
+        else:
+            p = _chain_covector(m, x)
+            tc = cut_time(m, p)
+            t_hi = t_cap_global if math.isinf(tc) else min(tc * (1.0 - 1e-9), t_cap_global)
+            times = [t_hi * h / 24 for h in _SCAN_H]
+            column = []
+            try:
+                orbit_pass(m, p, times, column)
+            except DomainError:
+                pass  # the times grow, and so do the overflow guards: every later time fails too
+            if f in _SCAN_MIRRORED:
+                mirrors[-x] = times, column
+            z = q3
+        for t, a in zip(times, column):
+            r0, r3 = a[0] - q0, a[1] - z
             seeds.append((r0 * r0 + r3 * r3, x, t))
         seeds += [(math.inf, x, t) for t in times[len(column):]]
 

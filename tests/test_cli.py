@@ -1,5 +1,6 @@
 """Command-line interface: parsing, exit codes, formats, determinism."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -28,7 +29,7 @@ from hypgeo import (
     psl2_canonicalize,
     sample_geodesic,
 )
-from hypgeo.cli import COMMANDS, main, parse_args
+from hypgeo.cli import COMMANDS, UsageError, main, parse_args
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -153,6 +154,34 @@ def test_help_text_is_pinned(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     texts = [help_text(capsys), *(help_text(capsys, c) for c in COMMANDS)]
     assert hashlib.sha256("".join(texts).encode("utf-8")).hexdigest() == HELP_DIGEST
+
+
+def _flags_added(monkeypatch, argv):
+    """The first name of each option parse_args(argv) adds, help aside."""
+    added = []
+    add = argparse.ArgumentParser.add_argument
+
+    def counted(self, *names, **options):
+        if "--help" not in names:
+            added.append(names[0])
+        return add(self, *names, **options)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    try:
+        parse_args(argv)
+    except UsageError:
+        pass
+    return added
+
+
+def test_parse_args_adds_flags_only_to_the_command_it_runs(monkeypatch):
+    argv = ["log", "--eta", "-1.25", "--target", "1,0,0,0"]
+    assert _flags_added(monkeypatch, argv) == [
+        "--I1", "--I3", "--eta", "--out", "--format", "--target"]
+    # with no command named, every subparser gets its flags
+    every = sum(len(flags - {"--help"}) for flags in COMMAND_FLAGS.values())
+    assert len(_flags_added(monkeypatch, ["no-such-command"])) == every
+    assert len(_flags_added(monkeypatch, [])) == every
 
 
 # ---- exit codes ------------------------------------------------------------

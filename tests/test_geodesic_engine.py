@@ -18,13 +18,16 @@ from helpers import (
 from hypgeo import (
     CausalType,
     DomainError,
+    GroupTag,
     LightLikeInput,
     NegativeTime,
     SplitQuaternion,
     SymmetryElement,
     apply_symmetry_image,
     apply_symmetry_preimage,
+    covector_from_components,
     covector_from_pbar3,
+    cut_time,
     exp_map,
     jacobian,
     light_covector,
@@ -501,6 +504,76 @@ def test_orbit_pass_raises_at_a_rejected_time_with_the_prefix_kept(ctype, bad, e
     with pytest.raises(error, match=re.escape(repr(bad))):
         orbit_pass(m, p, times, out)
     assert len(out) == 3
+
+
+def _times_past_the_guards(rnd):
+    """0 < t_1 < t_2 < ...: geometric steps from 1e-3 until t overflows,
+    then inf, so every pass stops at a guard or at the infinite time."""
+    times, t = [], 1e-3
+    while t < math.inf:
+        times.append(t)
+        t *= rnd.uniform(1.5, 8.0)
+    return times + [math.inf]
+
+
+def _mirror_cases(ctype):
+    """(metric, covector, times) of one causal type: random records of
+    either sign of p3, and records classified from components the way the
+    logarithm's scan builds its covectors."""
+    rnd = random.Random(7129)
+    for _ in range(40):
+        m = metric_from_eta(-1.0 - 10.0 ** rnd.uniform(-3.0, 1.5))
+        yield m, random_covector(rnd, m, ctype), _times_past_the_guards(rnd)
+        x = rnd.uniform(-1.0, 1.0) * math.sqrt(m.i3)
+        if ctype is _L:  # |p3| = |p| on the cone
+            x = math.copysign(math.sqrt(m.i1 * m.i3 / (m.i1 + m.i3)), x)
+        p = covector_from_components(m, math.sqrt(max(m.i1 * (1.0 - x * x / m.i3), 0.0)), 0.0, x)
+        if p.ctype is ctype:
+            yield m, p, _times_past_the_guards(rnd)
+    if ctype is _S:  # pbar3 sinh tau overflows before cosh tau does
+        m = metric_from_eta(-1.3)
+        p = covector_from_pbar3(m, -1e3, 0.4, _S)
+        yield m, p, [tau * 2.0 * m.i1 / p.norm for tau in (1.0, 700.0, 705.0, 709.0)]
+
+
+def _pass_until_error(m, p, times):
+    out = []
+    try:
+        orbit_pass(m, p, times, out)
+    except DomainError as exc:
+        return out, exc
+    return out, None
+
+
+@pytest.mark.parametrize("ctype", [_T, _S, _L])
+def test_sigma2_twin_runs_the_mirrored_orbit_pass_to_the_bit(ctype):
+    # sigma2 (p3 -> -p3) maps Exp(p, t) to Exp(sigma2 p, t): the twin's
+    # record differs only in the signs of p3 and pbar3, IEEE products and
+    # sums are sign-symmetric, and libm's cos is even and its sin odd, so
+    # its factors are (q0, -q3, radial, c, -s, norm) bit for bit, and its
+    # pass stops at the same time with the same error.  riemannian_log's
+    # scan reuses a column for its twin on this rule.
+    sigma2 = SymmetryElement.sigma2()
+    guards = set()
+    for m, p, times in _mirror_cases(ctype):
+        twin, _ = apply_symmetry_preimage(m, sigma2, p, 0.0)
+        assert twin.p3 == -p.p3 and twin[3:6] == p[3:6]
+        assert twin.pbar3 == (None if ctype is _L else -p.pbar3)
+        for group in GroupTag:
+            assert cut_time(m, twin, group).hex() == cut_time(m, p, group).hex()
+        want, error = _pass_until_error(m, p, times)
+        got, twin_error = _pass_until_error(m, twin, times)
+        assert len(got) == len(want) < len(times)
+        assert type(twin_error) is type(error) and str(twin_error) == str(error)
+        guards.add(re.search(r"overflows [a-z ]+|must be finite", str(error)).group())
+        mirrored = [(q0, -q3, radial, c, -s, norm) for q0, q3, radial, c, s, norm in want]
+        assert _hexes(got) == _hexes(mirrored)
+        # at t = 0 the rule holds up to the sign of a zero: q3 is 0 + (-0) = +0
+        # on both sides (the scan's times are all positive)
+        assert orbit_factors(m, twin, 0.0) == orbit_factors(m, p, 0.0)
+    # every guard of the type is reached, not only the infinite time
+    turn = {"overflows the turn", "must be finite"}
+    assert guards == {_S: {"overflows cosh tau", "overflows the endpoint"}}.get(ctype, turn)
 
 
 @pytest.mark.parametrize("ctype", [_T, _S, _L])

@@ -1006,26 +1006,41 @@ def test_log_counts_an_overflowing_trial_as_a_failed_step():
     assert gap(psl2_canonicalize(exp_map(m, p, t)).rep, psl2_canonicalize(q).rep) <= 1e-9 * size
 
 
-
 def test_log_seed_scan_runs_one_orbit_pass_per_momentum(monkeypatch):
-    # the 48 x 24 scan is 48 column passes of 24 times each; orbit_factors
-    # runs only in the Newton iteration after the scan
+    # the 48 x 24 scan runs one cut time and one 24-time column pass per
+    # vertical momentum x, except where x is the exact negation of a momentum
+    # scanned before it: that column is its mirror's, q3 negated.  The grid's
+    # fractions decide which: 12 of the 24 mirrored pairs are exact in floats.
+    # orbit_factors runs only in the Newton iteration after the scan
+    m = metric_from_eta(_FAR_LOG_ETA)
+    x_cap = math.sqrt(m.i3) * (1.0 - 1e-12)
+    fractions = [-1.0 + 2.0 * (i + 0.5) / 48 for i in range(48)]
+    scanned = [x_cap * f for i, f in enumerate(fractions) if -f not in fractions[:i]]
+    assert len(scanned) == 36
     events = []
 
+    def counted_cut(m, p, run=optimality.cut_time):
+        events.append(("cut", p.p3))
+        return run(m, p)
+
     def counted_pass(m, p, times, out, run=optimality.orbit_pass):
-        events.append(("pass", len(times)))
+        events.append(("pass", p.p3, len(times)))
         return run(m, p, times, out)
 
     def counted_factors(m, p, t, run=optimality.orbit_factors):
-        events.append(("factors", 1))
+        events.append(("factors",))
         return run(m, p, t)
 
+    monkeypatch.setattr(optimality, "cut_time", counted_cut)
     monkeypatch.setattr(optimality, "orbit_pass", counted_pass)
     monkeypatch.setattr(optimality, "orbit_factors", counted_factors)
-    riemannian_log(metric_from_eta(_FAR_LOG_ETA), SplitQuaternion(*_FAR_LOG_TARGET))
-    assert events[:48] == [("pass", 24)] * 48
-    assert ("pass", 24) not in events[48:]
-    assert 0 < len(events) - 48 < 1152
+    riemannian_log(m, SplitQuaternion(*_FAR_LOG_TARGET))
+    scan = [event for x in scanned for event in (("cut", x), ("pass", x, 24))]
+    assert events[:72] == scan
+    after = [kind for kind, *_ in events[72:]]
+    assert after[0] == "factors" and "pass" not in after
+    assert 0 < after.count("factors") < 1152
+
 
 # (seed, op, eta, t, target) of the far space-like `log` workload ops of
 # seeds 1-3 (|q|_inf from 1.5e3 to 2.6e11) that an absolute 1e-12 Newton
