@@ -97,11 +97,11 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser = _Parser(prog="hypgeo", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
     # flags only for the command named by the first token that is not an
-    # option; if it names none, every subparser gets its flags, as before
+    # option: argparse stops at the top level if that token names none
     command = next((tok for tok in argv if not tok.startswith("-")), None)
     for name, (_, flags) in _COMMANDS.items():
         sp = subs.add_parser(name)
-        if name == command or command not in _COMMANDS:
+        if name == command:
             for flag, options in flags:
                 sp.add_argument(flag, **options)
 

@@ -412,12 +412,10 @@ def wavefront_sample(
 
 # ---- inverse of the exponential map -------------------------------------
 
-# the logarithm's seed grid, 48 momenta x_cap f by 24 times t_hi h / 24: the
-# f are symmetric about 0, and 12 of their 24 pairs are exact negations in
-# floats too (notes/decisions.md, "Mirrored momenta share a column")
+# the logarithm's seed momenta are x_cap f: the f are symmetric about 0, and
+# 12 of their 24 pairs are exact negations in floats too (notes/decisions.md,
+# "Mirrored momenta share a column")
 _SCAN_X = tuple(-1.0 + 2.0 * (i + 0.5) / 48 for i in range(48))
-_SCAN_MIRRORED = frozenset(f for f in _SCAN_X if f < 0.0 and -f in _SCAN_X)
-_SCAN_H = tuple(j + 0.5 for j in range(24))
 
 
 def _axis_log(m: Metric, q: SplitQuaternion) -> tuple[Covector, float]:
@@ -458,8 +456,8 @@ def riemannian_log(
     a scan of 48 vertical momenta by 24 increasing trial times below each
     one's cut time: one `orbit_pass` per momentum, where a rejected time
     (an overflow) and every later one get an infinite residual.  Where the
-    grid's floats are exact negations (12 of its 24 pairs +-x), the scan
-    runs one cut time and one pass per mirrored pair: sigma2, p3 -> -p3,
+    grid's floats are exact negations (12 or more of its 24 pairs +-x), the
+    scan runs one cut time and one pass per mirrored pair: sigma2, p3 -> -p3,
     keeps the cut time and maps (q0, q3) to (q0, -q3) bit for bit, so -x
     reads x's column against (q0, -q3).  The seeds and the Newton
     residuals read q0 and q3 from the orbit factors, the floats `exp_map`
@@ -502,7 +500,7 @@ def riemannian_log(
     t_cap_global = 3.0 * t_scale + 2.0 * math.sqrt(m.i1 + m.i3)
 
     seeds = []
-    mirrors = {}  # -x: the times and factors of a scanned x whose negation comes later
+    mirrors = {}  # -x: the times and factors of a scanned x < 0
     for f in _SCAN_X:
         x = x_cap * f
         if x in mirrors:
@@ -514,13 +512,13 @@ def riemannian_log(
             p = _chain_covector(m, x)
             tc = cut_time(m, p)
             t_hi = t_cap_global if math.isinf(tc) else min(tc * (1.0 - 1e-9), t_cap_global)
-            times = [t_hi * h / 24 for h in _SCAN_H]
+            times = [t_hi * (j + 0.5) / 24 for j in range(24)]
             column = []
             try:
                 orbit_pass(m, p, times, column)
             except DomainError:
                 pass  # the times grow, and so do the overflow guards: every later time fails too
-            if f in _SCAN_MIRRORED:
+            if x < 0.0:
                 mirrors[-x] = times, column
             z = q3
         for t, a in zip(times, column):

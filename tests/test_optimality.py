@@ -1009,14 +1009,17 @@ def test_log_counts_an_overflowing_trial_as_a_failed_step():
 def test_log_seed_scan_runs_one_orbit_pass_per_momentum(monkeypatch):
     # the 48 x 24 scan runs one cut time and one 24-time column pass per
     # vertical momentum x, except where x is the exact negation of a momentum
-    # scanned before it: that column is its mirror's, q3 negated.  The grid's
-    # fractions decide which: 12 of the 24 mirrored pairs are exact in floats.
-    # orbit_factors runs only in the Newton iteration after the scan
+    # scanned before it: that column is its mirror's, q3 negated.  12 of the
+    # grid's 24 mirrored fractions are exact negations in floats, so at least
+    # 12 of its momentum pairs are.  orbit_factors runs only in the Newton
+    # iteration after the scan
     m = metric_from_eta(_FAR_LOG_ETA)
     x_cap = math.sqrt(m.i3) * (1.0 - 1e-12)
     fractions = [-1.0 + 2.0 * (i + 0.5) / 48 for i in range(48)]
-    scanned = [x_cap * f for i, f in enumerate(fractions) if -f not in fractions[:i]]
-    assert len(scanned) == 36
+    assert sum(-f in fractions for f in fractions) == 24
+    grid = [x_cap * f for f in fractions]
+    scanned = [x for i, x in enumerate(grid) if -x not in grid[:i]]
+    assert len(scanned) <= 36
     events = []
 
     def counted_cut(m, p, run=optimality.cut_time):
@@ -1036,8 +1039,8 @@ def test_log_seed_scan_runs_one_orbit_pass_per_momentum(monkeypatch):
     monkeypatch.setattr(optimality, "orbit_factors", counted_factors)
     riemannian_log(m, SplitQuaternion(*_FAR_LOG_TARGET))
     scan = [event for x in scanned for event in (("cut", x), ("pass", x, 24))]
-    assert events[:72] == scan
-    after = [kind for kind, *_ in events[72:]]
+    assert events[:len(scan)] == scan
+    after = [kind for kind, *_ in events[len(scan):]]
     assert after[0] == "factors" and "pass" not in after
     assert 0 < after.count("factors") < 1152
 
