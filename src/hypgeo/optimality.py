@@ -412,10 +412,10 @@ def wavefront_sample(
 
 # ---- inverse of the exponential map -------------------------------------
 
-# the logarithm's seed momenta are x_cap f: the f are symmetric about 0, and
-# 12 of their 24 pairs are exact negations in floats too (notes/decisions.md,
+# the logarithm's seed momenta are x_cap f for the equator f = 0 and the
+# upper half of 48 midpoints; each f > 0 also scans -f (notes/decisions.md,
 # "Mirrored momenta share a column")
-_SCAN_X = tuple(-1.0 + 2.0 * (i + 0.5) / 48 for i in range(48))
+_SCAN_X = (0.0, *(-1.0 + 2.0 * (i + 0.5) / 48 for i in range(24, 48)))
 
 
 def _axis_log(m: Metric, q: SplitQuaternion) -> tuple[Covector, float]:
@@ -453,13 +453,13 @@ def riemannian_log(
     symmetry reduces the search to the (q0, q3) slice: a seeded, damped
     two-dimensional Newton iteration over (vertical momentum, time),
     with the horizontal phase restored exactly afterwards.  The seeds are
-    a scan of 48 vertical momenta by 24 increasing trial times below each
-    one's cut time: one `orbit_pass` per momentum, where a rejected time
-    (an overflow) and every later one get an infinite residual.  Where the
-    grid's floats are exact negations (12 or more of its 24 pairs +-x), the
-    scan runs one cut time and one pass per mirrored pair: sigma2, p3 -> -p3,
-    keeps the cut time and maps (q0, q3) to (q0, -q3) bit for bit, so -x
-    reads x's column against (q0, -q3).  The seeds and the Newton
+    a scan of 49 vertical momenta, the equator x = 0 and 24 pairs +-x, by
+    24 increasing trial times below each one's cut time; the equator never
+    cuts, so its times run to the search's time cap.  One cut time and one
+    `orbit_pass` serve each x >= 0, where a rejected time (an overflow) and
+    every later one get an infinite residual: sigma2, p3 -> -p3, keeps the
+    cut time and maps (q0, q3) to (q0, -q3) bit for bit, so -x reads x's
+    column against (q0, -q3).  The seeds and the Newton
     residuals read q0 and q3 from the orbit factors, the floats `exp_map`
     would return; only the final check builds an endpoint.  Axis targets
     are inverted in closed form along the pole geodesics.
@@ -500,31 +500,24 @@ def riemannian_log(
     t_cap_global = 3.0 * t_scale + 2.0 * math.sqrt(m.i1 + m.i3)
 
     seeds = []
-    mirrors = {}  # -x: the times and factors of a scanned x < 0
     for f in _SCAN_X:
         x = x_cap * f
-        if x in mirrors:
-            # sigma2 twin: the same cut time and times, factors (q0, -q3): its
-            # squared residuals are the column's against (q0, -q3), bit for bit
-            times, column = mirrors.pop(x)
-            z = -q3
-        else:
-            p = _chain_covector(m, x)
-            tc = cut_time(m, p)
-            t_hi = t_cap_global if math.isinf(tc) else min(tc * (1.0 - 1e-9), t_cap_global)
-            times = [t_hi * (j + 0.5) / 24 for j in range(24)]
-            column = []
-            try:
-                orbit_pass(m, p, times, column)
-            except DomainError:
-                pass  # the times grow, and so do the overflow guards: every later time fails too
-            if x < 0.0:
-                mirrors[-x] = times, column
-            z = q3
-        for t, a in zip(times, column):
-            r0, r3 = a[0] - q0, a[1] - z
-            seeds.append((r0 * r0 + r3 * r3, x, t))
-        seeds += [(math.inf, x, t) for t in times[len(column):]]
+        p = _chain_covector(m, x)
+        tc = cut_time(m, p)
+        t_hi = min(tc * (1.0 - 1e-9), t_cap_global)  # the equator's cut time is inf
+        times = [t_hi * (j + 0.5) / 24 for j in range(24)]
+        column = []
+        try:
+            orbit_pass(m, p, times, column)
+        except DomainError:
+            pass  # the times grow, and so do the overflow guards: every later time fails too
+        # the sigma2 twin -x has the same cut time and times and the factors
+        # (q0, -q3); the equator x = 0 is its own twin
+        for y, z in ((x, q3), (-x, -q3)) if x else ((x, q3),):
+            for t, a in zip(times, column):
+                r0, r3 = a[0] - q0, a[1] - z
+                seeds.append((r0 * r0 + r3 * r3, y, t))
+            seeds += [(math.inf, y, t) for t in times[len(column):]]
 
     best_residual = math.inf
 

@@ -559,10 +559,9 @@ def test_log_of_a_far_target_with_overflowing_trials_exits_0(capfdbinary):
 
 
 def test_log_that_fails_to_converge_exits_3(capfdbinary):
-    # every seeded Newton solve lands on a preimage past its cut time (the
-    # `log` workload's seed 7, op 416)
-    target = "92552194585.95049,152932206974.97745,1311252541.1821074,-121754139932.85178"
-    code, out, err = run_cli(capfdbinary, "log", "--eta", "-1.070141719925123",
+    # a near time-like target at eta -6.57 that no seeded Newton solve inverts
+    target = "0.9983885241812546,-0.007586959138977674,-0.00496734965918714,-0.05746817636561652"
+    code, out, err = run_cli(capfdbinary, "log", "--eta", "-6.570019537170073",
                              "--target", target)
     assert code == 3 and out == b"", err
     assert b"convergence failure" in err

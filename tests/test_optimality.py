@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import heapq
 import math
 import random
 
@@ -1007,20 +1008,14 @@ def test_log_counts_an_overflowing_trial_as_a_failed_step():
 
 
 def test_log_seed_scan_runs_one_orbit_pass_per_momentum(monkeypatch):
-    # the 48 x 24 scan runs one cut time and one 24-time column pass per
-    # vertical momentum x, except where x is the exact negation of a momentum
-    # scanned before it: that column is its mirror's, q3 negated.  12 of the
-    # grid's 24 mirrored fractions are exact negations in floats, so at least
-    # 12 of its momentum pairs are.  orbit_factors runs only in the Newton
-    # iteration after the scan
+    # the 49 x 24 scan runs one cut time and one 24-time column pass per
+    # momentum x >= 0: the twin -x of each x > 0 reads x's column against
+    # the target's (q0, -q3), and the equator x = 0 is its own twin.
+    # orbit_factors runs only in the Newton iteration after the scan
     m = metric_from_eta(_FAR_LOG_ETA)
     x_cap = math.sqrt(m.i3) * (1.0 - 1e-12)
-    fractions = [-1.0 + 2.0 * (i + 0.5) / 48 for i in range(48)]
-    assert sum(-f in fractions for f in fractions) == 24
-    grid = [x_cap * f for f in fractions]
-    scanned = [x for i, x in enumerate(grid) if -x not in grid[:i]]
-    assert len(scanned) <= 36
-    events = []
+    scanned = [x_cap * f for f in optimality._SCAN_X]
+    events, seeded = [], []
 
     def counted_cut(m, p, run=optimality.cut_time):
         events.append(("cut", p.p3))
@@ -1034,20 +1029,30 @@ def test_log_seed_scan_runs_one_orbit_pass_per_momentum(monkeypatch):
         events.append(("factors",))
         return run(m, p, t)
 
+    def recorded_nsmallest(n, seeds, key, run=heapq.nsmallest):
+        seeded.extend(x for _, x, _ in seeds)
+        return run(n, seeds, key=key)
+
     monkeypatch.setattr(optimality, "cut_time", counted_cut)
     monkeypatch.setattr(optimality, "orbit_pass", counted_pass)
     monkeypatch.setattr(optimality, "orbit_factors", counted_factors)
+    monkeypatch.setattr(heapq, "nsmallest", recorded_nsmallest)
     riemannian_log(m, SplitQuaternion(*_FAR_LOG_TARGET))
+    momenta = set(seeded)
+    assert {-x for x in momenta} == momenta and len(momenta) == 49
+    assert seeded.count(0.0) == 24 and len(seeded) == 49 * 24
+    assert scanned[0] == 0.0 and all(x > 0.0 for x in scanned[1:])
     scan = [event for x in scanned for event in (("cut", x), ("pass", x, 24))]
-    assert events[:len(scan)] == scan
-    after = [kind for kind, *_ in events[len(scan):]]
+    assert len(scan) == 50 and events[:50] == scan
+    after = [kind for kind, *_ in events[50:]]
     assert after[0] == "factors" and "pass" not in after
-    assert 0 < after.count("factors") < 1152
+    assert after.count("factors") < 49 * 24
 
 
-# (seed, op, eta, t, target) of the far space-like `log` workload ops of
+# (seed, op, eta, t, target) of far space-like `log` workload ops: those of
 # seeds 1-3 (|q|_inf from 1.5e3 to 2.6e11) that an absolute 1e-12 Newton
-# stop and 1e-9 final check failed: Exp's rounding at that size is larger
+# stop and 1e-9 final check failed (Exp's rounding at that size is larger),
+# and one of seed 7
 _FAR_LOG_OPS = [
     (1, 8, -1.3462513869279462, 28.887311567108128,
      (892891.9574688647, 875728.5249680728, -326960.81723044027, -276672.69062047504)),
@@ -1125,6 +1130,10 @@ _FAR_LOG_OPS = [
      (10876580978.79922, -59461903682.445366, 5489132089.201445, -58715828758.902245)),
     (3, 433, -1.56376531087889, 31.50816653468478,
      (1220570.9041063138, -1452295.0133339027, -3041044.5726190754, -3141228.9898160174)),
+    # near the equator (pbar3 0.034): the seeds off its branch all led
+    # Newton past their cut times until the scan got its equator column
+    (7, 416, -1.070141719925123, 52.92393745978914,
+     (92552194585.95049, 152932206974.97745, 1311252541.1821074, -121754139932.85178)),
 ]
 
 
@@ -1139,6 +1148,26 @@ def test_log_inverts_far_space_like_targets_to_their_size(eta, t, target):
     assert abs(got_t - t) <= 1e-12 * t
     size = max(1.0, *map(abs, target))
     assert projective_gap(exp_map(m, got_p, got_t), q) <= 1e-9 * size
+
+
+_NEAR_EQUATOR_PBAR3 = (0.0, *(s * 10.0 ** -k for k in (12, 10, 8, 6, 4, 2) for s in (1.0, -1.0)))
+
+
+def test_log_inverts_equatorial_and_near_equatorial_space_like_targets():
+    # the equator pbar3 = 0 never cuts, so its seed column runs to the
+    # search's time cap and long geodesics near it get a seed on their
+    # branch; eta -1.05, pbar3 0, t 40 is the first case
+    rnd = random.Random(1_930_000)
+    cases = [(-1.05, 0.0, 0.0, 40.0)]
+    for _ in range(200):
+        cases.append((rnd.uniform(-4.0, -1.01), rnd.choice(_NEAR_EQUATOR_PBAR3),
+                      rnd.uniform(0.0, 2.0 * math.pi), rnd.uniform(1.0, 60.0)))
+    for eta, pbar3, phase, t in cases:
+        m = metric_from_eta(eta)
+        p = covector_from_pbar3(m, pbar3, phase, CausalType.SPACE_LIKE)
+        t = min(t, 0.999 * cut_time(m, p))
+        _, got_t = riemannian_log(m, exp_map(m, p, t))
+        assert abs(got_t - t) <= 1e-9 * t, (eta, pbar3, t)
 
 
 def test_log_on_reflection_plane_raises():
@@ -1203,7 +1232,7 @@ _FROZEN_LOGS = [
      ('-0x1.920bd1dc03ee3p-1', '0x1.c98e77d5aeb87p-2', '-0x1.b6ec5435b5876p-1', '0x1.2813893810d1bp+2')),
     # time-like, flat metric
     (-3.5, (0.3542742552991486, -0.3654170756952035, 0.27157474813999355, 1.0400828020254775),
-     ('-0x1.011ca713d2b1cp-2', '-0x1.c916a00145ffdp-2', '-0x1.16203534757d4p-1', '0x1.c923f8f59ed12p+0')),
+     ('-0x1.011ca713d2b15p-2', '-0x1.c916a00146001p-2', '-0x1.16203534757d4p-1', '0x1.c923f8f59ed14p+0')),
     # space-like near
     (-1.25, (1.0305338670741933, 0.09309299108054796, 0.23178657246106202, -0.019780520081104966),
      ('0x1.cbc2ec9b6dfb2p-2', '0x1.c3a90c8d46cb7p-1', '0x1.2340e7826878ep-2', '0x1.0000000000007p-1')),
@@ -1215,7 +1244,7 @@ _FROZEN_LOGS = [
      ('0x1.d76fb10dc2a88p-1', '0x1.8ea3e00d2c2fbp-2', '0x1.98f6249bd3a28p-5', '0x1.4000000000000p+4')),
     # space-like far, overflowing trials
     (-1.4347758888779447, (107203458684.24858, -152655396560.0727, 59555350881.29433, 123927109074.81767),
-     ('-0x1.bf174194e4ccbp-1', '-0x1.f2c4f8695302ap-2', '-0x1.7b2ce060e3e02p-6', '0x1.a867ded5ecf5ap+5')),
+     ('-0x1.bf174194e4ccdp-1', '-0x1.f2c4f86953023p-2', '-0x1.7b2ce060e3e01p-6', '0x1.a867ded5ecf5ap+5')),
     # space-like far, eta -2.78
     (-2.7812390962451845, (6642195014.170808, 6649009508.166375, 10121235641.20765, -10125709048.667324),
      ('0x1.ffd4ff7fdef1cp-1', '-0x1.02a3ae79cbf0ep-6', '0x1.ef3a7ed3f0d9cp-7', '0x1.7eafc9d03195dp+5')),
