@@ -5,7 +5,7 @@ Output is deterministic: stable row order (lexicographic in grid
 indices), floats at 17 significant digits, a single CSV header row,
 JSON with a schema field and sorted keys, and no timestamps.  Identical
 invocations produce byte-identical files.  Exit codes: 0 success,
-1 usage error, 2 domain error, 3 convergence failure.
+1 usage error or unwritable --out, 2 domain error, 3 no convergence.
 
 One table, _COMMANDS, declares each subcommand's handler and flags.  The
 configuration is argparse's Namespace: argparse converts each flag (comma
@@ -92,8 +92,7 @@ def _merge_flag_values(argv: list[str]) -> list[str]:
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    argv = _merge_flag_values(argv)
+    argv = _merge_flag_values(sys.argv[1:] if argv is None else list(argv))
     parser = _Parser(prog="hypgeo", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
     # flags only for the command named by the first token that is not an
@@ -139,14 +138,6 @@ def _build_covector(cfg: argparse.Namespace, m: Metric) -> Covector:
 
 # ---- serialization --------------------------------------------------------
 
-def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return "%.17g" % v  # inf, -inf and nan print as those words
-    return str(v)
-
-
 def _json_rows(rows) -> list:
     # JSON has no inf or nan: such a cell becomes an object
     return [[{"value": None, "finite": False} if isinstance(v, float) and not math.isfinite(v)
@@ -159,8 +150,12 @@ def _render(cfg: argparse.Namespace, columns, rows, nest=None) -> bytes:
     `nest()`, if given, returns the JSON fields that stand in for
     `columns` and `rows`, so each format builds only what it writes."""
     if cfg.format == "csv":
-        # no cell holds a comma, a quote or a line break, so none needs quoting
-        lines = [",".join(columns), *(",".join(map(_csv_cell, row)) for row in rows)]
+        # one format per table from its first row (every table has one): words
+        # as they are, numbers at 17 digits (ints far below 1e17); nothing needs quoting
+        rows = iter(rows)
+        first = next(rows)
+        line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in first)
+        lines = [",".join(columns), line % first, *(line % row for row in rows)]
         return ("\r\n".join(lines) + "\r\n").encode("utf-8")
     import json  # here, so that a CSV run never loads it
 
@@ -254,7 +249,8 @@ def _cmd_wavefront(cfg: argparse.Namespace) -> bytes:
     if cfg.t <= 0.0:
         raise UsageError("--t must be positive")
     n = cfg.grid_n
-    rows = ((*divmod(k, n), *w.covector[:3], *w.point.components(), w.optimal)
+    flag = ("false", "true") if cfg.format == "csv" else (False, True)  # JSON has booleans
+    rows = ((*divmod(k, n), *w.covector[:3], *w.point.components(), flag[w.optimal])
             for k, w in enumerate(wavefront_sample(m, cfg.t, n, cfg.group)))
     columns = ("i", "j", "p1", "p2", "p3", "q0", "q1", "q2", "q3", "optimal")
     return _render(cfg, columns, rows)
@@ -332,12 +328,16 @@ def run(cfg: argparse.Namespace) -> int:
     except NoConvergence as exc:
         print(f"hypgeo: convergence failure: {exc}", file=sys.stderr)
         return 3
-    except (HypgeoError, ValueError, OverflowError) as exc:
+    except HypgeoError as exc:
         print(f"hypgeo: domain error: {exc}", file=sys.stderr)
         return 2
     if cfg.out:
-        with open(cfg.out, "wb") as f:
-            f.write(data)
+        try:
+            with open(cfg.out, "wb") as f:
+                f.write(data)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            print(f"hypgeo: cannot write --out: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()

@@ -1,6 +1,7 @@
 """Command-line interface: parsing, exit codes, formats, determinism."""
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -13,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import SRC_ENV
 from hypgeo import (
@@ -406,6 +409,17 @@ def test_out_file_matches_stdout(tmp_path, capfdbinary):
     assert path.read_bytes() == out
 
 
+@pytest.mark.parametrize("name", ["missing/r.csv", "."])
+def test_an_unwritable_out_path_is_one_line_and_exit_1(tmp_path, capfdbinary, name):
+    # a missing directory, or a directory: used to print a traceback
+    path = tmp_path / name
+    code, out, err = run_cli(capfdbinary, "injrad", "--eta", "-1.6", "--out", str(path))
+    assert code == 1
+    assert out == b""
+    assert err.startswith(b"hypgeo: ") and err.count(b"\n") == 1
+    assert str(path).encode() in err
+
+
 # ---- repeat-run determinism -------------------------------------------------
 
 def test_wavefront_bytes_identical_across_repeated_runs(capfdbinary):
@@ -728,8 +742,19 @@ PINNED_OUTPUTS = [
 ]
 
 
+# the two grids at the sizes where the CSV writer's time matters, pinned
+# to the bytes of the writer that formatted each cell on its own
+LARGE_OUTPUTS = [
+    (("wavefront", "--eta", "-1.4", "--t", "3.3", "--grid", "128"),
+     "e1669adf4c29bef0b559abb5b57071c5fead14b1f25c9b564d840ad2b790ddd6"),
+    (("cut-locus", "--eta", "-1.25", "--grid", "64"),
+     "f0a84f4f8b1c23a271931462aead72cc396a6ceffbd512d408b5e20fc25d78d9"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, digest", PINNED_OUTPUTS, ids=[f"{a[0]}-{i}" for i, (a, _) in enumerate(PINNED_OUTPUTS)]
+    "argv, digest", PINNED_OUTPUTS + LARGE_OUTPUTS,
+    ids=[f"{a[0]}-{i}" for i, (a, _) in enumerate(PINNED_OUTPUTS + LARGE_OUTPUTS)]
 )
 def test_output_bytes_are_pinned(capfdbinary, argv, digest):
     code, out, _ = run_cli(capfdbinary, *argv)
@@ -759,8 +784,17 @@ def _same_cell(text, value):
     return text == str(value)
 
 
-@pytest.mark.parametrize("argv", [a for a, _ in PINNED_OUTPUTS],
-                         ids=[f"{a[0]}-{i}" for i, (a, _) in enumerate(PINNED_OUTPUTS)])
+# the pinned tables, then tables whose cells differ in kind from the first
+# rows above: infinite times and index 0, stratum "none", a gap of 0
+SAME_CELL_CASES = [a for a, _ in PINNED_OUTPUTS] + [
+    ("conjugate", "--eta", "-1.25", "--pbar3", "0.5", "--type", "sl"),
+    ("cut-time", "--eta", "-1.25", "--pbar3", "0", "--type", "sl"),
+    ("sr-compare", "--pbar3", "0", "--type", "sl", "--eta-list", "-1.5,-1.1"),
+]
+
+
+@pytest.mark.parametrize("argv", SAME_CELL_CASES,
+                         ids=[f"{a[0]}-{i}" for i, a in enumerate(SAME_CELL_CASES)])
 def test_csv_and_json_hold_the_same_cells(capfdbinary, argv):
     i = argv.index("--format") if "--format" in argv else len(argv)
     csv_argv = (*argv[:i], *argv[i + 2:])
@@ -775,3 +809,90 @@ def test_csv_and_json_hold_the_same_cells(capfdbinary, argv):
     for text_row, row in zip(body, rows):
         assert len(text_row) == len(row)
         assert all(map(_same_cell, text_row, row)), (text_row, row)
+
+
+# ---- any flag values ---------------------------------------------------------
+#
+# Every subcommand over drawn flags: each value from its flag's own range,
+# then at most one value (one field of a list) replaced by any float, the
+# edges drawn often: 0, the subnormal 1e-320, 1e308, inf, nan, -1e200 and
+# the float below -1.  A run exits 0 with output, or 1-3 with one
+# "hypgeo: " line and nothing on stdout; any other exception escapes main
+# and fails the test.  Grids, samples and root counts stay small.
+
+_EDGE = st.one_of(st.sampled_from([0.0, -0.0, 1e-320, -1e-320, 1e308, -1e308, math.inf,
+                                   -math.inf, math.nan, -1e200, -1.0000000000000002]),
+                  st.floats())
+_ETA = st.one_of(st.sampled_from([-1.25, -1.6, -3.0]), st.floats(-6.0, -1.01))
+_POSITIVE = st.floats(0.01, 6.0)
+_SIGNED = st.floats(-6.0, 6.0)
+
+
+def _flag(name, values, optional=False):
+    pair = st.tuples(st.just(name), values.map(str))
+    return st.one_of(st.just(()), pair) if optional else pair
+
+
+def _list_flag(name, values):
+    return _flag(name, values.map(lambda xs: ",".join(map(repr, xs))))
+
+
+_METRIC = st.tuples(_flag("--I1", _POSITIVE, optional=True),
+                    st.one_of(_flag("--eta", _ETA), _flag("--I3", _POSITIVE)))
+_COVECTOR = st.tuples(
+    st.one_of(st.tuples(_flag("--type", st.sampled_from(["tl", "sl"])), _flag("--pbar3", _SIGNED)),
+              st.tuples(_flag("--type", st.just("ll")), _flag("--pbar3", _SIGNED, optional=True)),
+              _list_flag("--p", st.tuples(_SIGNED, _SIGNED, _SIGNED))),
+    _flag("--phase", _SIGNED, optional=True))
+_GROUP_FLAG = _flag("--group", st.sampled_from(["psl2", "sl2"]), optional=True)
+_SAMPLES = (_flag("--t-max", _POSITIVE), _flag("--samples", st.integers(2, 4)))
+
+CLI_FLAGS = {
+    "geodesic": (_METRIC, _COVECTOR, *_SAMPLES),
+    "vertical-flow": (_METRIC, _COVECTOR, *_SAMPLES),
+    "maxwell": (_METRIC, _COVECTOR),
+    "conjugate": (_METRIC, _COVECTOR, _flag("--k-max", st.integers(1, 3))),
+    "cut-time": (_METRIC, _COVECTOR, _GROUP_FLAG),
+    "cut-locus": (_METRIC, _GROUP_FLAG, _flag("--grid", st.integers(2, 3)),
+                  _flag("--rho-max", _POSITIVE, optional=True)),
+    "wavefront": (_METRIC, _GROUP_FLAG, _flag("--t", _POSITIVE), _flag("--grid", st.just(8))),
+    "injrad": (_METRIC,),
+    "log": (_METRIC, st.one_of(
+        _flag("--target", st.sampled_from([_LOG_TARGET_TL, _LOG_TARGET_SL,
+                                           "1.5430806348152437,1.1752011936438014,0,0"])),
+        _list_flag("--target", st.tuples(_SIGNED, _SIGNED, _SIGNED, _SIGNED)))),
+    "sr-compare": (_flag("--pbar3", _SIGNED), _flag("--type", st.sampled_from(["tl", "sl"])),
+                   _list_flag("--eta-list", st.lists(_ETA, min_size=1, max_size=3,
+                                                     unique=True).map(sorted))),
+}
+
+
+def _flat(parts):
+    return [x for part in parts for x in (_flat(part) if isinstance(part, tuple) else (part,))]
+
+
+def _main_bytes(argv):
+    """main(argv)'s exit status, stdout bytes and stderr text."""
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.buffer.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_any_flag_values_exit_0_to_3_with_one_line_errors(command, data):
+    argv = [command, *_flat(data.draw(st.tuples(*CLI_FLAGS[command])))]
+    k = data.draw(st.sampled_from([0, *range(2, len(argv), 2)]))  # 0: no edge
+    if k:
+        fields = argv[k].split(",")
+        fields[data.draw(st.integers(0, len(fields) - 1))] = repr(data.draw(_EDGE))
+        argv[k] = ",".join(fields)
+    for fmt in ("csv", "json"):
+        code, out, err = _main_bytes([*argv, "--format", fmt])
+        assert code in (0, 1, 2, 3), argv
+        if code:
+            assert out == b"" and err.startswith("hypgeo: ") and err.count("\n") == 1, (argv, err)
+        else:
+            assert out and err == "", argv

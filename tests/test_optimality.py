@@ -6,6 +6,7 @@ import heapq
 import math
 import random
 
+import mpmath
 import pytest
 
 from helpers import gap, projective_gap, random_covector
@@ -237,6 +238,79 @@ def test_cut_time_laws(seed):
     assert d.t_cut == d.t_max == t_psl2 and d.t_conj == t_conj
     assert d.active_stratum in ("M0", "M12", None)
     assert describe_cut(m, p, GroupTag.SL2).active_stratum in ("M3", "M12", None)
+
+
+def _mp_cut_time(m, p, group):
+    """p's cut time at 40 digits from its definition, not from the phase of
+    `root_solver`: the first positive zero of q0 (PSL(2,R)) or q3 (SL(2,R))
+    of the closed-form Exp, bracketed by a sign scan and refined by
+    findroot, capped at the conjugate time tau = pi on the time-like cone.
+    In tau = t |p| / (2 I1) (|p3| on the light cone), with theta = tau eta b,
+    b = pbar3 (the sign of p3 on the cone) and (C, S) = (cos, sin) time-like,
+    (cosh, sinh) space-like, (1, tau) light-like:
+        q0 = C cos theta - b S sin theta,  q3 = C sin theta + b S cos theta.
+    +inf at the space-like equator, where q0 = cosh tau never vanishes and
+    q3 vanishes identically."""
+    with mpmath.workdps(40):
+        eta, i1 = mpmath.mpf(m.eta), mpmath.mpf(m.i1)
+        p1, p2, p3 = map(mpmath.mpf, p.components())
+        if p.ctype is CausalType.LIGHT_LIKE:
+            norm, b = abs(p3), mpmath.sign(p3)
+            cs = lambda tau: (1, tau)
+        elif p3 == 0:
+            return mpmath.inf
+        else:
+            norm = mpmath.sqrt(abs(p1 * p1 + p2 * p2 - p3 * p3))
+            b = p3 / norm
+            time_like = p.ctype is CausalType.TIME_LIKE
+            cs = lambda tau: ((mpmath.cos(tau), mpmath.sin(tau)) if time_like
+                              else (mpmath.cosh(tau), mpmath.sinh(tau)))
+
+        def q(tau):
+            c, s = cs(tau)
+            theta = tau * eta * b
+            if group is GroupTag.PSL2:
+                return c * mpmath.cos(theta) - b * s * mpmath.sin(theta)
+            return c * mpmath.sin(theta) + b * s * mpmath.cos(theta)
+
+        cap = mpmath.pi if p.ctype is CausalType.TIME_LIKE else mpmath.inf
+        h = mpmath.pi / (8 * (abs(eta * b) + 1))  # at most pi/8 in tau and in theta
+        lo, q_lo, root = h, q(h), cap  # q3 starts at 0, and q0 at 1
+        while lo < cap:
+            hi = min(lo + h, cap)
+            q_hi = q(hi)
+            if (q_hi < 0) != (q_lo < 0):
+                root = mpmath.findroot(q, (lo, hi), solver="anderson")
+                break
+            lo, q_lo = hi, q_hi
+        return 2 * i1 * root / norm
+
+
+# the worst relative gap over 3,000 such covectors (random.Random(7)) was 5.9e-16
+CUT_ORACLE_TOLERANCE = 1e-15
+
+
+def test_cut_time_matches_a_40_digit_oracle_from_the_closed_form_exp():
+    rnd = random.Random(6_100)
+    worst = 0.0
+    for k in range(60):
+        m = metric_from_eta(rnd.uniform(-4.0, -1.05), rnd.uniform(0.5, 2.0))
+        ctype = (_T, _S, _L)[k % 3]
+        phase, sign = rnd.uniform(-math.pi, math.pi), rnd.choice((1.0, -1.0))
+        if ctype is _L:
+            p = light_covector(m, phase, int(sign))
+        elif ctype is _T:  # from the poles out past both thresholds -c/eta
+            p = covector_from_pbar3(m, sign * (1.0 + 10.0 ** rnd.uniform(-3.0, 1.0)), phase, ctype)
+        else:
+            p = covector_from_pbar3(m, sign * 10.0 ** rnd.uniform(-1.0, 1.0), phase, ctype)
+        for group in GroupTag:
+            want = _mp_cut_time(m, p, group)
+            worst = max(worst, float(abs(cut_time(m, p, group) - want) / want))
+    assert worst <= CUT_ORACLE_TOLERANCE, worst
+    m = metric_from_eta(-1.6)
+    p = covector_from_pbar3(m, 0.0, 0.4, _S)
+    for group in GroupTag:
+        assert cut_time(m, p, group) == _mp_cut_time(m, p, group) == math.inf
 
 
 # --- Maxwell coincidence: two symmetric momenta meet at t_max ------------------
