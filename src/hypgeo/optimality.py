@@ -99,17 +99,31 @@ class CutDescriptor(NamedTuple):
 
 
 class LocusSample(NamedTuple):
-    """One stratum worth of sampled cut-locus points.
+    """One stratum worth of sampled cut-locus points, in rows.
 
-    points[i] is reached exactly at its cut time along the witness
-    geodesic parameters[i] = (covector, t); validation_error is the worst
-    mismatch between an emitted point and its ideal stratum coordinates.
+    Each row is one rotation orbit (I1 = I2), kept as one witness
+    (covector, t, base_angle): its len(points) // len(witnesses) points are
+    reached exactly at the cut time t along the covector turned by
+    2 pi j/columns - base_angle.  The plane has one row per radius, the
+    axis and circle strata one point per row at base angle 0.
+    validation_error is the worst mismatch between an emitted point and
+    its ideal stratum coordinates.
     """
 
     stratum: str
     points: tuple
-    parameters: tuple
+    witnesses: tuple
     validation_error: float
+
+    @property
+    def parameters(self) -> tuple:
+        """Each point's witness (covector, t), built on access with the collector paused."""
+        new, cos, sin = tuple.__new__, math.cos, math.sin
+        phis = [phi for phi, _, _ in _phases(len(self.points) // len(self.witnesses))]
+        with _GcPaused():
+            return tuple([
+                (new(Covector, (a * cos(phi - g0), a * sin(phi - g0), p3, kil, ct, norm, pbar3)), t)
+                for (a, _, p3, kil, ct, norm, pbar3), t, g0 in self.witnesses for phi in phis])
 
 
 class WavefrontPoint(NamedTuple):
@@ -220,9 +234,9 @@ def injectivity_radius(m: Metric) -> float:
 
 class _GcPaused:
     """Pauses CPython's cyclic collector while a grid's records are built,
-    and re-enables it on exit only if it was enabled on entry.  The records
-    stay tracked (each Covector holds a CausalType member), so unpaused the
-    collector walks the growing grid about ten times per build and frees
+    and re-enables it on exit only if it was enabled on entry.  Records are
+    tuple subclasses, which the collector never untracks, so unpaused it
+    walks the growing grid 10-20 times per 64 x 64 build and frees
     nothing.  __exit__ allocates nothing after re-enabling: the collection
     the build has earned waits for the caller's next allocation, and never
     runs if the caller first frees a grid as large (notes/decisions.md,
@@ -264,9 +278,9 @@ def _plane_stratum(m: Metric, group: GroupTag, n: int, rho_max: float) -> LocusS
     row's witness and its cut time are one root of the unwrapped
     q0 + i q3 phase along the radius level curve (`radius_level_root`),
     monotone and so unique because Exp is a diffeomorphism below the cut
-    time.  A row is a rotation orbit: its factors, lift and the gap terms
-    of q0 and q3 are computed once, and each column turns the witness, so
-    `exp_map` of it gives its point exactly.  The worst gap is to the
+    time.  A row is a rotation orbit: its factors, lift, gap terms of q0
+    and q3 and witness (p0, t, gamma0) are kept once, and each column turns
+    p0, so `exp_map` of it gives its point exactly.  The worst gap is to the
     ideal point with horizontal part (x, y) = rho (cos, sin) phi and
     (q0, q3) = the group's ideal times the sheet height sqrt(1 + rho^2).
     """
@@ -274,7 +288,7 @@ def _plane_stratum(m: Metric, group: GroupTag, n: int, rho_max: float) -> LocusS
     box = g.box
     table = _phases(n)
     new, cos, sin = tuple.__new__, math.cos, math.sin
-    points, params = [], []
+    points, witnesses = [], []
     worst = 0.0
     for i in range(1, n + 1):
         # rho_max * i overflows only for rho_max near the float maximum
@@ -284,18 +298,18 @@ def _plane_stratum(m: Metric, group: GroupTag, n: int, rho_max: float) -> LocusS
         except DomainError as e:
             msg = f"rho_max {rho_max!r}: no representable witness at row radius {rho!r} ({e})"
             raise DomainError(msg) from None
-        a1, _, p3, kil, ctype, norm, pbar3 = p0
         q0, q3, radial, c, s, _ = orbit_factors(m, p0, t)
         if box and q3 < 0.0:
             # _upper's rule; the row shares q0 and q3: negate every point via its factors
             q0, q3, radial = -q0, -q3, -radial
-        d = norm if norm else 1.0
+        a1, d = p0.p1, p0.norm or 1.0
         # the base angle of the lifted orbit_point(factors, a1, 0.0), in its floats
         x, y = a1 / d, 0.0 / d
         gamma0 = math.atan2(radial * (x * s + y * c), radial * (x * c - y * s))
         # from 1e16 on 1 + rho^2 rounds to rho^2, whose root is rho: the same bits, no overflow
         sheet = math.sqrt(1.0 + rho * rho) if rho < 1e16 else rho
         worst = max(worst, abs(q0 - g.ideal[0] * sheet), abs(q3 - g.ideal[1] * sheet))
+        witnesses.append((p0, t, gamma0))
         for phi, cos_phi, sin_phi in table:
             p1, p2 = a1 * cos(phi - gamma0), a1 * sin(phi - gamma0)
             x, y = p1 / d, p2 / d
@@ -308,15 +322,14 @@ def _plane_stratum(m: Metric, group: GroupTag, n: int, rho_max: float) -> LocusS
                 worst = gap
             q = new(SplitQuaternion, (q0, q1, q2, q3))
             points.append(new(box, (q,)) if box else q)
-            params.append((new(Covector, (p1, p2, p3, kil, ctype, norm, pbar3)), t))
-    return LocusSample(g.plane, tuple(points), tuple(params), worst)
+    return LocusSample(g.plane, tuple(points), tuple(witnesses), worst)
 
 
 def _axis_stratum(m: Metric, name: str, pbar3s, lift) -> LocusSample:
     """The points lift(Exp(p, t)) of the phase-0 time-like witnesses p
     with these pbar3, at their conjugate time t (tau = pi), where they
     reach -(cos, 0, 0, sin)(pi eta pbar3); the worst gap is to that law."""
-    points, params = [], []
+    points, witnesses = [], []
     worst = 0.0
     for pbar3 in pbar3s:
         # pbar3 is in [1, -c/eta] in size by construction: the record needs no checks
@@ -327,8 +340,8 @@ def _axis_stratum(m: Metric, name: str, pbar3s, lift) -> LocusSample:
         turn = math.pi * m.eta * pbar3
         worst = max(worst, abs(q0 + math.cos(turn)), abs(q1), abs(q2), abs(q3 + math.sin(turn)))
         points.append(e)
-        params.append((p, t))
-    return LocusSample(name, tuple(points), tuple(params), worst)
+        witnesses.append((p, t, 0.0))
+    return LocusSample(name, tuple(points), tuple(witnesses), worst)
 
 
 def cut_locus_sample(
@@ -348,8 +361,9 @@ def cut_locus_sample(
     rho_max where a row's witness cannot be represented in floats: a
     radius that rounds to 0, one so small (subnormal, as for rho_max
     1e-308 with n = 4) that cosh of the time-like level parameter
-    overflows, or an eta so extreme that a bracket underflows.  The
-    sample is built with the process-wide cyclic collector paused; the
+    overflows, or an eta so extreme that a bracket underflows.  Each
+    stratum keeps one witness per row (see LocusSample), and its points
+    are built with the process-wide cyclic collector paused; the
     caller's state (enabled or not) is restored on return and on error.
     """
     n = check_count(n, 2)

@@ -513,21 +513,41 @@ def test_locus_names_rho_max_where_a_row_radius_rounds_to_zero():
         cut_locus_sample(M, GroupTag.PSL2, 4, 5e-324)
 
 
-def test_locus_sweep_is_pinned_bit_for_bit():
-    # one SHA-256 over float.hex of every point component, witness
-    # component, t and validation_error, both groups, etas on both sides
-    # of both pole splits; frozen before the plane rows read their lift
-    # and base angle from the row factors
+# (ns, rho_maxes, etas, whether pbar3 and the causal type are hashed too, digest)
+_LOCUS_SWEEPS = {
+    # both groups, etas on both sides of both pole splits; frozen before
+    # the plane rows read their lift and base angle from the row factors
+    "n8": ((8,), (3.0,), (-1.05, -1.3, -1.6, -1.9, -2.5, -4.0), False,
+           "8d2c15e493528ca3a307e39809bb5140b7ac3970632d569958dfd15a961bac5c"),
+    # odd and even n, tiny to far radii, the sub-Riemannian end to deep in
+    # the pole regime; frozen while every point still stored its own witness
+    "wide": ((3, 12, 13, 16), (1e-3, 3.0, 30.0),
+             (-1.001, -1.05, -1.3, -1.6, -1.9, -2.5, -4.0, -30.0), True,
+             "af89913e95e920da671dfd46c519dac20dedb690aa27569e28663acb5cdc8e9b"),
+}
+
+
+@pytest.mark.parametrize("sweep", list(_LOCUS_SWEEPS))
+def test_locus_sweep_is_pinned_bit_for_bit(sweep):
+    # one SHA-256 over float.hex of every point component, witness field
+    # (as `parameters` gives it, one per point), t and validation_error
+    ns, rho_maxes, etas, full, want = _LOCUS_SWEEPS[sweep]
     digest = hashlib.sha256()
-    for group in GroupTag:
-        for eta in (-1.05, -1.3, -1.6, -1.9, -2.5, -4.0):
-            for stratum in cut_locus_sample(metric_from_eta(eta), group, 8, 3.0):
-                digest.update(stratum.stratum.encode())
-                for point, (p, t) in zip(stratum.points, stratum.parameters):
-                    for x in (*point.components(), *p.components(), p.kil, p.norm, t):
-                        digest.update(x.hex().encode())
-                digest.update(stratum.validation_error.hex().encode())
-    assert digest.hexdigest() == "8d2c15e493528ca3a307e39809bb5140b7ac3970632d569958dfd15a961bac5c"
+    for n in ns:
+        for rho_max in rho_maxes:
+            for group in GroupTag:
+                for eta in etas:
+                    for stratum in cut_locus_sample(metric_from_eta(eta), group, n, rho_max):
+                        digest.update(stratum.stratum.encode())
+                        for point, (p, t) in zip(stratum.points, stratum.parameters, strict=True):
+                            extra = (p.pbar3,) if full else ()
+                            # p[:4] is p1, p2, p3 and kil
+                            for x in (*point.components(), *p[:4], p.norm, *extra, t):
+                                digest.update(x.hex().encode())
+                            if full:
+                                digest.update(p.ctype.name.encode())
+                        digest.update(stratum.validation_error.hex().encode())
+    assert digest.hexdigest() == want
 
 
 @pytest.mark.parametrize("group, limit", [(GroupTag.PSL2, math.pi), (GroupTag.SL2, 2.0 * math.pi)])
@@ -972,6 +992,14 @@ def test_grids_run_no_collection():
     assert len(points) == 64 * 64 and collections == 0
     strata, collections = _collections_during(lambda: cut_locus_sample(m, GroupTag.PSL2, 32))
     assert [len(s.points) for s in strata] == [32 * 32, 32, 2] and collections == 0
+
+
+def test_locus_parameters_run_no_collection():
+    # reading parameters builds the n^2 turned (Covector, t) pairs, about
+    # 2,000 tracked records here, that the sample used to build paused
+    plane = cut_locus_sample(metric_from_eta(-1.4), GroupTag.PSL2, 32)[0]
+    pairs, collections = _collections_during(lambda: plane.parameters)
+    assert len(pairs) == 32 * 32 and collections == 0
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -152,7 +152,8 @@ def test_grid_records_have_their_exact_types(group):
     for w in wavefront_sample(m, injectivity_radius(m), 9, group):
         assert type(w.covector) is Covector
         assert type(w.point) is SplitQuaternion
-    plane = cut_locus_sample(m, group, 9)[0]
+    strata = cut_locus_sample(m, group, 9)
+    plane = strata[0]
     want = Psl2Element if group is GroupTag.PSL2 else SplitQuaternion
     for point, (p, t) in zip(plane.points, plane.parameters):
         assert type(point) is want
@@ -160,6 +161,19 @@ def test_grid_records_have_their_exact_types(group):
         assert type(t) is float
     if group is GroupTag.PSL2:
         assert all(type(point.rep) is SplitQuaternion for point in plane.points)
+    # one witness per plane row; the axis and circle strata (eta > -c for
+    # both groups here) keep one per point, at base angle 0
+    assert len(strata) == 3 and len(plane.witnesses) == 9
+    for s in strata[1:]:
+        assert len(s.witnesses) == len(s.points) and {base for _, _, base in s.witnesses} == {0.0}
+    for s in strata:
+        for p, t, base in s.witnesses:
+            assert (type(p), type(t), type(base)) == (Covector, float, float)
+        pairs = s.parameters
+        assert type(pairs) is tuple and len(pairs) == len(s.points)
+        for pair in pairs:
+            assert type(pair) is tuple and len(pair) == 2
+            assert (type(pair[0]), type(pair[1])) == (Covector, float)
 
 
 @pytest.mark.parametrize("group", list(GroupTag))

@@ -58,10 +58,10 @@ RECORDS = [
         CutDescriptor(GroupTag.SL2, 1.0, 2.0, 1.0, None),
     ),
     (
-        LocusSample("Z", (Q,), ((P, 2.5),), 1e-15),
-        f"LocusSample(stratum='Z', points=({Q_REPR},), parameters=(({P_REPR}, 2.5),), "
+        LocusSample("Z", (Q,), ((P, 2.5, 0.0),), 1e-15),
+        f"LocusSample(stratum='Z', points=({Q_REPR},), witnesses=(({P_REPR}, 2.5, 0.0),), "
         "validation_error=1e-15)",
-        LocusSample("Z", (Q,), ((P, 2.5),), 1e-15),
+        LocusSample("Z", (Q,), ((P, 2.5, 0.0),), 1e-15),
     ),
     (
         WavefrontPoint(P, Q, True),
