@@ -9,7 +9,8 @@ invocations produce byte-identical files.  Exit codes: 0 success,
 
 One table, _COMMANDS, declares each subcommand's handler and flags.  The
 configuration is argparse's Namespace: argparse converts each flag (comma
-lists to float tuples, --group to a GroupTag) for the library.
+lists to float tuples, --group to a GroupTag), and `run` builds the
+metric and covector that a command's flags describe.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     return args
 
 
-# ---- shared builders ------------------------------------------------------
+# ---- the metric and covector that run builds ------------------------------
 
 def _build_metric(cfg: argparse.Namespace) -> Metric:
     if (cfg.i3 is None) == (cfg.eta is None):
@@ -167,9 +168,7 @@ def _render(cfg: argparse.Namespace, columns, rows, nest=None) -> bytes:
 
 # ---- command bodies -------------------------------------------------------
 
-def _cmd_geodesic(cfg: argparse.Namespace) -> bytes:
-    m = _build_metric(cfg)
-    p = _build_covector(cfg, m)
+def _cmd_geodesic(cfg: argparse.Namespace, m: Metric, p: Covector) -> bytes:
     if cfg.samples < 2:
         raise UsageError("--samples must be >= 2")
     samples = sample_geodesic(m, p, cfg.t_max, cfg.samples)
@@ -177,9 +176,7 @@ def _cmd_geodesic(cfg: argparse.Namespace) -> bytes:
     return _render(cfg, ("t", "q0", "q1", "q2", "q3"), rows)
 
 
-def _cmd_vertical_flow(cfg: argparse.Namespace) -> bytes:
-    m = _build_metric(cfg)
-    p = _build_covector(cfg, m)
+def _cmd_vertical_flow(cfg: argparse.Namespace, m: Metric, p: Covector) -> bytes:
     if cfg.samples < 2:
         raise UsageError("--samples must be >= 2")
     if not math.isfinite(cfg.t_max):  # t_max * 0 would be NaN at the first sample
@@ -191,16 +188,11 @@ def _cmd_vertical_flow(cfg: argparse.Namespace) -> bytes:
     return _render(cfg, ("t", "p1", "p2", "p3"), rows)
 
 
-def _cmd_maxwell(cfg: argparse.Namespace) -> bytes:
-    m = _build_metric(cfg)
-    p = _build_covector(cfg, m)
+def _cmd_maxwell(cfg: argparse.Namespace, m: Metric, p: Covector) -> bytes:
     return _render(cfg, ("t_maxwell",), [(maxwell_time(m, p),)])
 
 
-def _cmd_conjugate(cfg: argparse.Namespace) -> bytes:
-    m = _build_metric(cfg)
-    p = _build_covector(cfg, m)
-    columns = ("index", "tau", "t")
+def _cmd_conjugate(cfg: argparse.Namespace, m: Metric, p: Covector) -> bytes:
     if p.ctype is CausalType.TIME_LIKE:
         if cfg.k_max < 1:
             raise UsageError("--k-max must be >= 1")
@@ -209,19 +201,16 @@ def _cmd_conjugate(cfg: argparse.Namespace) -> bytes:
         rows = [(i + 1, tau, tau * scale) for i, tau in enumerate(taus)]
     else:
         rows = [(0, math.inf, math.inf)]
-    return _render(cfg, columns, rows)
+    return _render(cfg, ("index", "tau", "t"), rows)
 
 
-def _cmd_cut_time(cfg: argparse.Namespace) -> bytes:
-    m = _build_metric(cfg)
-    p = _build_covector(cfg, m)
+def _cmd_cut_time(cfg: argparse.Namespace, m: Metric, p: Covector) -> bytes:
     d = describe_cut(m, p, cfg.group)
     rows = [(d.group.value, d.t_cut, d.t_max, d.t_conj, d.active_stratum or "none")]
     return _render(cfg, ("group", "t_cut", "t_max", "t_conj", "stratum"), rows)
 
 
-def _cmd_cut_locus(cfg: argparse.Namespace) -> bytes:
-    m = _build_metric(cfg)
+def _cmd_cut_locus(cfg: argparse.Namespace, m: Metric) -> bytes:
     if cfg.grid_n < 2:
         raise UsageError("--grid must be >= 2")
     strata = cut_locus_sample(m, cfg.group, cfg.grid_n, cfg.rho_max)
@@ -242,8 +231,7 @@ def _cmd_cut_locus(cfg: argparse.Namespace) -> bytes:
     return _render(cfg, columns, rows, by_stratum)
 
 
-def _cmd_wavefront(cfg: argparse.Namespace) -> bytes:
-    m = _build_metric(cfg)
+def _cmd_wavefront(cfg: argparse.Namespace, m: Metric) -> bytes:
     if cfg.grid_n < 8:
         raise UsageError("--grid must be >= 8")
     if cfg.t <= 0.0:
@@ -256,13 +244,11 @@ def _cmd_wavefront(cfg: argparse.Namespace) -> bytes:
     return _render(cfg, columns, rows)
 
 
-def _cmd_injrad(cfg: argparse.Namespace) -> bytes:
-    m = _build_metric(cfg)
+def _cmd_injrad(cfg: argparse.Namespace, m: Metric) -> bytes:
     return _render(cfg, ("radius", "case"), [(injectivity_radius(m), injectivity_case(m.eta))])
 
 
-def _cmd_log(cfg: argparse.Namespace) -> bytes:
-    m = _build_metric(cfg)
+def _cmd_log(cfg: argparse.Namespace, m: Metric) -> bytes:
     p, t = riemannian_log(m, SplitQuaternion(*cfg.target))
     return _render(cfg, ("p1", "p2", "p3", "t"), [(p.p1, p.p2, p.p3, t)])
 
@@ -276,7 +262,8 @@ def _cmd_sr_compare(cfg: argparse.Namespace) -> bytes:
 # ---- the command table ----------------------------------------------------
 #
 # Each subcommand, in `hypgeo --help` order, with its handler and its flags:
-# (name, add_argument's keyword arguments), added in the order listed.
+# (name, add_argument's keyword arguments), added in the order listed.  `run`
+# passes a handler the Metric and Covector of its _METRIC and _COVECTOR flags.
 
 _METRIC = (("--I1", dict(dest="i1", type=float, default=1.0)),
            ("--I3", dict(dest="i3", type=float, default=None)),
@@ -320,8 +307,11 @@ COMMANDS = tuple(_COMMANDS)
 def run(cfg: argparse.Namespace) -> int:
     """Execute one validated configuration; returns the exit status."""
     try:
-        handler, _ = _COMMANDS[cfg.command]
-        data = handler(cfg)
+        handler, flags = _COMMANDS[cfg.command]
+        inputs = [_build_metric(cfg)] if _METRIC[0] in flags else []
+        if _COVECTOR[0] in flags:  # every covector command has a metric
+            inputs.append(_build_covector(cfg, inputs[0]))
+        data = handler(cfg, *inputs)
     except UsageError as exc:
         print(f"hypgeo: usage error: {exc}", file=sys.stderr)
         return 1

@@ -3,7 +3,8 @@ cut times, injectivity radius, cut-locus and wavefront sampling, and the
 inverse of the exponential map on its diffeomorphism domain.
 
 Group conventions.  PSL(2,R), whose points are pairs {q, -q}, and
-SL(2,R) run the same code and differ only in their `_GROUPS` record.  A
+SL(2,R) run the same code and differ only in their `_GROUPS` record; a
+group that is not a GroupTag is a DomainError.  A
 geodesic is cut where the falling phase of q0 + i q3 first reaches the
 record's target, -pi/2 (q0 = 0) or -pi (q3 = 0, q0 < 0), or earlier at
 the first conjugate time tau = pi.  The cap comes first for time-like
@@ -86,6 +87,13 @@ _GROUPS = {
 }
 
 
+def _group(group: GroupTag) -> _Group:
+    """The record of a GroupTag; DomainError names any other value."""
+    if not isinstance(group, GroupTag):
+        raise DomainError(f"group must be a GroupTag, got {group!r}")
+    return _GROUPS[group]
+
+
 class CutDescriptor(NamedTuple):
     """Cut-time summary for one covector: the three times and the stratum
     of the cut locus the geodesic ends on (None when it never stops being
@@ -149,10 +157,9 @@ def _cut_rule(m: Metric, p: Covector, g: _Group) -> tuple[float, bool]:
     return math.inf, p.ctype is CausalType.LIGHT_LIKE or abs(p.pbar3) >= EQUATOR_TOLERANCE
 
 
-def _cut(m: Metric, p: Covector, group: GroupTag) -> tuple[float, bool]:
+def _cut(m: Metric, p: Covector, g: _Group) -> tuple[float, bool]:
     """(p's cut time, whether the cap set it): the phase's first crossing of
     the group's target if _cut_rule allows one and it comes first, else the cap."""
-    g = _GROUPS[group]
     cap, crossing = _cut_rule(m, p, g)
     if crossing:
         t = crossing_time(m, p, g.target_phase)
@@ -161,9 +168,8 @@ def _cut(m: Metric, p: Covector, group: GroupTag) -> tuple[float, bool]:
     return cap, True
 
 
-def _minimizing(m: Metric, p: Covector, t: float, group: GroupTag) -> bool:
-    """t < cut_time(m, p, group) for finite t: the cap and one phase comparison."""
-    g = _GROUPS[group]
+def _minimizing(m: Metric, p: Covector, t: float, g: _Group) -> bool:
+    """t below p's cut time in g's group, for finite t: the cap and one phase comparison."""
     cap, crossing = _cut_rule(m, p, g)
     return t < cap and (not crossing or phase_above(m, p, t, g.target_phase))
 
@@ -179,7 +185,7 @@ def maxwell_time(m: Metric, p: Covector) -> float:
     space-like equator.  SL(2,R) swaps in the q3-zero and the threshold
     -2/eta (see cut_time).
     """
-    return _cut(m, p, GroupTag.PSL2)[0]
+    return _cut(m, p, _GROUPS[GroupTag.PSL2])[0]
 
 
 def cut_time(m: Metric, p: Covector, group: GroupTag = GroupTag.PSL2) -> float:
@@ -188,7 +194,7 @@ def cut_time(m: Metric, p: Covector, group: GroupTag = GroupTag.PSL2) -> float:
     Equals the first Maxwell time of the respective group on all of C; the
     SL(2,R) value is never smaller than the PSL(2,R) one.
     """
-    return _cut(m, p, group)[0]
+    return _cut(m, p, _group(group))[0]
 
 
 def describe_cut(m: Metric, p: Covector, group: GroupTag = GroupTag.PSL2) -> CutDescriptor:
@@ -198,8 +204,9 @@ def describe_cut(m: Metric, p: Covector, group: GroupTag = GroupTag.PSL2) -> Cut
     (q3-root, SL2); M12: the rotational collapse at tau = pi shared by
     both groups; None: the geodesic is minimizing forever.
     """
-    t_cut, capped = _cut(m, p, group)
-    stratum = None if math.isinf(t_cut) else "M12" if capped else _GROUPS[group].maxwell_stratum
+    g = _group(group)
+    t_cut, capped = _cut(m, p, g)
+    stratum = None if math.isinf(t_cut) else "M12" if capped else g.maxwell_stratum
     return CutDescriptor(group, t_cut, first_conjugate_time(m, p), t_cut, stratum)
 
 
@@ -269,7 +276,7 @@ def _phases(n: int) -> list[tuple[float, float, float]]:
     return out
 
 
-def _plane_stratum(m: Metric, group: GroupTag, n: int, rho_max: float) -> LocusSample:
+def _plane_stratum(m: Metric, g: _Group, n: int, rho_max: float) -> LocusSample:
     """n x n sample of the planar stratum: Z = {q0 = 0} for PSL(2,R), the
     lower symmetric sheet H = {q3 = 0, q0 <= -1} for SL(2,R).
 
@@ -284,7 +291,6 @@ def _plane_stratum(m: Metric, group: GroupTag, n: int, rho_max: float) -> LocusS
     ideal point with horizontal part (x, y) = rho (cos, sin) phi and
     (q0, q3) = the group's ideal times the sheet height sqrt(1 + rho^2).
     """
-    g = _GROUPS[group]
     box = g.box
     table = _phases(n)
     new, cos, sin = tuple.__new__, math.cos, math.sin
@@ -369,9 +375,9 @@ def cut_locus_sample(
     n = check_count(n, 2)
     if not (0.0 < rho_max < math.inf):
         raise DomainError(f"rho_max must be finite and > 0, got {rho_max!r}")
-    g = _GROUPS[group]
+    g = _group(group)
     with _GcPaused():
-        out = [_plane_stratum(m, group, n, rho_max)]
+        out = [_plane_stratum(m, g, n, rho_max)]
         if m.eta > g.pole_split:
             top = g.pole_split / m.eta
             # clamped, since 1 + (top - 1) n/n can round past top
@@ -401,7 +407,7 @@ def wavefront_sample(
     if not 0.0 < t < math.inf:  # NaN fails too
         raise DomainError(f"wavefront time must be finite and positive, got {t!r}")
     n = check_count(n, 8)
-    new = tuple.__new__
+    g, new = _group(group), tuple.__new__
     with _GcPaused():
         table, out = _phases(n), []
         for i in range(n):
@@ -410,7 +416,7 @@ def wavefront_sample(
             p_row = covector_from_components(m, horizontal, 0.0, u * math.sqrt(m.i3))
             _, _, p3, kil, ctype, norm, pbar3 = p_row
             q0, q3, radial, c, s, _ = orbit_factors(m, p_row, t)
-            optimal = _minimizing(m, p_row, t, group)
+            optimal = _minimizing(m, p_row, t, g)
             d = norm if norm else 1.0
             for _, cos_phi, sin_phi in table:
                 p1, p2 = horizontal * cos_phi, horizontal * sin_phi

@@ -259,6 +259,27 @@ def test_domain_errors_exit_2(capfdbinary, argv):
     assert b"domain error" in err
 
 
+# two faults each: the metric is checked first, then the covector, then
+# the command's own flags; the one error line names the first fault
+TWO_FAULT_CASES = [
+    (["geodesic", "--eta", "-0.5", "--type", "tl", "--pbar3", "2", "--t-max", "3",
+      "--samples", "1"], 2, b"eta must be < -1"),
+    (["wavefront", "--eta", "-0.5", "--t", "3", "--grid", "4"], 2, b"eta must be < -1"),
+    (["cut-locus", "--eta", "-0.5", "--grid", "1"], 2, b"eta must be < -1"),
+    (["conjugate", "--eta", "-1.25", "--type", "tl", "--pbar3", "0.5", "--k-max", "0"],
+     2, b"|pbar3| >= 1"),
+    (["cut-locus", "--I3", "4", "--eta", "-1.25", "--grid", "1"], 1, b"--I3 or --eta"),
+]
+
+
+@pytest.mark.parametrize("argv, code, first", TWO_FAULT_CASES,
+                         ids=[f"{a[0]}-{i}" for i, (a, _, _) in enumerate(TWO_FAULT_CASES)])
+def test_the_first_of_two_faults_sets_the_exit_and_the_message(capfdbinary, argv, code, first):
+    got, out, err = run_cli(capfdbinary, *argv)
+    assert (got, out) == (code, b"")
+    assert err.startswith(b"hypgeo: ") and err.count(b"\n") == 1 and first in err
+
+
 def test_cut_time_where_one_plus_eta_rounds_to_eta_exits_0(capfdbinary):
     # the crossing bracket is one float here: used to exit 2 with
     # "empty phase bracket"

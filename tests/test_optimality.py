@@ -43,7 +43,7 @@ from hypgeo import (
 )
 from hypgeo.metric_space import LIGHT_TOLERANCE
 from hypgeo import optimality
-from hypgeo.optimality import _minimizing
+from hypgeo.optimality import _GROUPS, _minimizing
 from hypgeo.root_solver import radius_level_root
 
 M = make_metric(1.0, 4.0)
@@ -925,7 +925,7 @@ def test_optimality_flag_is_t_below_the_cut_time(seed):
                 times = [tc * (1.0 - 1e-12), tc * (1.0 + 1e-12), tc * rnd.uniform(0.01, 3.0)]
             times.append(first_conjugate_time(m, p))
             for t in filter(math.isfinite, times):
-                assert _minimizing(m, p, t, group) == (t < tc), (m.eta, p, group, t, tc)
+                assert _minimizing(m, p, t, _GROUPS[group]) == (t < tc), (m.eta, p, group, t, tc)
 
 
 @pytest.mark.parametrize("eta,n", [(-4.0 / 3.0, 9), (-1.001, 8), (-1.25, 16), (-30.0, 11)])
@@ -961,6 +961,23 @@ def test_wavefront_validates_arguments():
             wavefront_sample(M, 3.3, n)
         with pytest.raises(DomainError, match="integer"):
             cut_locus_sample(M, GroupTag.PSL2, n)
+
+
+_GROUP_CALLS = {
+    "cut_time": lambda g: cut_time(M, covector_from_pbar3(M, 2.0, 0.1, CausalType.TIME_LIKE), g),
+    "describe_cut": lambda g: describe_cut(M, light_covector(M, 0.3), g),
+    "cut_locus_sample": lambda g: cut_locus_sample(M, g, 4),
+    "wavefront_sample": lambda g: wavefront_sample(M, 1.0, 8, g),
+}
+
+
+@pytest.mark.parametrize("group", ["psl2", None, 2, CausalType.TIME_LIKE, []],
+                         ids=["str", "None", "int", "CausalType", "list"])
+@pytest.mark.parametrize("call", _GROUP_CALLS)
+def test_a_group_that_is_not_a_group_tag_is_a_domain_error(call, group):
+    # a bare KeyError (TypeError for a list) used to escape the group lookup
+    with pytest.raises(DomainError, match="GroupTag"):
+        _GROUP_CALLS[call](group)
 
 
 # --- the grids pause the cyclic collector ------------------------------------
