@@ -8,7 +8,8 @@ sits inside the split quaternions, whose imaginary units obey
 
 SU(1,1) is isomorphic to SL(2,R) through the linear map
 psi(a, b, c, d) = ((a+d)/2, (a-d)/2, (b+c)/2, (c-b)/2) of the matrix
-[[a, b], [c, d]], and PSL(2,R) is its quotient by the center {+-1}.
+[[a, b], [c, d]], and PSL(2,R) is its quotient by the center {+-1}: a
+point of either group is a SplitQuaternion, of PSL(2,R) either lift.
 
 Everything here is plain scalar arithmetic on unit split quaternions.
 Pure math: no arrays, no state.
@@ -44,22 +45,6 @@ class SplitQuaternion(NamedTuple):
 
     def __neg__(self) -> "SplitQuaternion":
         return SplitQuaternion(-self.q0, -self.q1, -self.q2, -self.q3)
-
-
-class Psl2Element(NamedTuple):
-    """A point of PSL(2,R) stored through its canonical unit-quaternion lift.
-
-    The representative of {q, -q} satisfies rep.q0 > 0, or rep.q0 == 0 and
-    rep.q3 > 0 (q0 and q3 cannot vanish together on the group).  One
-    exception: `cut_locus_sample` lifts the points of Z, and the R_eta
-    point on Z, with rep.q3 > 0, since their q0 is rounding noise of
-    either sign.
-    """
-
-    rep: SplitQuaternion
-
-    def components(self) -> tuple[float, float, float, float]:
-        return self.rep.components()
 
 
 def sq_mul(a: SplitQuaternion, b: SplitQuaternion) -> SplitQuaternion:
@@ -117,8 +102,8 @@ def sq_exp(v1: float, v2: float, v3: float) -> SplitQuaternion:
     return SplitQuaternion(ch, s * v1, s * v2, s * v3)
 
 
-def psl2_canonicalize(q: SplitQuaternion) -> Psl2Element:
-    """Canonical representative of {q, -q}.
+def psl2_canonicalize(q: SplitQuaternion) -> SplitQuaternion:
+    """Canonical lift of the PSL(2,R) point {q, -q}.
 
     Keeps q when q0 > 0, or when q0 == 0 and q3 > 0; otherwise flips the
     sign.  q0 = q3 = 0 cannot occur on the unit pseudo-norm surface, and a
@@ -133,4 +118,4 @@ def psl2_canonicalize(q: SplitQuaternion) -> Psl2Element:
     # normalize -0.0 so canonical components compare cleanly
     if q.q0 == 0.0:
         q = SplitQuaternion(0.0, q.q1, q.q2, q.q3)
-    return Psl2Element(q)
+    return q

@@ -24,7 +24,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from .algebra import Psl2Element, SplitQuaternion, psl2_canonicalize
+from .algebra import SplitQuaternion, psl2_canonicalize
 from .errors import DomainError, IdentityTarget, NoConvergence, OnCutLocus
 from .geodesic_engine import exp_map, orbit_factors, orbit_pass
 from .metric_space import (
@@ -50,12 +50,10 @@ class GroupTag(Enum):
     SL2 = "sl2"
 
 
-def _upper(q: SplitQuaternion) -> Psl2Element:
-    """The PSL(2,R) point of q by its lift with q3 > 0: on and near the
-    plane q0 = 0 the sign of q0 is rounding noise, that of q3 is not.
-    Built with tuple.__new__, which skips the record's Python-level
-    __new__."""
-    return tuple.__new__(Psl2Element, (-q if q[3] < 0.0 else q,))
+def _upper(q: SplitQuaternion) -> SplitQuaternion:
+    """The lift of q's PSL(2,R) point with q3 > 0: on and near the plane
+    q0 = 0 the sign of q0 is rounding noise, that of q3 is not."""
+    return -q if q[3] < 0.0 else q
 
 
 class _Group(NamedTuple):
@@ -65,9 +63,8 @@ class _Group(NamedTuple):
     pole_split: float       # -c: the pbar3 threshold is -c/eta; axis strata exist for eta > -c
     pole: float             # sign of the axis witnesses' pbar3
     ideal: tuple            # the plane's (q0, q3) per unit sheet height
-    lift: Callable          # group point of a plane or axis quaternion
-    box: type | None        # record of a lifted plane quaternion (None: the quaternion)
-    circle_lift: Callable   # group point of a conjugate-circle quaternion
+    lift: Callable | None           # lift of a plane or axis point (None: the quaternion)
+    circle_lift: Callable | None    # lift of a conjugate-circle point (None: the quaternion)
     maxwell_stratum: str
     plane: str
     axis: str
@@ -76,12 +73,12 @@ class _Group(NamedTuple):
 _GROUPS = {
     GroupTag.PSL2: _Group(
         target_phase=-0.5 * math.pi, pole_split=ETA_POLE_SPLIT_PSL2, pole=-1.0, ideal=(0.0, 1.0),
-        lift=_upper, box=Psl2Element, circle_lift=lambda q: psl2_canonicalize(q),
+        lift=_upper, circle_lift=psl2_canonicalize,
         maxwell_stratum="M0", plane="Z", axis="R_eta",
     ),
     GroupTag.SL2: _Group(
         target_phase=-math.pi, pole_split=ETA_POLE_SPLIT_SL2, pole=1.0, ideal=(-1.0, 0.0),
-        lift=lambda q: q, box=None, circle_lift=lambda q: q,
+        lift=None, circle_lift=None,
         maxwell_stratum="M3", plane="H", axis="T_eta",
     ),
 }
@@ -243,11 +240,12 @@ class _GcPaused:
     """Pauses CPython's cyclic collector while a grid's records are built,
     and re-enables it on exit only if it was enabled on entry.  Records are
     tuple subclasses, which the collector never untracks, so unpaused it
-    walks the growing grid 10-20 times per 64 x 64 build and frees
-    nothing.  __exit__ allocates nothing after re-enabling: the collection
-    the build has earned waits for the caller's next allocation, and never
-    runs if the caller first frees a grid as large (notes/decisions.md,
-    "Grids pause the cyclic collector")."""
+    walks the growing grid 6 times per 64 x 64 cut-locus plane and 17
+    times per 64 x 64 wavefront, and frees nothing.  __exit__ allocates
+    nothing after re-enabling: the collection the build has earned waits
+    for the caller's next allocation, and never runs if the caller first
+    frees a grid as large (notes/decisions.md, "Grids pause the cyclic
+    collector")."""
 
     __slots__ = ("enabled",)
 
@@ -291,7 +289,6 @@ def _plane_stratum(m: Metric, g: _Group, n: int, rho_max: float) -> LocusSample:
     ideal point with horizontal part (x, y) = rho (cos, sin) phi and
     (q0, q3) = the group's ideal times the sheet height sqrt(1 + rho^2).
     """
-    box = g.box
     table = _phases(n)
     new, cos, sin = tuple.__new__, math.cos, math.sin
     points, witnesses = [], []
@@ -305,7 +302,7 @@ def _plane_stratum(m: Metric, g: _Group, n: int, rho_max: float) -> LocusSample:
             msg = f"rho_max {rho_max!r}: no representable witness at row radius {rho!r} ({e})"
             raise DomainError(msg) from None
         q0, q3, radial, c, s, _ = orbit_factors(m, p0, t)
-        if box and q3 < 0.0:
+        if g.lift is _upper and q3 < 0.0:
             # _upper's rule; the row shares q0 and q3: negate every point via its factors
             q0, q3, radial = -q0, -q3, -radial
         a1, d = p0.p1, p0.norm or 1.0
@@ -326,23 +323,24 @@ def _plane_stratum(m: Metric, g: _Group, n: int, rho_max: float) -> LocusSample:
             gap = abs(q2 - rho * sin_phi)
             if gap > worst:
                 worst = gap
-            q = new(SplitQuaternion, (q0, q1, q2, q3))
-            points.append(new(box, (q,)) if box else q)
+            points.append(new(SplitQuaternion, (q0, q1, q2, q3)))
     return LocusSample(g.plane, tuple(points), tuple(witnesses), worst)
 
 
 def _axis_stratum(m: Metric, name: str, pbar3s, lift) -> LocusSample:
-    """The points lift(Exp(p, t)) of the phase-0 time-like witnesses p
-    with these pbar3, at their conjugate time t (tau = pi), where they
-    reach -(cos, 0, 0, sin)(pi eta pbar3); the worst gap is to that law."""
+    """The points lift(Exp(p, t)), Exp(p, t) if lift is None, of the
+    phase-0 time-like witnesses p with these pbar3, at their conjugate time
+    t (tau = pi), where they reach -(cos, 0, 0, sin)(pi eta pbar3); the
+    worst gap is to that law."""
     points, witnesses = [], []
     worst = 0.0
     for pbar3 in pbar3s:
         # pbar3 is in [1, -c/eta] in size by construction: the record needs no checks
         p = covector_of_type(m, CausalType.TIME_LIKE, pbar3, math.sqrt(pbar3 * pbar3 - 1.0), 0.0)
         t = first_conjugate_time(m, p)
-        e = lift(exp_map(m, p, t))
-        q0, q1, q2, q3 = e.components()
+        e = exp_map(m, p, t)
+        e = lift(e) if lift else e
+        q0, q1, q2, q3 = e
         turn = math.pi * m.eta * pbar3
         worst = max(worst, abs(q0 + math.cos(turn)), abs(q1), abs(q2), abs(q3 + math.sin(turn)))
         points.append(e)
@@ -359,10 +357,11 @@ def cut_locus_sample(
     eta > -c, also the axis stratum (R_eta, T_eta: the witnesses
     pole * (1 + (-c/eta - 1) k/n), k = 1..n, clamped to -c/eta in size;
     the mirror arc of the other pole is not duplicated) and its conjugate
-    endpoints (pbar3 = +-1).  PSL(2,R) lifts Z and R_eta with q3 > 0: on Z
-    and at R_eta's last point, where q0 is rounding noise, this replaces
-    Psl2Element's q0 > 0 rule.  DomainError unless n is an integer >= 2
-    and rho_max is finite and positive.  A row radius rho_max i/n is
+    endpoints (pbar3 = +-1).  Each point is a SplitQuaternion; for
+    PSL(2,R) the lift with q3 > 0 on Z and R_eta, whose q0 is rounding
+    noise on Z and at R_eta's last point, and psl2_canonicalize's on the
+    conjugate circle.  DomainError unless n is an integer >= 2 and
+    rho_max is finite and positive.  A row radius rho_max i/n is
     formed without overflow up to the float maximum; DomainError names
     rho_max where a row's witness cannot be represented in floats: a
     radius that rounds to 0, one so small (subnormal, as for rho_max
@@ -459,9 +458,7 @@ def check_log_target(q: SplitQuaternion) -> SplitQuaternion:
     return q
 
 
-def riemannian_log(
-    m: Metric, target: Psl2Element | SplitQuaternion
-) -> tuple[Covector, float]:
+def riemannian_log(m: Metric, target: SplitQuaternion) -> tuple[Covector, float]:
     """Inverse of the exponential map on its diffeomorphism domain.
 
     Returns the unique (covector, t) with t below the cut time and
@@ -489,8 +486,7 @@ def riemannian_log(
     below 1e-8, or an axis rotation inside the cut interval), and
     NoConvergence (carrying the best residual) if every seed fails.
     """
-    raw = target.rep if isinstance(target, Psl2Element) else target
-    q = psl2_canonicalize(check_log_target(raw)).rep
+    q = psl2_canonicalize(check_log_target(target))
     rho = math.hypot(q.q1, q.q2)
     if abs(q.q0 - 1.0) < 1e-12 and rho < 1e-12 and abs(q.q3) < 1e-12:
         raise IdentityTarget("the identity has zero distance and no direction")
@@ -585,7 +581,7 @@ def riemannian_log(
         delta = math.atan2(q.q2, q.q1) - math.atan2(e.q2, e.q1)
         # turn the phase-0 covector by delta, carrying its causal record
         p = Covector(p0.p1 * math.cos(delta), p0.p1 * math.sin(delta), *p0[2:])
-        final = psl2_canonicalize(exp_map(m, p, t)).rep
+        final = psl2_canonicalize(exp_map(m, p, t))
         err = max(abs(a - b) for a, b in zip(final.components(), q.components()))
         if err > 1e-9 * scale:
             continue

@@ -44,8 +44,11 @@ class SrMomentum(NamedTuple):
 def _limit_covector(beta: float, phi0: float) -> Covector:
     """The covector (cos phi0, sin phi0, beta) on the limit metric, its
     causal record built from beta: near the pole pbar3 -> 1 (|beta| -> inf)
-    it keeps the digits that 1 - pbar3^2 would cancel."""
+    it keeps the digits that 1 - pbar3^2 would cancel.  DomainError names
+    a beta whose square or a phi0 that is not finite."""
     kil = 1.0 - beta * beta  # |kil| rounds beta^2 - 1 once: pbar3(3/sqrt(5)) = 1.5
+    if not (math.isfinite(kil) and math.isfinite(phi0)):  # NaN fails too
+        raise DomainError(f"beta^2 and phi0 must be finite, got {beta!r}, {phi0!r}")
     c, s = math.cos(phi0), math.sin(phi0)
     if kil == 0.0:
         return Covector(c, s, beta, 0.0, CausalType.LIGHT_LIKE, 0.0, None)
@@ -58,8 +61,6 @@ def sr_exp_map(sp: SrMomentum, t: float) -> SplitQuaternion:
     """Endpoint of the unit-speed sub-Riemannian geodesic at time t.
     DomainError for a beta whose square or a phi0 that is not finite;
     t as in exp_map (NegativeTime for t < 0, DomainError if not finite)."""
-    if not (math.isfinite(sp.beta * sp.beta) and math.isfinite(sp.phi0)):
-        raise DomainError(f"momentum must be finite, got {sp!r}")
     return exp_map(_LIMIT, _limit_covector(sp.beta, sp.phi0), t)
 
 
@@ -69,12 +70,13 @@ def beta_from_pbar3(pbar3: float, ctype: CausalType) -> float:
 
     Inverts pbar3 = beta/sqrt(|beta^2 - 1|): time-like pbar3 (|pbar3| > 1)
     maps to |beta| > 1, space-like to |beta| < 1, both sign-preserving.
-    The dictionary degenerates on the light cone and at |pbar3| = 1.
+    The dictionary degenerates on the light cone and at |pbar3| = 1;
+    DomainError there and for a pbar3 whose square is not finite.
     """
     if ctype is CausalType.LIGHT_LIKE:
         raise DomainError("light-like covectors sit at the |beta| = 1 horizon")
-    if not math.isfinite(pbar3):
-        raise DomainError(f"pbar3 must be finite, got {pbar3!r}")
+    if not math.isfinite(pbar3 * pbar3):  # NaN fails too
+        raise DomainError(f"pbar3 must be finite with a finite square, got {pbar3!r}")
     if ctype is CausalType.TIME_LIKE:
         if abs(pbar3) <= 1.0:
             raise DomainError(f"time-like dictionary needs |pbar3| > 1, got {pbar3!r}")
@@ -86,11 +88,9 @@ def sr_cut_time(beta: float) -> float:
     """Cut time of the sub-Riemannian geodesic with vertical parameter beta:
     `cut_time` on the limit metric.  From |beta| = 3/sqrt(5) up (pbar3 <= 3/2)
     it is the conjugate cap 2 pi / sqrt(beta^2 - 1); below, the first zero
-    of q0; +inf at beta = 0.  Even in beta.  DomainError for a NaN beta;
-    |beta| = inf gives 0.
+    of q0; +inf at beta = 0.  Even in beta.  DomainError for a NaN beta
+    and for a finite one whose square is not; |beta| = inf gives 0.
     """
-    if math.isnan(beta):
-        raise DomainError("beta must not be NaN")
     if math.isinf(beta):
         return 0.0
     return cut_time(_LIMIT, _limit_covector(beta, 0.0))

@@ -452,7 +452,7 @@ def test_quotient_consistency():
             other = SplitQuaternion(-e.q0, -e.q1, -e.q2, -e.q3)
             worst = max(
                 worst,
-                _comp_gap(psl2_canonicalize(e).rep, psl2_canonicalize(other).rep),
+                _comp_gap(psl2_canonicalize(e), psl2_canonicalize(other)),
             )
     assert worst < 1e-12, f"canonical representatives differ by {worst:.3e}"
     return f"max representative gap {worst:.2e}, cut ordering holds"

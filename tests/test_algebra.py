@@ -191,21 +191,21 @@ def test_from_sl2_rejects_wrong_determinant():
 def test_canonicalize_picks_positive_leading_component():
     q = SplitQuaternion(-0.9611911518003403, 0.1, 0.2, 0.5)
     e = psl2_canonicalize(q)
-    assert e.rep.q0 > 0
+    assert e.q0 > 0
     # idempotent and well defined on the sign quotient
-    again = psl2_canonicalize(e.rep)
-    assert gap(again.rep, e.rep) == 0.0
+    again = psl2_canonicalize(e)
+    assert gap(again, e) == 0.0
     other = psl2_canonicalize(-q)
-    assert gap(other.rep, e.rep) == 0.0
+    assert gap(other, e) == 0.0
 
 
 def test_canonicalize_on_the_plane_uses_q3():
     q = SplitQuaternion(0.0, 0.6, 0.8, -math.sqrt(2.0))
     e = psl2_canonicalize(q)
-    assert e.rep.q3 > 0
-    assert e.rep.q1 == -0.6
+    assert e.q3 > 0
+    assert e.q1 == -0.6
     # -0.0 must not survive as a component
-    assert math.copysign(1.0, e.rep.q0) == 1.0
+    assert math.copysign(1.0, e.q0) == 1.0
 
 
 @pytest.mark.parametrize("q", [

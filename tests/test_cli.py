@@ -550,7 +550,7 @@ def test_injrad_case_beside_the_junctions(capfdbinary):
 def test_log_round_trip(capfdbinary):
     m = metric_from_eta(-1.25, 1.0)
     p = covector_from_pbar3(m, 1.7, 0.9, CausalType.TIME_LIKE)
-    q = psl2_canonicalize(exp_map(m, p, 1.3)).rep
+    q = psl2_canonicalize(exp_map(m, p, 1.3))
     target = ",".join(repr(c) for c in q.components())
     code, out, _ = run_cli(capfdbinary, "log", "--eta", "-1.25",
                            "--target", target)

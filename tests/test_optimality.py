@@ -468,6 +468,13 @@ def test_radius_level_root_rejects_bad_input(rho, target):
         radius_level_root(M, rho, target)
 
 
+def test_radius_level_root_names_an_underflowing_space_like_bracket():
+    # the locus's targets, -pi/2 and -pi, never reach this bracket; a target
+    # just below 0 at an extreme eta and rho does
+    with pytest.raises(DomainError, match="space-like upper bracket underflows"):
+        radius_level_root(metric_from_eta(-1e300), 1e-300, -1e-300)
+
+
 @pytest.mark.parametrize("group", list(GroupTag))
 @pytest.mark.parametrize("eta, rho_max", [(-1e200, 1e-200), (-1e300, 1e-300)])
 def test_locus_names_an_underflowing_time_like_bracket(group, eta, rho_max):
@@ -634,8 +641,7 @@ def test_plane_rows_next_to_the_light_cone_keep_their_radius(group):
             # n = 2: the last row's radius is rho_max * 2 / 2 = rho exactly
             plane = cut_locus_sample(m, group, 2, rho)[0]
             for point in plane.points[2:]:
-                q = point.rep if group is GroupTag.PSL2 else point
-                assert abs(math.hypot(q.q1, q.q2) - rho) <= 1e-12 * rho, (eta, scale)
+                assert abs(math.hypot(point.q1, point.q2) - rho) <= 1e-12 * rho, (eta, scale)
 
 
 def _seam_witnesses():
@@ -756,8 +762,8 @@ def test_plane_stratum_extent_and_witnesses(group):
         assert abs(t - cut_time(M, p, group)) < 1e-9 * t
         got = exp_map(M, p, t)
         if group is GroupTag.PSL2:
-            assert projective_gap(got, pt.rep) < 1e-9
-            assert abs(pt.rep.q0) < 1e-8
+            assert projective_gap(got, pt) < 1e-9
+            assert abs(pt.q0) < 1e-8
         else:
             assert gap(got, pt) < 1e-9
             assert abs(pt.q3) < 1e-8
@@ -770,7 +776,7 @@ def test_rotation_stratum_angles_fill_the_band():
     assert reta.stratum == "R_eta"
     phi_left = -2.0 * math.pi * (1.0 + M.eta)
     for pt in reta.points:
-        q = pt.rep
+        q = pt
         assert math.hypot(q.q1, q.q2) < 1e-10
         phi = 2.0 * math.atan2(q.q3, q.q0)
         assert phi_left < phi <= math.pi + 1e-12
@@ -781,7 +787,7 @@ def test_rotation_stratum_endpoint_lies_on_the_upper_sheet():
     # at phi = pi the point k lies on q0 = 0, where the usual
     # representative would take its sign from the rounding of q0
     reta = cut_locus_sample(metric_from_eta(-1.0826695491949396), GroupTag.PSL2, 8)[1]
-    assert reta.points[-1].rep.q3 > 0.0
+    assert reta.points[-1].q3 > 0.0
     assert reta.validation_error < 1e-9
     rnd = random.Random(2024)
     for _ in range(200):
@@ -792,7 +798,7 @@ def test_rotation_stratum_endpoint_lies_on_the_upper_sheet():
 
 
 def _q0_rule(q):
-    """Psl2Element's representative: q0 > 0, or q0 == 0 and q3 > 0."""
+    """psl2_canonicalize's representative: q0 > 0, or q0 == 0 and q3 > 0."""
     return q.q0 > 0.0 or (q.q0 == 0.0 and q.q3 > 0.0)
 
 
@@ -801,15 +807,15 @@ def test_psl2_strata_are_lifted_as_documented():
     # whose last point lies on Z; the rest of R_eta and the conjugate
     # circle keep the record's q0 rule
     z = cut_locus_sample(M, GroupTag.PSL2, 6)[0]
-    assert sum(q.rep.q0 < 0.0 for q in z.points) == 18
-    assert all(q.rep.q3 > 0.0 for q in z.points)
+    assert sum(q.q0 < 0.0 for q in z.points) == 18
+    assert all(q.q3 > 0.0 for q in z.points)
     rnd = random.Random(2106)
     for eta in [-1.25, -1.4706074418967543] + [rnd.uniform(-1.5, -1.0) for _ in range(100)]:
         m = metric_from_eta(eta)
         for n in (2, 3, 8, 12):
             z, reta, circle = cut_locus_sample(m, GroupTag.PSL2, n, 0.5)
-            assert all(q.rep.q3 > 0.0 for q in z.points + reta.points), (eta, n)
-            assert all(_q0_rule(q.rep) for q in reta.points[:-1] + circle.points), (eta, n)
+            assert all(q.q3 > 0.0 for q in z.points + reta.points), (eta, n)
+            assert all(_q0_rule(q) for q in reta.points[:-1] + circle.points), (eta, n)
 
 
 # per group: axis stratum name, pole side of its witnesses, pbar3 threshold -c/eta;
@@ -1123,7 +1129,7 @@ def test_log_counts_an_overflowing_trial_as_a_failed_step():
         return
     # the documented gap, 1e-9 max(1, |q|_inf): one ulp of q is 3e-5 here
     size = max(map(abs, _FAR_LOG_TARGET))
-    assert gap(psl2_canonicalize(exp_map(m, p, t)).rep, psl2_canonicalize(q).rep) <= 1e-9 * size
+    assert gap(psl2_canonicalize(exp_map(m, p, t)), psl2_canonicalize(q)) <= 1e-9 * size
 
 
 def test_log_seed_scan_runs_one_orbit_pass_per_momentum(monkeypatch):
@@ -1327,9 +1333,12 @@ def test_log_returns_minimizer_for_past_cut_targets():
 def test_log_accepts_canonicalized_elements():
     p = covector_from_pbar3(M, 2.0, 1.0, CausalType.TIME_LIKE)
     q = exp_map(M, p, 0.9)
-    for target in (q, -q, psl2_canonicalize(q)):
-        got_p, got_t = riemannian_log(M, target)
-        assert abs(got_t - 0.9) < 1e-9
+    got_p, got_t = riemannian_log(M, q)
+    assert abs(got_t - 0.9) < 1e-9
+    # either lift, and the canonical one, give the same floats
+    for target in (-q, psl2_canonicalize(q)):
+        other_p, other_t = riemannian_log(M, target)
+        assert other_p[:3] + (other_t,) == got_p[:3] + (got_t,)
 
 
 # (eta, target, float.hex of p1, p2, p3 and t) of riemannian_log, frozen:

@@ -23,7 +23,7 @@ PUBLIC_NAMES = [
     "ETA_POLE_SPLIT_PSL2", "ETA_POLE_SPLIT_SL2", "GeodesicSample", "GroupTag", "HypgeoError",
     "IdentityTarget", "LightLikeInput",
     "LocusSample", "Metric", "NegativeTime", "NoConvergence", "NoRootFound",
-    "NonPositiveEigenvalue", "NotOnC", "NotTimeLike", "OnCutLocus", "Psl2Element",
+    "NonPositiveEigenvalue", "NotOnC", "NotTimeLike", "OnCutLocus",
     "SplitQuaternion", "SrMomentum", "SymmetryElement", "UndefinedAtEquator",
     "WavefrontPoint", "apply_symmetry_image", "apply_symmetry_preimage", "beta_from_pbar3",
     "conjugate_roots", "covector_from_components", "covector_from_pbar3",

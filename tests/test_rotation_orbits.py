@@ -17,7 +17,6 @@ from hypgeo import (
     CausalType,
     Covector,
     GroupTag,
-    Psl2Element,
     SplitQuaternion,
     covector_from_components,
     cut_locus_sample,
@@ -154,13 +153,10 @@ def test_grid_records_have_their_exact_types(group):
         assert type(w.point) is SplitQuaternion
     strata = cut_locus_sample(m, group, 9)
     plane = strata[0]
-    want = Psl2Element if group is GroupTag.PSL2 else SplitQuaternion
     for point, (p, t) in zip(plane.points, plane.parameters):
-        assert type(point) is want
+        assert type(point) is SplitQuaternion
         assert type(p) is Covector
         assert type(t) is float
-    if group is GroupTag.PSL2:
-        assert all(type(point.rep) is SplitQuaternion for point in plane.points)
     # one witness per plane row; the axis and circle strata (eta > -c for
     # both groups here) keep one per point, at base angle 0
     assert len(strata) == 3 and len(plane.witnesses) == 9

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -53,6 +54,23 @@ def test_beta_dictionary_rejects_bad_input():
     with pytest.raises(DomainError):
         sr_cut_time(math.nan)
     assert sr_cut_time(math.inf) == 0.0
+
+
+@pytest.mark.parametrize("x", [1e155, -1e155, 1e300, -1e300])
+def test_a_value_whose_square_overflows_is_a_domain_error(x):
+    # past sqrt(DBL_MAX) = 1.34e154 both used to return a silent 0.0
+    with pytest.raises(DomainError, match=re.escape(repr(x))):
+        sr_cut_time(x)
+    for ctype in (CausalType.TIME_LIKE, CausalType.SPACE_LIKE):
+        with pytest.raises(DomainError, match=re.escape(repr(x))):
+            beta_from_pbar3(x, ctype)
+
+
+@pytest.mark.parametrize("x", [1e154, -1e154])
+def test_a_value_whose_square_is_finite_keeps_its_float(x):
+    assert sr_cut_time(x) == 6.283185307179586e-154
+    for ctype in (CausalType.TIME_LIKE, CausalType.SPACE_LIKE):
+        assert beta_from_pbar3(x, ctype) == math.copysign(1.0, x)
 
 
 def test_beta_round_trip():

@@ -17,7 +17,6 @@ from hypgeo import (
     GroupTag,
     LocusSample,
     Metric,
-    Psl2Element,
     SplitQuaternion,
     SrMomentum,
     SymmetryElement,
@@ -36,7 +35,6 @@ P_REPR = (
 # (record, its repr, a second record built from equal fields)
 RECORDS = [
     (Q, Q_REPR, SplitQuaternion(1.25, -0.5, 0.0, 2.0)),
-    (Psl2Element(Q), f"Psl2Element(rep={Q_REPR})", Psl2Element(SplitQuaternion(*Q.components()))),
     (Metric(1.0, 4.0), "Metric(i1=1.0, i3=4.0)", Metric(i1=1.0, i3=4.0)),
     (P, P_REPR, Covector(*P.components(), P.kil, P.ctype, P.norm, P.pbar3)),
     (
@@ -74,7 +72,7 @@ IDS = [type(r).__name__ for r, _, _ in RECORDS]
 
 
 def test_every_record_type_is_covered():
-    assert len({type(r) for r, _, _ in RECORDS}) == 10
+    assert len({type(r) for r, _, _ in RECORDS}) == 9
 
 
 @pytest.mark.parametrize("record, text, _", RECORDS, ids=IDS)
@@ -109,7 +107,6 @@ def test_pickle_round_trip(record, _, __):
 
 def test_components():
     assert Q.components() == (1.25, -0.5, 0.0, 2.0)
-    assert Psl2Element(Q).components() == (1.25, -0.5, 0.0, 2.0)
     assert P.components() == (0.5, -0.25, 1.5)
     assert -Q == SplitQuaternion(-1.25, 0.5, -0.0, -2.0)
 
