@@ -9,15 +9,12 @@ sub-Riemannian limit of the cut time.
 from .algebra import (
     SplitQuaternion,
     psl2_canonicalize,
-    sq_exp,
     sq_mul,
 )
 from .errors import (
-    DegenerateIdenticallyZero,
     DomainError,
     HypgeoError,
     IdentityTarget,
-    LightLikeInput,
     NegativeTime,
     NoConvergence,
     NonPositiveEigenvalue,
@@ -29,11 +26,7 @@ from .errors import (
 )
 from .geodesic_engine import (
     GeodesicSample,
-    SymmetryElement,
-    apply_symmetry_image,
-    apply_symmetry_preimage,
     exp_map,
-    jacobian,
     sample_geodesic,
     vertical_flow,
 )
@@ -49,7 +42,6 @@ from .metric_space import (
     light_covector,
     make_metric,
     metric_from_eta,
-    tau_of_t,
 )
 from .optimality import (
     CutDescriptor,
@@ -65,11 +57,7 @@ from .optimality import (
     riemannian_log,
     wavefront_sample,
 )
-from .root_solver import (
-    conjugate_roots,
-    maxwell_root_q0,
-    maxwell_root_q3,
-)
+from .root_solver import conjugate_roots
 from .sr_limit import (
     SrMomentum,
     beta_from_pbar3,
@@ -84,7 +72,6 @@ __all__ = [
     "CausalType",
     "Covector",
     "CutDescriptor",
-    "DegenerateIdenticallyZero",
     "DomainError",
     "ETA_INJ_SPLIT",
     "ETA_POLE_SPLIT_PSL2",
@@ -93,7 +80,6 @@ __all__ = [
     "GroupTag",
     "HypgeoError",
     "IdentityTarget",
-    "LightLikeInput",
     "LocusSample",
     "Metric",
     "NegativeTime",
@@ -105,11 +91,8 @@ __all__ = [
     "OnCutLocus",
     "SplitQuaternion",
     "SrMomentum",
-    "SymmetryElement",
     "UndefinedAtEquator",
     "WavefrontPoint",
-    "apply_symmetry_image",
-    "apply_symmetry_preimage",
     "beta_from_pbar3",
     "conjugate_roots",
     "covector_from_components",
@@ -120,22 +103,17 @@ __all__ = [
     "exp_map",
     "first_conjugate_time",
     "injectivity_radius",
-    "jacobian",
     "light_covector",
     "limit_comparison",
     "make_metric",
-    "maxwell_root_q0",
-    "maxwell_root_q3",
     "maxwell_time",
     "metric_from_eta",
     "psl2_canonicalize",
     "riemannian_log",
     "sample_geodesic",
-    "sq_exp",
     "sq_mul",
     "sr_cut_time",
     "sr_exp_map",
-    "tau_of_t",
     "vertical_flow",
     "wavefront_sample",
 ]

@@ -67,41 +67,6 @@ def sq_mul(a: SplitQuaternion, b: SplitQuaternion) -> SplitQuaternion:
     return q
 
 
-def sq_exp(v1: float, v2: float, v3: float) -> SplitQuaternion:
-    """Exponential of the algebra element v1 i/2 + v2 j/2 + v3 k/2.
-
-    The half comes from the orthonormal basis (i/2, j/2, k/2) of the
-    algebra, so powers of a pure imaginary vector close up and the series
-    sums to a rotation-like form in |v|/2:
-
-        kappa  = v1^2 + v2^2 - v3^2        (squared causal character)
-        kappa < 0:  cos(|v|/2)  + sin(|v|/2)  * vhat
-        kappa = 0:  1 + (v1 i + v2 j + v3 k)/2
-        kappa > 0:  cosh(|v|/2) + sinh(|v|/2) * vhat
-
-    with |v| = sqrt(|kappa|) and vhat = v/|v|.  Only kappa == 0 takes the
-    affine form: near the cone the others lose no digits, as sin(|v|/2)/|v|
-    and sinh(|v|/2)/|v| tend to 1/2.  Raises DomainError when kappa is not
-    finite or cosh/sinh overflows.
-    """
-    kappa = v1 * v1 + v2 * v2 - v3 * v3
-    if not math.isfinite(kappa):
-        raise DomainError(f"exponent ({v1!r}, {v2!r}, {v3!r}) is not finite or too large")
-    if kappa == 0.0:
-        return SplitQuaternion(1.0, 0.5 * v1, 0.5 * v2, 0.5 * v3)
-    norm = math.sqrt(abs(kappa))
-    half = 0.5 * norm
-    if kappa < 0.0:
-        s = math.sin(half) / norm
-        return SplitQuaternion(math.cos(half), s * v1, s * v2, s * v3)
-    try:
-        ch, sh = math.cosh(half), math.sinh(half)
-    except OverflowError:
-        raise DomainError(f"exponent norm {norm!r} overflows cosh") from None
-    s = sh / norm
-    return SplitQuaternion(ch, s * v1, s * v2, s * v3)
-
-
 def psl2_canonicalize(q: SplitQuaternion) -> SplitQuaternion:
     """Canonical lift of the PSL(2,R) point {q, -q}.
 

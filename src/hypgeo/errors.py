@@ -24,10 +24,6 @@ class NotOnC(DomainError):
     """Covector components violate the unit-energy constraint surface."""
 
 
-class LightLikeInput(DomainError):
-    """Operation undefined for light-like covectors."""
-
-
 # ---- geodesic_engine --------------------------------------------------
 
 class NegativeTime(DomainError):
@@ -42,10 +38,6 @@ class NoRootFound(HypgeoError):
 
 class UndefinedAtEquator(DomainError):
     """Space-like covectors with pbar3 = 0 never leave the symmetry plane."""
-
-
-class DegenerateIdenticallyZero(HypgeoError):
-    """The root function vanishes identically for this covector."""
 
 
 class NotTimeLike(DomainError):

@@ -1,5 +1,5 @@
-"""Geodesic flow of the metrics: closed forms, Jacobians and the
-discrete symmetries of the exponential map.
+"""Geodesic flow of the metrics: the closed-form exponential map, the
+vertical flow of the momentum and sampled geodesics.
 
 A geodesic through the identity with initial covector p on C is the
 product of two one-parameter subgroups,
@@ -28,7 +28,7 @@ import math
 from typing import NamedTuple
 
 from .algebra import SplitQuaternion
-from .errors import DomainError, LightLikeInput, NegativeTime
+from .errors import DomainError, NegativeTime
 from .metric_space import CausalType, Covector, Metric, check_count
 
 
@@ -79,7 +79,7 @@ def orbit_pass(m: Metric, p: Covector, times, out: list) -> list:
     for t in times:
         if not 0.0 <= t < inf:
             _reject_time(t)
-        tau = t * norm / i2  # tau_of_t, inlined on this hot path
+        tau = t * norm / i2  # the rescaled time t |p| / (2 I1)
         theta = tau * eta * pbar3
         if not abs(theta) < inf:  # also an overflowing tau: inf, or NaN at the equator
             raise DomainError(f"geodesic time {t!r} overflows the turn")
@@ -159,127 +159,3 @@ def sample_geodesic(m: Metric, p: Covector, t_end: float, n: int) -> list[Geodes
     factors = orbit_pass(m, p, times, [])
     return [GeodesicSample(t, orbit_point(f, p.p1, p.p2)) for t, f in zip(times, factors)]
 
-
-# ---- Jacobian of the exponential map -----------------------------------
-
-def jacobian(m: Metric, ctype: CausalType, pbar3: float, tau: float) -> float:
-    """Jacobian determinant factor of the exponential map in (tau, pbar3).
-
-        J = type * s^3 * (tau eta (1 - type pbar3^2) c + (1 + type eta pbar3^2) s)
-
-    where (s, c) = (sin, cos)(tau) for time-like covectors (type = +1) and
-    (sinh, cosh)(tau) for space-like ones (type = -1).  Vanishing of J
-    signals a conjugate point; light-like covectors admit none and are
-    rejected, and so is a pbar3 or tau that is not finite, or one where
-    J overflows (DomainError).
-    """
-    if ctype is CausalType.LIGHT_LIKE:
-        raise LightLikeInput("jacobian factor is undefined on the light cone")
-    if not (math.isfinite(pbar3) and math.isfinite(tau)):
-        raise DomainError(f"pbar3 and tau must be finite, got {pbar3!r}, {tau!r}")
-    eta = m.eta
-    if ctype is CausalType.TIME_LIKE:
-        type_sign = 1.0
-        s, c = math.sin(tau), math.cos(tau)
-    else:
-        type_sign = -1.0
-        try:
-            s, c = math.sinh(tau), math.cosh(tau)
-        except OverflowError:
-            raise DomainError(f"jacobian overflows at tau {tau!r}") from None
-    bracket = tau * eta * (1.0 - type_sign * pbar3 * pbar3) * c + (
-        1.0 + type_sign * eta * pbar3 * pbar3
-    ) * s
-    j = type_sign * s * s * s * bracket
-    if not math.isfinite(j):
-        raise DomainError(f"jacobian overflows at tau {tau!r}")
-    return j
-
-
-# ---- discrete symmetries ------------------------------------------------
-
-class SymmetryElement(NamedTuple):
-    """An element of the symmetry group O(2) x Z2 of the exponential map.
-
-    The O(2) factor acts on the horizontal plane: reflection across the
-    e1 axis when `mirror` is set, followed by rotation by `angle`.  The Z2
-    factor (`flip3`) negates the vertical component.  Reflections of either
-    kind reverse the vertical flow, so an element twists the momentum by
-    the flow exactly when mirror != flip3.
-    """
-
-    angle: float = 0.0
-    mirror: bool = False
-    flip3: bool = False
-
-    @staticmethod
-    def rotation(angle: float) -> "SymmetryElement":
-        return SymmetryElement(angle=angle)
-
-    @staticmethod
-    def sigma1() -> "SymmetryElement":
-        """Reflection across the plane spanned by e1 and e3."""
-        return SymmetryElement(mirror=True)
-
-    @staticmethod
-    def sigma2() -> "SymmetryElement":
-        """Reflection across the horizontal plane spanned by e1 and e2."""
-        return SymmetryElement(flip3=True)
-
-    @property
-    def kind(self) -> str:
-        if self.mirror and self.flip3:
-            return "composite"
-        if self.mirror:
-            return "reflection-sigma1" if self.angle == 0.0 else "composite"
-        if self.flip3:
-            return "reflection-sigma2" if self.angle == 0.0 else "composite"
-        return "rotation"
-
-    @property
-    def reverses_vertical(self) -> bool:
-        return self.mirror != self.flip3
-
-    def compose(self, other: "SymmetryElement") -> "SymmetryElement":
-        """self after other (group product)."""
-        sign = -1.0 if self.mirror else 1.0
-        return SymmetryElement(
-            angle=self.angle + sign * other.angle,
-            mirror=self.mirror != other.mirror,
-            flip3=self.flip3 != other.flip3,
-        )
-
-    def act_on_vector(self, x: float, y: float, z: float) -> tuple[float, float, float]:
-        if not math.isfinite(self.angle):
-            raise DomainError(f"symmetry angle must be finite, got {self.angle!r}")
-        if self.flip3:
-            z = -z
-        if self.mirror:
-            y = -y
-        x, y = _rotate(x, y, self.angle)
-        return (x, y, z)
-
-
-def apply_symmetry_preimage(
-    m: Metric, s: SymmetryElement, p: Covector, t: float
-) -> tuple[Covector, float]:
-    """Companion initial condition: the covector whose geodesic is the
-    s-image of the geodesic of p, at the same time.
-
-    Vertical-flow-preserving elements act on p directly; reversing ones
-    must first push p through the vertical flow for time t.  Kil is
-    invariant, so the companion carries p's record, pbar3 negated by flip3.
-    """
-    base = vertical_flow(m, p, t) if s.reverses_vertical else p
-    x, y, z = s.act_on_vector(base.p1, base.p2, base.p3)
-    pbar3 = -base.pbar3 if s.flip3 and base.pbar3 is not None else base.pbar3
-    return Covector(x, y, z, base.kil, base.ctype, base.norm, pbar3), t
-
-
-def apply_symmetry_image(s: SymmetryElement, q: SplitQuaternion) -> SplitQuaternion:
-    """Action of s on the group: O(2) on (q1, q2), Z2 on q3, q0 fixed.
-    DomainError for a component that is not finite."""
-    if not all(map(math.isfinite, q)):
-        raise DomainError(f"cannot act on {q!r}: a component is not finite")
-    x, y, q3 = s.act_on_vector(q.q1, q.q2, q.q3)
-    return SplitQuaternion(q.q0, x, y, q3)

@@ -30,7 +30,7 @@ import operator
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import DomainError, LightLikeInput, NonPositiveEigenvalue, NotOnC
+from .errors import DomainError, NonPositiveEigenvalue, NotOnC
 
 ON_C_TOLERANCE = 1e-9
 LIGHT_TOLERANCE = 1e-9  # |Kil| < LIGHT_TOLERANCE * I1 classifies light-like
@@ -189,12 +189,3 @@ def light_covector(m: Metric, phase: float, p3_sign: int = 1) -> Covector:
     return Covector(radial * math.cos(phase), radial * math.sin(phase), p3,
                     0.0, CausalType.LIGHT_LIKE, 0.0, None)
 
-
-def tau_of_t(m: Metric, p: Covector, t: float) -> float:
-    """Rescaled time tau = t*|p|/(2*I1) used by the closed-form geodesics;
-    DomainError for a time that is not finite."""
-    if p.ctype is CausalType.LIGHT_LIKE:
-        raise LightLikeInput("tau is undefined for light-like covectors")
-    if not math.isfinite(t):
-        raise DomainError(f"time must be finite, got {t!r}")
-    return t * p.norm / (2.0 * m.i1)

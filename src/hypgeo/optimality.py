@@ -231,7 +231,7 @@ def injectivity_radius(m: Metric) -> float:
         return math.pi * root_i1 * math.sqrt(-1.0 / (1.0 + eta))
     if case == 2:
         return math.pi * root_i1 * math.sqrt(-(eta + 4.0) / eta)
-    return 2.0 * math.pi * root_i1 * math.sqrt(-(1.0 + eta))
+    return 2.0 * math.pi * root_i1 * math.sqrt(-1.0 - eta)
 
 
 # ---- cut-locus sampling --------------------------------------------------

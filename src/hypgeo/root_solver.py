@@ -21,7 +21,6 @@ from functools import partial
 from typing import Callable
 
 from .errors import (
-    DegenerateIdenticallyZero,
     DomainError,
     NoRootFound,
     NotTimeLike,
@@ -264,29 +263,6 @@ def radius_level_root(m: Metric, rho: float, target: float) -> tuple[Covector, f
     radial = rho * math.cosh(lam)  # sqrt(b^2 - 1), exact where b = hypot(1, radial) is not
     p = covector_of_type(m, CausalType.TIME_LIKE, math.hypot(1.0, radial), radial, 0.0)
     return p, 2.0 * m.i1 * _lambda_tau(lam) / p.norm
-
-
-def maxwell_root_q0(m: Metric, p: Covector) -> float:
-    """Time of the first vanishing of q0 along the geodesic of p.
-
-    Raises UndefinedAtEquator for space-like covectors with pbar3 = 0,
-    whose q0 coordinate stays >= 1 forever.
-    """
-    return crossing_time(m, p, -0.5 * math.pi)
-
-
-def maxwell_root_q3(m: Metric, p: Covector) -> float:
-    """Time of the first positive-time vanishing of q3 along the geodesic.
-
-    The zero at t = 0 is ignored.  Raises DegenerateIdenticallyZero for
-    space-like covectors with pbar3 = 0, where q3 vanishes identically.
-    """
-    try:
-        return crossing_time(m, p, -math.pi)
-    except UndefinedAtEquator:
-        raise DegenerateIdenticallyZero(
-            "q3 vanishes identically on equatorial space-like geodesics"
-        ) from None
 
 
 def _conjugate_phase(sigma: float, tau: float) -> tuple[float, float]:

@@ -6,9 +6,10 @@ acts on the open unit disk by
 
     z  ->  ((q0 + q3 i) z + (q1 + q2 i)) / ((q1 - q2 i) z + (q0 - q3 i)),
 
-so `sq_mul` must compose these maps, `sq_exp` must give isometries of the
-disk distance, and the trace q0 of `sq_exp(v)` must sort it into the
-elliptic, parabolic or hyperbolic class.  The matrix map psi of the
+so `sq_mul` must compose these maps, the algebra exponential `sq_exp`
+(tests/derivation.py) must give isometries of the disk distance, and the
+trace q0 of `sq_exp(v)` must sort it into the elliptic, parabolic or
+hyperbolic class.  The matrix map psi of the
 `hypgeo.algebra` docstring is here too, with its inverse.
 
 Each function keeps its own guards and is checked against an independent

@@ -21,6 +21,7 @@ import time
 import pytest
 
 from conftest import record
+from derivation import SymmetryElement, apply_symmetry_preimage, jacobian, sq_exp, tau_of_t
 from helpers import CUBE_ROOT_GAP_COEFF, SRC_ENV, exp_map_ode_oracle_batch, q0_phase_cut_time
 from hypgeo import (
     ETA_INJ_SPLIT,
@@ -28,8 +29,6 @@ from hypgeo import (
     GroupTag,
     OnCutLocus,
     SplitQuaternion,
-    SymmetryElement,
-    apply_symmetry_preimage,
     beta_from_pbar3,
     conjugate_roots,
     covector_from_components,
@@ -39,19 +38,15 @@ from hypgeo import (
     exp_map,
     first_conjugate_time,
     injectivity_radius,
-    jacobian,
     light_covector,
     limit_comparison,
-    maxwell_root_q0,
-    maxwell_root_q3,
     maxwell_time,
     metric_from_eta,
     psl2_canonicalize,
     riemannian_log,
-    sq_exp,
     sq_mul,
-    tau_of_t,
 )
+from hypgeo.root_solver import crossing_time
 
 TAU = 2.0 * math.pi
 
@@ -207,8 +202,8 @@ def test_time_ordering_on_grid():
             p = covector_from_pbar3(
                 m, sign * (1.0 + 10.0**u), 0.9, CausalType.TIME_LIKE
             )
-            t0 = maxwell_root_q0(m, p)
-            t3 = maxwell_root_q3(m, p)
+            t0 = crossing_time(m, p, -math.pi / 2)
+            t3 = crossing_time(m, p, -math.pi)
             assert t0 < t3, f"eta={eta}, time-like u={u}"
             t_conj = first_conjugate_time(m, p)
             assert maxwell_time(m, p) <= t_conj * (1.0 + 1e-12)
@@ -218,13 +213,13 @@ def test_time_ordering_on_grid():
             sign = -1.0 if j % 2 else 1.0
             u = -3.0 + 4.3 * j / 499.0
             p = covector_from_pbar3(m, sign * 10.0**u, 2.1, CausalType.SPACE_LIKE)
-            assert maxwell_root_q0(m, p) < maxwell_root_q3(m, p)
+            assert crossing_time(m, p, -math.pi / 2) < crossing_time(m, p, -math.pi)
             assert math.isinf(first_conjugate_time(m, p))
             assert math.isfinite(maxwell_time(m, p))
             checked += 1
         for sign in (1, -1):
             p = light_covector(m, 0.3, sign)
-            assert maxwell_root_q0(m, p) < maxwell_root_q3(m, p)
+            assert crossing_time(m, p, -math.pi / 2) < crossing_time(m, p, -math.pi)
             assert math.isinf(first_conjugate_time(m, p))
             checked += 1
     assert checked == 10_020
@@ -308,15 +303,15 @@ def test_root_brackets():
         m = metric_from_eta(rng.uniform(-3.5, -1.05))
         b = 10.0 ** rng.uniform(-1.2, 1.2)
         p = covector_from_pbar3(m, b, rng.uniform(0.0, TAU), CausalType.SPACE_LIKE)
-        tau0 = tau_of_t(m, p, maxwell_root_q0(m, p))
+        tau0 = tau_of_t(m, p, crossing_time(m, p, -math.pi / 2))
         assert -math.pi / (2.0 * m.eta * b) < tau0 < -math.pi / (m.eta * b)
         checked += 1
     for _ in range(1000):
         m = metric_from_eta(rng.uniform(-3.5, -1.05))
         p = light_covector(m, rng.uniform(0.0, TAU), rng.choice((1, -1)))
         scale = -m.eta * abs(p.p3) / (2.0 * m.i1)
-        u0 = scale * maxwell_root_q0(m, p)
-        u3 = scale * maxwell_root_q3(m, p)
+        u0 = scale * crossing_time(m, p, -math.pi / 2)
+        u3 = scale * crossing_time(m, p, -math.pi)
         assert math.pi / 2.0 < u0 < math.pi
         assert math.pi < u3 < 1.5 * math.pi
         checked += 1

@@ -1,13 +1,15 @@
-"""Split-quaternion algebra: the product, the exponential, the pseudo norm
-and the PSL(2,R) representative; and the disk model that reads the group
-law geometrically, with its own formulas checked."""
+"""Split-quaternion algebra: the product, the pseudo norm and the PSL(2,R)
+representative; and the disk model that reads the group law geometrically,
+with its own formulas checked.  Group elements come from the algebra
+exponential of tests/derivation.py."""
 
 import math
 import random
 
 import pytest
 
-from helpers import gap, mul4, series_exp
+from derivation import sq_exp
+from helpers import gap, mul4
 from disk_model import (
     DegenerateDenominator,
     DeterminantError,
@@ -21,7 +23,7 @@ from disk_model import (
     to_mobius_apply,
     to_sl2,
 )
-from hypgeo import DomainError, SplitQuaternion, psl2_canonicalize, sq_exp, sq_mul
+from hypgeo import DomainError, SplitQuaternion, psl2_canonicalize, sq_mul
 
 ONE = (1.0, 0.0, 0.0, 0.0)
 I = (0.0, 1.0, 0.0, 0.0)
@@ -67,69 +69,6 @@ def test_pseudo_norm_is_multiplicative(seed):
     lhs = sq_mul(a, b).pseudo_norm()
     rhs = a.pseudo_norm() * b.pseudo_norm()
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
-
-
-# frozen power-series values, 60 terms of exp((v1 i + v2 j + v3 k)/2)
-SERIES_CASES = [
-    ((0.3, -0.4, 0.75),
-     (0.9611911518003403, 0.14805449021833708, -0.19740598695778278,
-      0.3701362255458427)),
-    ((1.1, 0.2, -0.35),
-     (1.1442793257110393, 0.5762051572094886, 0.10476457403808882,
-      -0.18333800456665544)),
-    # light-like direction: the series terminates, components are exact
-    ((0.6, 0.8, 1.0), (1.0, 0.3, 0.4, 0.5)),
-    ((0.0, 0.0, 2.2),
-     (0.45359612142557726, 0.0, 0.0, 0.8912073600614353)),
-    ((1.3, -0.9, 0.0),
-     (1.3291189366955172, 0.719855980018679, -0.498361832320624, 0.0)),
-]
-
-
-@pytest.mark.parametrize("v,want", SERIES_CASES)
-def test_exp_matches_frozen_series_values(v, want):
-    got = sq_exp(*v).components()
-    assert max(abs(x - y) for x, y in zip(got, want)) < 1e-14
-
-
-@pytest.mark.parametrize("seed", range(30))
-def test_exp_matches_series_randomly(seed):
-    rnd = random.Random(77 + seed)
-    v = tuple(rnd.uniform(-2.5, 2.5) for _ in range(3))
-    got = sq_exp(*v).components()
-    want = series_exp(*v)
-    assert max(abs(x - y) for x, y in zip(got, want)) < 1e-12
-
-
-@pytest.mark.parametrize("v", [
-    # tiny and near-cone arguments used to take the affine form 1 + v/2,
-    # which drops |kappa|/8 from q0: 1.1e-10, 4.2e-10 and 1.25e-10 off
-    (0.0, 0.0, 3e-5),
-    (10.0, 0.0, 10.0000000001),
-    (3.0, 4.0, 5.0000000001),
-])
-def test_exp_matches_series_near_the_light_cone(v):
-    got = sq_exp(*v).components()
-    want = series_exp(*v)
-    assert max(abs(x - y) for x, y in zip(got, want)) < 1e-15
-
-
-@pytest.mark.parametrize("seed", range(30))
-def test_exp_lands_on_unit_pseudo_norm_surface(seed):
-    rnd = random.Random(501 + seed)
-    q = sq_exp(*(rnd.uniform(-3, 3) for _ in range(3)))
-    assert abs(q.pseudo_norm() - 1.0) < 1e-11
-
-
-@pytest.mark.parametrize("v", [
-    (1e300, 1e300, 0.0),   # kappa overflows: came back (inf, nan, nan, nan)
-    (0.0, 0.0, 1e300),
-    (math.nan, 0.0, 0.0),
-    (2000.0, 0.0, 0.0),    # cosh(|v|/2) overflowed with a bare OverflowError
-])
-def test_exp_rejects_an_exponent_that_is_not_finite_or_overflows(v):
-    with pytest.raises(DomainError):
-        sq_exp(*v)
 
 
 def test_exp_one_parameter_subgroup_property():

@@ -12,7 +12,6 @@ from hypgeo import (
     CausalType,
     DomainError,
     GroupTag,
-    LightLikeInput,
     Metric,
     NonPositiveEigenvalue,
     NotOnC,
@@ -23,7 +22,6 @@ from hypgeo import (
     light_covector,
     make_metric,
     metric_from_eta,
-    tau_of_t,
 )
 from hypgeo.metric_space import covector_of_type
 
@@ -288,13 +286,3 @@ def test_light_covector_components():
     assert abs(energy - 1.0) < 1e-12
 
 
-def test_tau_rescaling():
-    m = make_metric(1.0, 4.0)
-    p = covector_from_pbar3(m, 2.0, 0.0, CausalType.TIME_LIKE)
-    assert abs(tau_of_t(m, p, 3.0) - 3.0 * p.norm / 2.0) < 1e-15
-    with pytest.raises(LightLikeInput):
-        tau_of_t(m, light_covector(m, 0.0), 1.0)
-    # nan used to come back as a silent NaN
-    for t in (math.nan, math.inf):
-        with pytest.raises(DomainError):
-            tau_of_t(m, p, t)

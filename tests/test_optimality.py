@@ -9,6 +9,7 @@ import random
 import mpmath
 import pytest
 
+from derivation import SymmetryElement, apply_symmetry_preimage
 from helpers import gap, projective_gap, random_covector
 from hypgeo import (
     ETA_POLE_SPLIT_PSL2,
@@ -21,8 +22,6 @@ from hypgeo import (
     NoConvergence,
     OnCutLocus,
     SplitQuaternion,
-    SymmetryElement,
-    apply_symmetry_preimage,
     covector_from_components,
     covector_from_pbar3,
     cut_locus_sample,
@@ -33,7 +32,6 @@ from hypgeo import (
     injectivity_radius,
     light_covector,
     make_metric,
-    maxwell_root_q0,
     maxwell_time,
     metric_from_eta,
     psl2_canonicalize,
@@ -420,9 +418,9 @@ def test_injectivity_radius_rejects_a_raw_metric_off_the_family(i1, i3):
 
 def test_injectivity_radius_of_the_limit_metric_keeps_its_value():
     # I3 = inf (the sub-Riemannian limit, eta = -1): the case-3 closed form
-    # at 1 + eta = 0 gives 2 pi sqrt(I1) sqrt(-0.0) = -0.0
+    # used to take sqrt(-(1 + eta)) = sqrt(-0.0) and return -0.0
     r = injectivity_radius(Metric(1.0, math.inf))
-    assert r == 0.0 and math.copysign(1.0, r) == -1.0
+    assert r == 0.0 and math.copysign(1.0, r) == 1.0
 
 # --- cut locus sampling ---------------------------------------------------------
 

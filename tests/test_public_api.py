@@ -8,6 +8,7 @@ sibling's underscore names.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -18,20 +19,25 @@ import hypgeo
 ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC_NAMES = [
-    "CausalType", "Covector", "CutDescriptor",
-    "DegenerateIdenticallyZero", "DomainError", "ETA_INJ_SPLIT",
+    "CausalType", "Covector", "CutDescriptor", "DomainError", "ETA_INJ_SPLIT",
     "ETA_POLE_SPLIT_PSL2", "ETA_POLE_SPLIT_SL2", "GeodesicSample", "GroupTag", "HypgeoError",
-    "IdentityTarget", "LightLikeInput",
-    "LocusSample", "Metric", "NegativeTime", "NoConvergence", "NoRootFound",
+    "IdentityTarget", "LocusSample", "Metric", "NegativeTime", "NoConvergence", "NoRootFound",
     "NonPositiveEigenvalue", "NotOnC", "NotTimeLike", "OnCutLocus",
-    "SplitQuaternion", "SrMomentum", "SymmetryElement", "UndefinedAtEquator",
-    "WavefrontPoint", "apply_symmetry_image", "apply_symmetry_preimage", "beta_from_pbar3",
+    "SplitQuaternion", "SrMomentum", "UndefinedAtEquator", "WavefrontPoint", "beta_from_pbar3",
     "conjugate_roots", "covector_from_components", "covector_from_pbar3",
     "cut_locus_sample", "cut_time", "describe_cut", "exp_map", "first_conjugate_time",
-    "injectivity_radius", "jacobian", "light_covector", "limit_comparison", "make_metric",
-    "maxwell_root_q0", "maxwell_root_q3", "maxwell_time", "metric_from_eta", "psl2_canonicalize",
-    "riemannian_log", "sample_geodesic", "sq_exp", "sq_mul", "sr_cut_time", "sr_exp_map",
-    "tau_of_t", "vertical_flow", "wavefront_sample",
+    "injectivity_radius", "light_covector", "limit_comparison", "make_metric",
+    "maxwell_time", "metric_from_eta", "psl2_canonicalize",
+    "riemannian_log", "sample_geodesic", "sq_mul", "sr_cut_time", "sr_exp_map",
+    "vertical_flow", "wavefront_sample",
+]
+
+# test-only derivation tools (tests/derivation.py) and the Maxwell-root
+# wrappers with their two error classes, which the package no longer has
+GONE = [
+    "DegenerateIdenticallyZero", "LightLikeInput", "SymmetryElement", "apply_symmetry_image",
+    "apply_symmetry_preimage", "jacobian", "maxwell_root_q0", "maxwell_root_q3", "sq_exp",
+    "tau_of_t",
 ]
 
 
@@ -42,6 +48,16 @@ def test_every_public_name_resolves():
 
 def test_public_names_are_pinned():
     assert sorted(hypgeo.__all__) == PUBLIC_NAMES
+
+
+def test_no_module_keeps_a_removed_name():
+    # the __all__ pin misses a definition left behind but no longer exported
+    left = []
+    for path in sorted((ROOT / "src" / "hypgeo").glob("*.py")):
+        name = "hypgeo" if path.stem == "__init__" else f"hypgeo.{path.stem}"
+        mod = importlib.import_module(name)
+        left += [f"{name}.{gone}" for gone in GONE if gone in vars(mod)]
+    assert left == []
 
 
 def test_package_imports_only_the_standard_library():

@@ -10,7 +10,6 @@ import pytest
 from helpers import bisect
 from hypgeo import (
     CausalType,
-    DegenerateIdenticallyZero,
     DomainError,
     GroupTag,
     NoRootFound,
@@ -23,11 +22,10 @@ from hypgeo import (
     exp_map,
     light_covector,
     make_metric,
-    maxwell_root_q0,
-    maxwell_root_q3,
     metric_from_eta,
 )
 from hypgeo import root_solver
+from hypgeo.root_solver import crossing_time
 
 M = make_metric(1.0, 4.0)
 
@@ -42,7 +40,7 @@ def _tau_of(m, p, t):
 @pytest.mark.parametrize("pbar3", [1.3, 1.7, 2.5, 8.0, 40.0])
 def test_time_like_q0_root_kills_q0(pbar3):
     p = covector_from_pbar3(M, pbar3, 0.45, CausalType.TIME_LIKE)
-    t0 = maxwell_root_q0(M, p)
+    t0 = crossing_time(M, p, -math.pi / 2)
     assert abs(exp_map(M, p, t0).q0) < 1e-9
     # first root: strictly positive q0 before it
     for frac in (0.15, 0.5, 0.85):
@@ -52,7 +50,7 @@ def test_time_like_q0_root_kills_q0(pbar3):
 @pytest.mark.parametrize("pbar3", [1.3, 1.7, 2.5, 8.0])
 def test_time_like_q3_root_kills_q3(pbar3):
     p = covector_from_pbar3(M, pbar3, 0.45, CausalType.TIME_LIKE)
-    t3 = maxwell_root_q3(M, p)
+    t3 = crossing_time(M, p, -math.pi)
     assert abs(exp_map(M, p, t3).q3) < 1e-9
 
 
@@ -67,15 +65,15 @@ def test_q0_root_precedes_q3_root(seed):
         p = covector_from_pbar3(m, rnd.uniform(0.05, 0.95), rnd.uniform(0, 6), kind)
     else:
         p = light_covector(m, rnd.uniform(0, 6))
-    assert maxwell_root_q0(m, p) < maxwell_root_q3(m, p)
+    assert crossing_time(m, p, -math.pi / 2) < crossing_time(m, p, -math.pi)
 
 
 def test_pole_roots_are_closed_form():
     # pbar3 = +-1: tau0 = -pi/(2(1+eta)), tau3 = -pi/(1+eta)
     for sign in (1.0, -1.0):
         p = covector_from_pbar3(M, sign, 0.2, CausalType.TIME_LIKE)
-        t0 = maxwell_root_q0(M, p)
-        t3 = maxwell_root_q3(M, p)
+        t0 = crossing_time(M, p, -math.pi / 2)
+        t3 = crossing_time(M, p, -math.pi)
         assert abs(_tau_of(M, p, t0) - (-math.pi / (2.0 * (1.0 + M.eta)))) < 1e-12
         assert abs(_tau_of(M, p, t3) - (-math.pi / (1.0 + M.eta))) < 1e-12
 
@@ -87,7 +85,7 @@ def test_space_like_q0_bracket(seed):
     m = metric_from_eta(rnd.uniform(-2.6, -1.1))
     b = 10.0 ** rnd.uniform(-2.0, 1.2)
     p = covector_from_pbar3(m, b, rnd.uniform(0, 6), CausalType.SPACE_LIKE)
-    tau0 = _tau_of(m, p, maxwell_root_q0(m, p))
+    tau0 = _tau_of(m, p, crossing_time(m, p, -math.pi / 2))
     assert -math.pi / (2.0 * m.eta * b) < tau0 < -math.pi / (m.eta * b)
 
 
@@ -98,24 +96,32 @@ def test_light_like_root_brackets(seed):
     m = metric_from_eta(rnd.uniform(-2.6, -1.1))
     p = light_covector(m, rnd.uniform(0, 6), 1 if rnd.random() < 0.5 else -1)
     scale = abs(p.p3) / (2.0 * m.i1) * (-m.eta)
-    u0 = scale * maxwell_root_q0(m, p)
-    u3 = scale * maxwell_root_q3(m, p)
+    u0 = scale * crossing_time(m, p, -math.pi / 2)
+    u3 = scale * crossing_time(m, p, -math.pi)
     assert math.pi / 2 < u0 < math.pi
     assert math.pi < u3 < 1.5 * math.pi
 
 
-def test_space_like_equator_degeneracies():
-    p = covector_from_pbar3(M, 0.0, 0.3, CausalType.SPACE_LIKE)
-    with pytest.raises(UndefinedAtEquator):
-        maxwell_root_q0(M, p)
-    with pytest.raises(DegenerateIdenticallyZero):
-        maxwell_root_q3(M, p)
+@pytest.mark.parametrize("target", [-math.pi / 2, -math.pi])
+def test_crossing_time_stops_at_the_space_like_equator(target):
+    # the phase stays 0 there, and the bracket's lower end |target| / a
+    # would divide by a = -eta b = 0
+    for pbar3 in (0.0, -0.0, 5e-15, -5e-15):
+        p = covector_from_pbar3(M, pbar3, 0.3, CausalType.SPACE_LIKE)
+        with pytest.raises(UndefinedAtEquator):
+            crossing_time(M, p, target)
+    # past the tolerance the root is finite: with tanh tau = 1 and
+    # atan(b) = b to rounding, phi = b + eta b tau
+    m = metric_from_eta(-1.3)
+    p = covector_from_pbar3(m, 2e-14, 0.4, CausalType.SPACE_LIKE)
+    want = 2.0 * m.i1 * (p.pbar3 - target) / (-m.eta * p.pbar3) / p.norm
+    assert abs(crossing_time(m, p, target) / want - 1.0) < 1e-12
 
 
 def test_light_roots_match_independent_bisection():
     # frozen: first zero of q0 along the light geodesic at eta = -1.25
     p = light_covector(M, 0.0)
-    t0 = maxwell_root_q0(M, p)
+    t0 = crossing_time(M, p, -math.pi / 2)
     assert abs(t0 - 4.846586135977827) < 1e-9
 
     # cross-check with a fresh bisection of the closed form
@@ -142,7 +148,7 @@ def test_space_like_q0_root_is_relatively_accurate_near_the_light_cone(pbar3, et
     k = -eta * b
     u = bisect(lambda u: math.cos(u) + b * math.tanh(u / k) * math.sin(u),
                0.5 * math.pi, math.pi)
-    tau0 = _tau_of(m, p, maxwell_root_q0(m, p))
+    tau0 = _tau_of(m, p, crossing_time(m, p, -math.pi / 2))
     assert abs(tau0 - u / k) <= 1e-12 * (u / k)
 
 

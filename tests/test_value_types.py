@@ -9,6 +9,7 @@ import pickle
 
 import pytest
 
+from derivation import SymmetryElement
 from hypgeo import (
     CausalType,
     Covector,
@@ -19,7 +20,6 @@ from hypgeo import (
     Metric,
     SplitQuaternion,
     SrMomentum,
-    SymmetryElement,
     WavefrontPoint,
 )
 
@@ -44,7 +44,7 @@ RECORDS = [
         Covector(1.0, 0.0, 1.0, 0.0, CausalType.LIGHT_LIKE, 0.0, None),
     ),
     (GeodesicSample(0.5, Q), f"GeodesicSample(t=0.5, point={Q_REPR})", GeodesicSample(t=0.5, point=Q)),
-    (
+    (  # the symmetry group lives with the tests (tests/derivation.py)
         SymmetryElement.sigma1(),
         "SymmetryElement(angle=0.0, mirror=True, flip3=False)",
         SymmetryElement(0.0, True, False),
