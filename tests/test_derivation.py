@@ -22,6 +22,7 @@ from hypgeo import (
     SplitQuaternion,
     covector_from_pbar3,
     exp_map,
+    light_covector,
     make_metric,
     metric_from_eta,
 )
@@ -102,10 +103,17 @@ def test_tau_rescaling():
     m = make_metric(1.0, 4.0)
     p = covector_from_pbar3(m, 2.0, 0.0, CausalType.TIME_LIKE)
     assert abs(tau_of_t(m, p, 3.0) - 3.0 * p.norm / 2.0) < 1e-15
+    with pytest.raises(DomainError):
+        tau_of_t(m, light_covector(m, 0.0), 1.0)
     # nan used to come back as a silent NaN
     for t in (math.nan, math.inf):
         with pytest.raises(DomainError):
             tau_of_t(m, p, t)
+
+
+def test_jacobian_rejects_light_like():
+    with pytest.raises(DomainError):
+        jacobian(M, CausalType.LIGHT_LIKE, 1.0, 0.5)
 
 
 @pytest.mark.parametrize("ctype", [CausalType.TIME_LIKE, CausalType.SPACE_LIKE])

@@ -13,7 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from derivation import sq_exp
+from derivation import (
+    SymmetryElement,
+    apply_symmetry_image,
+    apply_symmetry_preimage,
+    jacobian,
+    sq_exp,
+    tau_of_t,
+)
 from hypgeo import (
     CausalType,
     GroupTag,
@@ -42,7 +49,7 @@ from hypgeo import (
     vertical_flow,
     wavefront_sample,
 )
-from hypgeo.root_solver import EQUATOR_TOLERANCE
+from hypgeo.root_solver import EQUATOR_TOLERANCE, crossing_time
 
 EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308]
 # any float, the edges drawn often: nan, +-inf, +-0, subnormals and 1e308
@@ -108,6 +115,7 @@ COUNT = st.integers(-1, 64)  # sizes of grids, sample lists and root lists
 # a drawn sq_exp may raise its DomainError, which the property accepts
 GROUP_ELEMENT = st.one_of(st.builds(sq_exp, FLOAT, FLOAT, FLOAT),
                           st.builds(SplitQuaternion, FLOAT, FLOAT, FLOAT, FLOAT))
+SYMMETRY = st.builds(SymmetryElement, FLOAT, st.booleans(), st.booleans())
 CTYPE = st.sampled_from(CausalType)
 
 
@@ -154,15 +162,43 @@ def _nan_in(value) -> bool:
     return isinstance(value, (tuple, list)) and any(map(_nan_in, value))
 
 
+def _returns_no_nan_or_raises_a_hypgeo_error(call, eta, i1, data):
+    try:
+        value = call(metric_from_eta(eta, i1), data)
+    except HypgeoError:
+        return
+    assert not _nan_in(value), value
+
+
 @pytest.mark.parametrize("name", CALLS)
 @settings(SEARCH, max_examples=30)  # 16 functions: the suite's wall time stays in bounds
 @given(eta=WIDE_ETA, i1=I1, data=st.data())
 def test_public_function_returns_no_nan_and_raises_only_hypgeo_errors(name, eta, i1, data):
-    try:
-        value = CALLS[name](metric_from_eta(eta, i1), data)
-    except HypgeoError:
-        return
-    assert not _nan_in(value), value
+    _returns_no_nan_or_raises_a_hypgeo_error(CALLS[name], eta, i1, data)
+
+
+# functions outside hypgeo.__all__ that the tests call directly: the
+# derivation oracles, which check the package only while their own answers
+# are finite, and crossing_time at the first zeros of q0 and q3
+DIRECT_CALLS = {
+    "tau_of_t": lambda m, d: tau_of_t(m, _covector(m, d), d.draw(FLOAT)),
+    "apply_symmetry_preimage": lambda m, d: apply_symmetry_preimage(
+        m, d.draw(SYMMETRY), _covector(m, d), d.draw(FLOAT)),
+    "apply_symmetry_image": lambda m, d: apply_symmetry_image(d.draw(SYMMETRY),
+                                                              d.draw(GROUP_ELEMENT)),
+    "jacobian": lambda m, d: jacobian(m, d.draw(CTYPE), d.draw(FLOAT), d.draw(FLOAT)),
+    "sq_exp": lambda m, d: sq_exp(d.draw(FLOAT), d.draw(FLOAT), d.draw(FLOAT)),
+    "crossing_time_q0": lambda m, d: crossing_time(m, _covector(m, d), -math.pi / 2),
+    "crossing_time_q3": lambda m, d: crossing_time(m, _covector(m, d), -math.pi),
+}
+
+
+@pytest.mark.parametrize("name", DIRECT_CALLS)
+@settings(SEARCH, max_examples=30)
+@given(eta=WIDE_ETA, i1=I1, data=st.data())
+def test_directly_called_function_returns_no_nan_and_raises_only_hypgeo_errors(
+        name, eta, i1, data):
+    _returns_no_nan_or_raises_a_hypgeo_error(DIRECT_CALLS[name], eta, i1, data)
 
 
 @settings(SEARCH, max_examples=50)
