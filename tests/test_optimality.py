@@ -555,6 +555,26 @@ def test_locus_sweep_is_pinned_bit_for_bit(sweep):
     assert digest.hexdigest() == want
 
 
+def test_wavefront_sweep_is_pinned_bit_for_bit():
+    # one SHA-256 over float.hex of every point component, covector field
+    # and flag; t at half and 1.5 times the injectivity radius gives both
+    # flags, and eta -4/3 at n = 9 has light-like rows (pbar3 None); frozen
+    # while every point still stored its own covector
+    digest = hashlib.sha256()
+    for group in GroupTag:
+        for eta in (-1.001, -1.05, -4.0 / 3.0, -1.6, -2.5, -4.0, -30.0):
+            m = metric_from_eta(eta)
+            for n in (8, 9, 16, 64):
+                for f in (0.5, 1.5):
+                    for w in wavefront_sample(m, f * injectivity_radius(m), n, group):
+                        p = w.covector
+                        # p[:4] is p1, p2, p3 and kil
+                        for x in (*w.point.components(), *p[:4], p.norm):
+                            digest.update(x.hex().encode())
+                        digest.update(f"{p.pbar3!r} {p.ctype.name} {w.optimal}".encode())
+    assert digest.hexdigest() == "7fec526a2608808b3889e17c555098c8fc7df11de9958a340fc1edc425071983"
+
+
 @pytest.mark.parametrize("group, limit", [(GroupTag.PSL2, math.pi), (GroupTag.SL2, 2.0 * math.pi)])
 @pytest.mark.parametrize("ctype", list(CausalType))
 def test_cut_time_where_one_plus_eta_rounds_to_eta(group, limit, ctype):
