@@ -132,9 +132,21 @@ class LocusSample(NamedTuple):
 
 
 class WavefrontPoint(NamedTuple):
-    covector: Covector
+    """A wavefront sample: its point Exp(covector, t), whether that geodesic
+    still minimizes at t, its row's phase-0 covector (one object per row)
+    and its column's shared (phi, cos phi, sin phi)."""
+
     point: SplitQuaternion
     optimal: bool
+    row: Covector
+    column: tuple
+
+    @property
+    def covector(self) -> Covector:
+        """The row covector turned by the column's phase, in the floats the
+        point was built from; built on access."""
+        row, (_, cos_phi, sin_phi) = self.row, self.column
+        return tuple.__new__(Covector, (row.p1 * cos_phi, row.p1 * sin_phi, *row[2:]))
 
 
 def first_conjugate_time(m: Metric, p: Covector) -> float:
@@ -240,7 +252,7 @@ class _GcPaused:
     """Pauses CPython's cyclic collector while a grid's records are built,
     and re-enables it on exit only if it was enabled on entry.  Records are
     tuple subclasses, which the collector never untracks, so unpaused it
-    walks the growing grid 6 times per 64 x 64 cut-locus plane and 17
+    walks the growing grid 6 times per 64 x 64 cut-locus plane and 11
     times per 64 x 64 wavefront, and frees nothing.  __exit__ allocates
     nothing after re-enabling: the collection the build has earned waits
     for the caller's next allocation, and never runs if the caller first
@@ -398,13 +410,17 @@ def wavefront_sample(
     orbit, so its optimality flag (the conjugate cap and one phase
     comparison, no root solve) and Exp factors are computed once; each
     column turns the row covector, and `exp_map` of it gives the column's
-    point bit for bit.  DomainError unless t is finite and positive and
-    n is an integer >= 8.  The grid is built with the process-wide cyclic
-    collector paused; the caller's state (enabled or not) is restored on
-    return and on error.
+    point bit for bit; each point keeps the row covector and the column
+    (see WavefrontPoint).  DomainError unless t is finite and positive, n
+    is an integer >= 8 and I3 is finite: on the limit metric I3 = inf no
+    row p3 = u sqrt(I3) is finite.  The grid is built with the
+    process-wide cyclic collector paused; the caller's state (enabled or
+    not) is restored on return and on error.
     """
     if not 0.0 < t < math.inf:  # NaN fails too
         raise DomainError(f"wavefront time must be finite and positive, got {t!r}")
+    if not m.i3 < math.inf:  # NaN fails too
+        raise DomainError(f"wavefront rows need a finite I3, got I3 = {m.i3!r}")
     n = check_count(n, 8)
     g, new = _group(group), tuple.__new__
     with _GcPaused():
@@ -413,19 +429,15 @@ def wavefront_sample(
             u = -1.0 + 2.0 * i / (n - 1)
             horizontal = math.sqrt(max(m.i1 * (1.0 - u * u), 0.0))
             p_row = covector_from_components(m, horizontal, 0.0, u * math.sqrt(m.i3))
-            _, _, p3, kil, ctype, norm, pbar3 = p_row
             q0, q3, radial, c, s, _ = orbit_factors(m, p_row, t)
             optimal = _minimizing(m, p_row, t, g)
-            d = norm if norm else 1.0
-            for _, cos_phi, sin_phi in table:
-                p1, p2 = horizontal * cos_phi, horizontal * sin_phi
-                x, y = p1 / d, p2 / d
+            d = p_row.norm or 1.0
+            for column in table:
+                _, cos_phi, sin_phi = column
+                x, y = horizontal * cos_phi / d, horizontal * sin_phi / d
                 q1, q2 = radial * (x * c - y * s), radial * (x * s + y * c)
                 out.append(new(WavefrontPoint, (
-                    new(Covector, (p1, p2, p3, kil, ctype, norm, pbar3)),
-                    new(SplitQuaternion, (q0, q1, q2, q3)),
-                    optimal,
-                )))
+                    new(SplitQuaternion, (q0, q1, q2, q3)), optimal, p_row, column)))
     return out
 
 

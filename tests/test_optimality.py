@@ -987,6 +987,13 @@ def test_wavefront_validates_arguments():
             cut_locus_sample(M, GroupTag.PSL2, n)
 
 
+def test_wavefront_on_the_limit_metric_is_a_domain_error():
+    # I3 = inf gives no finite row p3 = u sqrt(I3); the energy check of the
+    # first row used to raise NotOnC with "energy nan differs from 1"
+    with pytest.raises(DomainError, match="wavefront rows need a finite I3, got I3 = inf"):
+        wavefront_sample(Metric(1.0, math.inf), 1.0, 8)
+
+
 _GROUP_CALLS = {
     "cut_time": lambda g: cut_time(M, covector_from_pbar3(M, 2.0, 0.1, CausalType.TIME_LIKE), g),
     "describe_cut": lambda g: describe_cut(M, light_covector(M, 0.3), g),
@@ -1026,8 +1033,9 @@ def _collections_during(call):
 
 
 def test_grids_run_no_collection():
-    # unpaused, the 4,096-point wavefront alone allocates about 12,000 tracked
-    # records, 17 times the young generation's threshold of 700
+    # unpaused, the 4,096-point wavefront alone allocates about 8,200 tracked
+    # records (a point and its quaternion each), 11 times the young
+    # generation's threshold of 700
     m = metric_from_eta(-1.4)
     points, collections = _collections_during(lambda: wavefront_sample(m, 3.3, 64))
     assert len(points) == 64 * 64 and collections == 0

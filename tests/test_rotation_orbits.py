@@ -18,6 +18,7 @@ from hypgeo import (
     Covector,
     GroupTag,
     SplitQuaternion,
+    WavefrontPoint,
     covector_from_components,
     cut_locus_sample,
     cut_time,
@@ -192,6 +193,22 @@ def test_wavefront_row_is_its_row_of_the_sample(group):
                 for phi in (2.0 * math.pi * j / n for j in range(n))]
             assert [w.point for w in row] == [exp_map(m, w.covector, t) for w in row]
             assert {w.optimal for w in row} == {t < cut_time(m, p_row, group)}
+
+
+@pytest.mark.parametrize("group", list(GroupTag))
+def test_wavefront_points_share_their_rows_covector(group):
+    # a point keeps its row's phase-0 covector and its column's phase, one
+    # object each for the whole row and column, and builds its covector on access
+    assert "covector" not in WavefrontPoint._fields
+    m = metric_from_eta(-4.0 / 3.0)
+    n = 9
+    front = wavefront_sample(m, injectivity_radius(m), n, group)
+    for row in _rows(front, n):
+        assert all(w.row is row[0].row for w in row)
+        assert row[0].covector == row[0].row
+        assert all(type(w.covector) is Covector for w in row)
+    for j in range(n):
+        assert all(w.column is front[j].column for w in front[j::n])
 
 
 @pytest.mark.parametrize("group", list(GroupTag))

@@ -62,9 +62,9 @@ RECORDS = [
         LocusSample("Z", (Q,), ((P, 2.5, 0.0),), 1e-15),
     ),
     (
-        WavefrontPoint(P, Q, True),
-        f"WavefrontPoint(covector={P_REPR}, point={Q_REPR}, optimal=True)",
-        WavefrontPoint(P, Q, True),
+        WavefrontPoint(Q, True, P, (0.0, 1.0, 0.0)),
+        f"WavefrontPoint(point={Q_REPR}, optimal=True, row={P_REPR}, column=(0.0, 1.0, 0.0))",
+        WavefrontPoint(Q, True, P, (0.0, 1.0, 0.0)),
     ),
     (SrMomentum(1.2, 0.3), "SrMomentum(beta=1.2, phi0=0.3)", SrMomentum(beta=1.2, phi0=0.3)),
 ]
